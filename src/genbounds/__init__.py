@@ -66,7 +66,6 @@ from .ratedistortion import (
     rd_curve,
     rd_dimension,
     rd_gen,
-    rd_trajectory,
 )
 from .trajectory import (
     LogisticToy,

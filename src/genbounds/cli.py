@@ -139,9 +139,7 @@ def cmd_bound(args) -> int:
             flip = args.kernel_flip
             kernel = (1 - flip) * np.eye(k) + flip / max(k - 1, 1) * (1 - np.eye(k))
             w_idx = int(_rng(args.seed, 1).choice(k, p=pi))
-            pws = np.stack([
-                np.asarray(alg.posterior_from_counts(prob, c, args.n)) for c in contexts
-            ])
+            pws = alg.posteriors(prob, contexts)
             achieved = float(f[s_idx, w_idx] - kernel[w_idx] @ f[s_idx])
             rep = prop5_bound(
                 "ii", P_S=p_s, q_hat=q_rows, g=f, delta=args.delta,
@@ -326,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="64-bit root seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (modules are deterministic regardless)")
         p.add_argument("--out", type=str, default="out", help="output file or directory")
         p.add_argument("--config", type=str, default=None, help="JSON config; flags override")
 
@@ -394,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n-list", dest="n_list", type=str, default="4,6,8,10")
     p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--mode", choices=("both",), default="both")
     p.add_argument("--delta", type=float, default=0.05)
     p.set_defaults(func=cmd_counterexample)
 

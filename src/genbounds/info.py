@@ -8,7 +8,6 @@ after construction, so every function here is safe to call concurrently.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -44,19 +43,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _fmt17(x: float) -> str:
-    # 17 significant digits round-trip IEEE doubles exactly
-    return format(float(x), ".17g")
-
-
-def _vector_json(v: np.ndarray) -> str:
-    return "[" + ", ".join(_fmt17(x) for x in v) + "]"
-
-
-def _matrix_json(m: np.ndarray) -> str:
-    return "[" + ", ".join(_vector_json(row) for row in m) + "]"
-
-
 @dataclass(frozen=True)
 class Pmf:
     """Probability vector over a finite alphabet."""
@@ -67,10 +53,14 @@ class Pmf:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("Pmf requires a non-empty 1-D probability vector")
+        total = p.sum()
+        # a NaN or infinite entry makes the sum non-finite; cheaper than np.isfinite(p).all()
+        if not math.isfinite(total):
+            raise ValueError("Pmf entries must be finite")
         if np.any(p < -PROB_ATOL):
             raise ValueError("Pmf entries must be non-negative")
-        if abs(p.sum() - 1.0) > max(PROB_ATOL, 1e-12 * p.size):
-            raise ValueError(f"Pmf entries must sum to 1 (got {p.sum()!r})")
+        if abs(total - 1.0) > max(PROB_ATOL, 1e-12 * p.size):
+            raise ValueError(f"Pmf entries must sum to 1 (got {total!r})")
         object.__setattr__(self, "probs", _freeze(np.clip(p, 0.0, None)))
 
     @property
@@ -79,13 +69,6 @@ class Pmf:
 
     def __array__(self, dtype=None):
         return np.asarray(self.probs, dtype=dtype)
-
-    def to_json(self) -> str:
-        return _vector_json(self.probs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Pmf":
-        return cls(np.asarray(json.loads(text), dtype=float))
 
     @classmethod
     def uniform(cls, k: int) -> "Pmf":
@@ -108,6 +91,8 @@ class Channel:
         m = np.asarray(self.rows, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise ValueError("Channel requires a non-empty 2-D matrix")
+        if not np.isfinite(m).all():
+            raise ValueError("Channel entries must be finite")
         if np.any(m < -PROB_ATOL):
             raise ValueError("Channel entries must be non-negative")
         if np.any(np.abs(m.sum(axis=1) - 1.0) > max(PROB_ATOL, 1e-12 * m.shape[1])):
@@ -125,13 +110,6 @@ class Channel:
     def __array__(self, dtype=None):
         return np.asarray(self.rows, dtype=dtype)
 
-    def to_json(self) -> str:
-        return _matrix_json(self.rows)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Channel":
-        return cls(np.asarray(json.loads(text), dtype=float))
-
 
 @dataclass(frozen=True)
 class Joint:
@@ -143,6 +121,8 @@ class Joint:
         m = np.asarray(self.table, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise ValueError("Joint requires a non-empty 2-D table")
+        if not np.isfinite(m).all():
+            raise ValueError("Joint entries must be finite")
         if np.any(m < -PROB_ATOL):
             raise ValueError("Joint entries must be non-negative")
         if abs(m.sum() - 1.0) > max(PROB_ATOL, 1e-12 * m.size):
@@ -161,13 +141,6 @@ class Joint:
 
     def __array__(self, dtype=None):
         return np.asarray(self.table, dtype=dtype)
-
-    def to_json(self) -> str:
-        return _matrix_json(self.table)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Joint":
-        return cls(np.asarray(json.loads(text), dtype=float))
 
 
 def _vec(p) -> np.ndarray:
@@ -456,5 +429,6 @@ def gdelta_sup(
         if not improved:
             step *= 0.5
 
-    assert in_gdelta(best_p, p, delta)
+    if not in_gdelta(best_p, p, delta):
+        raise RuntimeError("gdelta_sup incumbent lies outside the KL ball")
     return best_v, best_p.reshape(shape)

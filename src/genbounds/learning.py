@@ -117,13 +117,16 @@ def population_risk(prob: FiniteLearningProblem, w: int) -> float:
     return float(np.asarray(prob.mu) @ prob.loss[:, w])
 
 
+def _counts(prob: FiniteLearningProblem, idx: np.ndarray) -> np.ndarray:
+    if np.any(idx >= prob.z_alphabet_size):
+        raise ValueError("sample index out of range for this problem")
+    return np.bincount(idx, minlength=prob.z_alphabet_size).astype(float)
+
+
 def empirical_risks(prob: FiniteLearningProblem, s) -> np.ndarray:
     """Vector of empirical risks on dataset s, one per hypothesis."""
     idx = _samples(s)
-    if np.any(idx >= prob.z_alphabet_size):
-        raise ValueError("sample index out of range for this problem")
-    counts = np.bincount(idx, minlength=prob.z_alphabet_size).astype(float)
-    return (counts @ prob.loss) / idx.size
+    return (_counts(prob, idx) @ prob.loss) / idx.size
 
 
 def empirical_risk(prob: FiniteLearningProblem, s, w: int) -> float:
@@ -143,19 +146,32 @@ def gen_error(prob: FiniteLearningProblem, s, w: int) -> float:
     return float(gen_errors(prob, s)[w])
 
 
+def _check_beta(beta: float) -> float:
+    beta = float(beta)
+    if not 0.0 <= beta < math.inf:
+        raise ValueError("beta must be finite and non-negative")
+    return beta
+
+
+def _gibbs_rows(prob: FiniteLearningProblem, prior, beta: float, counts: np.ndarray) -> np.ndarray:
+    """prior(w) * exp(-beta * (counts @ loss)[w]), normalised along axis=-1.
+
+    (counts @ loss)[w] = n * emp_risk(s, w) for every dataset s with those counts.
+    """
+    pr = np.asarray(prior, dtype=float)
+    logits = np.where(pr > 0, np.log(np.clip(pr, 1e-300, None)), -np.inf) - beta * (counts @ prob.loss)
+    logits -= logits.max(axis=-1, keepdims=True)
+    weights = np.exp(logits)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
 def gibbs_posterior(prob: FiniteLearningProblem, prior, beta: float, s) -> Pmf:
     """Posterior(w) proportional to prior(w) * exp(-beta * n * emp_risk(s, w))."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    beta = _check_beta(beta)
     pr = np.asarray(prior, dtype=float)
-    if pr.sum() <= 0:
+    if not pr.sum() > 0:
         raise ValueError("prior must have positive mass")
-    idx = _samples(s)
-    logits = np.where(pr > 0, np.log(np.clip(pr, 1e-300, None)), -np.inf)
-    logits = logits - beta * idx.size * empirical_risks(prob, idx)
-    logits -= logits.max()
-    weights = np.exp(logits)
-    return Pmf(weights / weights.sum())
+    return Pmf(_gibbs_rows(prob, pr, beta, _counts(prob, _samples(s))))
 
 
 class Algorithm:
@@ -164,33 +180,30 @@ class Algorithm:
     def posterior(self, prob: FiniteLearningProblem, s) -> Pmf:
         raise NotImplementedError
 
-    def posterior_from_counts(self, prob: FiniteLearningProblem, counts: np.ndarray, n: int) -> Pmf:
-        """Posterior for any dataset with the given symbol counts.
+    def posteriors(self, prob: FiniteLearningProblem, counts: np.ndarray) -> np.ndarray:
+        """(N, W) posteriors, one row per symbol-count vector in the (N, z) `counts`.
 
-        Valid for exchangeable algorithms only (every built-in one is).
+        Valid for exchangeable algorithms only (every built-in one is); this
+        fallback runs `posterior` once per row.
         """
-        idx = np.repeat(np.arange(prob.z_alphabet_size), counts)
-        return self.posterior(prob, idx)
+        symbols = np.arange(prob.z_alphabet_size)
+        return np.stack([np.asarray(self.posterior(prob, np.repeat(symbols, c))) for c in counts])
+
+    def posterior_from_counts(self, prob: FiniteLearningProblem, counts: np.ndarray, n: int) -> Pmf:
+        """Posterior for any dataset with the given symbol counts (n = counts.sum())."""
+        return Pmf(self.posteriors(prob, np.asarray(counts)[None])[0])
 
 
 class GibbsAlgorithm(Algorithm):
     def __init__(self, prior, beta: float):
         self.prior = prior if isinstance(prior, Pmf) else Pmf(np.asarray(prior, dtype=float))
-        self.beta = float(beta)
+        self.beta = _check_beta(beta)
 
     def posterior(self, prob, s) -> Pmf:
         return gibbs_posterior(prob, self.prior, self.beta, s)
 
-    def posterior_from_counts(self, prob, counts, n) -> Pmf:
-        logits = np.where(
-            np.asarray(self.prior) > 0,
-            np.log(np.clip(np.asarray(self.prior), 1e-300, None)),
-            -np.inf,
-        )
-        logits = logits - self.beta * (np.asarray(counts, dtype=float) @ prob.loss)
-        logits -= logits.max()
-        w = np.exp(logits)
-        return Pmf(w / w.sum())
+    def posteriors(self, prob, counts) -> np.ndarray:
+        return _gibbs_rows(prob, self.prior, self.beta, np.asarray(counts, dtype=float))
 
 
 class ConstantAlgorithm(Algorithm):
@@ -202,8 +215,8 @@ class ConstantAlgorithm(Algorithm):
     def posterior(self, prob, s) -> Pmf:
         return self.output
 
-    def posterior_from_counts(self, prob, counts, n) -> Pmf:
-        return self.output
+    def posteriors(self, prob, counts) -> np.ndarray:
+        return np.tile(np.asarray(self.output), (len(counts), 1))
 
 
 def sample_dataset(prob: FiniteLearningProblem, n: int, seed: int, *path: int) -> Dataset:
@@ -233,12 +246,6 @@ def enumerate_types(z_size: int, n: int) -> np.ndarray:
     return np.asarray(out, dtype=int)
 
 
-def _log_multinomial(counts: np.ndarray, log_mu: np.ndarray, n: int) -> float:
-    coef = math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)
-    mass = float((counts * np.where(counts > 0, log_mu, 0.0)).sum())
-    return coef + mass
-
-
 def induced_joint(
     prob: FiniteLearningProblem,
     alg: Algorithm,
@@ -260,10 +267,12 @@ def induced_joint(
         contexts = enumerate_types(prob.z_alphabet_size, n)
         if len(contexts) > cap:
             raise EnumerationCapError(f"{len(contexts)} types exceed the cap {cap}")
-        weights = np.array([math.exp(_log_multinomial(c, log_mu, n)) for c in contexts])
-        rows = np.stack(
-            [np.asarray(alg.posterior_from_counts(prob, c, n)) for c in contexts]
-        )
+        log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+        mass = (contexts * np.where(contexts > 0, log_mu, 0.0)).sum(axis=1)
+        # math.exp, not np.exp: numpy's vectorised exp differs from libm in the last ulp
+        # on some weights, which would move output bytes
+        weights = np.array([math.exp(x) for x in log_fact[n] - log_fact[contexts].sum(axis=1) + mass])
+        rows = alg.posteriors(prob, contexts)
     else:
         contexts = enumerate_datasets(prob.z_alphabet_size, n, cap=cap)
         logw = np.asarray([float(log_mu[row].sum()) for row in contexts])
@@ -271,7 +280,7 @@ def induced_joint(
         rows = np.stack([np.asarray(alg.posterior(prob, row)) for row in contexts])
     table = weights[:, None] * rows
     total = table.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise RuntimeError(f"induced joint mass {total} drifted from 1")
     return Joint(table / total), contexts
 

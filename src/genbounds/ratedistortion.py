@@ -26,7 +26,6 @@ __all__ = [
     "blahut_arimoto",
     "rd_curve",
     "rd_gen",
-    "rd_trajectory",
     "rd_dimension",
 ]
 
@@ -284,15 +283,6 @@ def rd_gen(
     c = float((q * gtab).sum())
     source = q.sum(axis=1)
     return rd_curve(source, DistortionSpec(-np.asarray(w_hat_gen, dtype=float), epsilon - c), epsilon - c, **kw)
-
-
-def rd_trajectory(traj_dist, rho: DistortionSpec | np.ndarray, epsilon: float, **kw) -> RdSolution:
-    """Epsilon-constrained rate-distortion of a quantized trajectory source.
-
-    `rho` must already hold the per-trajectory distortion, i.e. the per-step
-    distortions averaged over the window.
-    """
-    return rd_curve(traj_dist, rho, epsilon, **kw)
 
 
 def rd_dimension(source, rho: DistortionSpec | np.ndarray, eps_grid) -> tuple[list[float], float]:

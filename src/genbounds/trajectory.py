@@ -19,7 +19,7 @@ from scipy.stats import spearmanr
 
 from .bounds import BoundReport, _finish
 from .info import Pmf, gdelta_sup, mutual_information
-from .ratedistortion import DistortionSpec, rd_trajectory
+from .ratedistortion import DistortionSpec, rd_curve
 from .seeding import rng as _rng
 
 __all__ = [
@@ -399,7 +399,7 @@ def lr_sweep(
         if eps is None:
             span = float(rho.max())
             eps = 0.1 * span if span > 0 else 0.0
-        sol = rd_trajectory(dist, DistortionSpec(rho, eps), eps)
+        sol = rd_curve(dist, DistortionSpec(rho, eps), eps)
         rows.append(SweepRow(lr=lr, mean_gen=float(np.mean(gens)), rd_nats=sol.rate_nats, flag="ok"))
     ok = [(r.mean_gen, r.rd_nats) for r in rows if r.flag == "ok"]
     if len(ok) >= 2 and len({g for g, _ in ok}) > 1 and len({r for _, r in ok}) > 1:

@@ -235,9 +235,7 @@ def covering_failure_estimate(
         raise ValueError(f"rates must have shape {(len(types), prob.w_alphabet_size)}")
     joint, _ = induced_joint(prob, alg, n, by_type=True)
     type_probs = np.asarray(joint.marginal_s())
-    post_cdf = np.cumsum(
-        np.stack([np.asarray(alg.posterior_from_counts(prob, c, n)) for c in types]), axis=1
-    )
+    post_cdf = np.cumsum(alg.posteriors(prob, types), axis=1)
     g2 = gen_table(prob, types, by_type=True) ** 2  # (types, w); reproduction alphabet = W
     if q_hat is None:
         q_hat = np.asarray(joint.marginal_w())
@@ -303,12 +301,8 @@ def covering_default_instance() -> dict:
     n = 2
     alg = GibbsAlgorithm(prior=Pmf(np.array([0.5, 0.5])), beta=2.0)
     types = enumerate_types(prob.z_alphabet_size, n)
-    prior = np.asarray(alg.prior)
-    rates = np.zeros((len(types), prob.w_alphabet_size))
-    for i, counts in enumerate(types):
-        post = np.asarray(alg.posterior_from_counts(prob, counts, n))
-        with np.errstate(divide="ignore"):
-            rates[i] = np.maximum(0.0, np.log(post / prior))
+    with np.errstate(divide="ignore"):
+        rates = np.maximum(0.0, np.log(alg.posteriors(prob, types) / np.asarray(alg.prior)))
     return {
         "prob": prob,
         "alg": alg,

@@ -22,7 +22,7 @@ from genbounds.info import (
     renyi_divergence,
 )
 from genbounds.learning import FiniteLearningProblem, GibbsAlgorithm, gen_table, induced_joint
-from genbounds.ratedistortion import DistortionSpec, rd_curve, rd_dimension, rd_trajectory
+from genbounds.ratedistortion import DistortionSpec, rd_curve, rd_dimension
 from genbounds.seeding import rng
 from genbounds.trajectory import LogisticToy, lr_sweep
 from genbounds.validation import (
@@ -232,7 +232,7 @@ def test_criterion_9_trajectory_pipeline():
         if span == 0.0:
             continue
         eps_grid = np.linspace(0.05 * span, 0.8 * span, 6)
-        rates = [rd_trajectory(dist, DistortionSpec(rho, e), e).rate_nats for e in eps_grid]
+        rates = [rd_curve(dist, DistortionSpec(rho, e), e).rate_nats for e in eps_grid]
         assert all(b <= a + 1e-7 for a, b in zip(rates, rates[1:]))
         for i in range(1, len(rates) - 1):
             assert rates[i] <= 0.5 * (rates[i - 1] + rates[i + 1]) + 1e-6

@@ -20,6 +20,7 @@ from genbounds.info import (
     mutual_information,
     renyi_divergence,
 )
+from genbounds.io import canonical_json
 from genbounds.seeding import rng
 
 
@@ -217,13 +218,22 @@ class TestTypes:
         assert np.asarray(j.marginal_s()).tolist() == pytest.approx([0.3, 0.7])
         assert np.asarray(j.marginal_w()).tolist() == pytest.approx([0.4, 0.6])
 
+    @pytest.mark.parametrize("cls, bad", [
+        (Pmf, [np.nan, 0.5, 0.5]),
+        (Pmf, [np.inf, 1.0]),
+        (Channel, [[np.nan, 1.0], [0.5, 0.5]]),
+        (Joint, [[np.nan, 0.5], [0.25, 0.25]]),
+        (Joint, [[np.nan, np.nan], [np.nan, np.nan]]),
+    ])
+    def test_non_finite_rejected(self, cls, bad):
+        with pytest.raises(ValueError, match="finite"):
+            cls(np.array(bad))
+
     def test_json_round_trip(self):
         p = Pmf(np.array([1 / 3, 2 / 3]))
-        assert np.allclose(np.asarray(Pmf.from_json(p.to_json())), np.asarray(p))
+        assert np.array_equal(json.loads(canonical_json(np.asarray(p))), np.asarray(p))
         j = Joint(np.array([[0.1, 0.2], [0.3, 0.4]]))
-        assert np.allclose(np.asarray(Joint.from_json(j.to_json())), np.asarray(j))
-        text = p.to_json()
-        assert json.loads(text)[0] == json.loads(Pmf(np.array([1 / 3, 2 / 3])).to_json())[0]
+        assert np.array_equal(json.loads(canonical_json(np.asarray(j))), np.asarray(j))
 
 
 class TestGdeltaSup:
@@ -265,6 +275,12 @@ class TestGdeltaSup:
         val, arg = gdelta_sup(table, 0.4, lambda t: float(t[0, 0]), search_budget=600, seed=4)
         assert arg.shape == (2, 2)
         assert val >= 0.25
+
+    def test_ball_check_raises(self, monkeypatch):
+        # an explicit raise, so the final membership check also runs under python -O
+        monkeypatch.setattr("genbounds.info.in_gdelta", lambda *a, **k: False)
+        with pytest.raises(RuntimeError, match="KL ball"):
+            gdelta_sup(np.array([0.5, 0.5]), 0.5, lambda d: float(d[0]), search_budget=50)
 
     def test_delta_range_rejected(self):
         with pytest.raises(ValueError):

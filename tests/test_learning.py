@@ -5,6 +5,7 @@ import pytest
 
 from genbounds.info import Pmf, mutual_information
 from genbounds.learning import (
+    Algorithm,
     ConstantAlgorithm,
     Dataset,
     EnumerationCapError,
@@ -135,6 +136,51 @@ class TestGibbs:
         with pytest.raises(ValueError):
             gibbs_posterior(prob, np.zeros(3), 1.0, [0])
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, -1.0])
+    def test_bad_beta_rejected(self, beta):
+        prob = small_problem(21)
+        with pytest.raises(ValueError, match="beta"):
+            gibbs_posterior(prob, Pmf.uniform(3), beta, [0])
+        with pytest.raises(ValueError, match="beta"):
+            GibbsAlgorithm(Pmf.uniform(3), beta)
+
+
+class GibbsByDataset(Algorithm):
+    """Exchangeable learner that defines only `posterior`, so type mode runs the base fallback."""
+
+    def __init__(self, prior, beta):
+        self.prior, self.beta = prior, beta
+
+    def posterior(self, prob, s):
+        return gibbs_posterior(prob, self.prior, self.beta, s)
+
+
+class TestPosteriors:
+    def test_base_fallback_matches_gibbs(self):
+        prob = small_problem(30, z=3, w=3)
+        j_gibbs, ctx = induced_joint(prob, GibbsAlgorithm(Pmf.uniform(3), 1.3), 5, by_type=True)
+        j_base, ctx_base = induced_joint(prob, GibbsByDataset(Pmf.uniform(3), 1.3), 5, by_type=True)
+        assert np.array_equal(ctx, ctx_base)
+        assert np.allclose(np.asarray(j_base), np.asarray(j_gibbs), rtol=0, atol=1e-12)
+
+    def test_gibbs_rows_match_gibbs_posterior(self):
+        prob = small_problem(31, z=4, w=3)
+        prior = Pmf(np.array([0.2, 0.3, 0.5]))
+        alg = GibbsAlgorithm(prior, 2.5)
+        types = enumerate_types(4, 6)
+        rows = alg.posteriors(prob, types)
+        assert rows.shape == (len(types), 3)
+        for c, row in zip(types, rows):
+            s = np.repeat(np.arange(4), c)
+            assert np.allclose(row, np.asarray(gibbs_posterior(prob, prior, 2.5, s)), rtol=0, atol=1e-12)
+
+    def test_constant_rows(self):
+        prob = small_problem(32, z=2, w=3)
+        out = np.array([0.2, 0.5, 0.3])
+        rows = ConstantAlgorithm(Pmf(out)).posteriors(prob, enumerate_types(2, 4))
+        assert rows.shape == (5, 3)
+        assert np.array_equal(rows, np.tile(out, (5, 1)))
+
 
 class TestSampling:
     def test_point_mass_mu(self):
@@ -214,6 +260,15 @@ class TestInducedJoint:
             draws = gen.choice(3, size=int(idx.sum()), p=post)
             counts += np.bincount(draws, minlength=3)
         assert np.allclose(counts / trials, marg, atol=0.005)
+
+    def test_nan_rows_rejected(self):
+        class NanRows(ConstantAlgorithm):
+            def posteriors(self, prob, counts):
+                return np.full((len(counts), 2), np.nan)
+
+        prob = small_problem(33, z=2, w=2)
+        with pytest.raises(RuntimeError, match="mass"):
+            induced_joint(prob, NanRows(Pmf.uniform(2)), 3, by_type=True)
 
     def test_cap_enforced(self):
         prob = small_problem(27, z=4, w=2)

@@ -13,7 +13,6 @@ from genbounds.ratedistortion import (
     rd_curve,
     rd_dimension,
     rd_gen,
-    rd_trajectory,
 )
 from genbounds.seeding import rng
 
@@ -130,12 +129,12 @@ class TestRdGen:
 class TestRdTrajectory:
     def test_point_mass_zero_rate(self):
         rho = np.array([[0.0]])
-        sol = rd_trajectory([1.0], DistortionSpec(rho, 0.0), 0.0)
+        sol = rd_curve([1.0], DistortionSpec(rho, 0.0), 0.0)
         assert sol.rate_nats == pytest.approx(0.0, abs=1e-12)
 
     def test_two_trajectories_lossless(self):
         rho = hamming(2)
-        sol = rd_trajectory([0.5, 0.5], DistortionSpec(rho, 0.0), 0.0)
+        sol = rd_curve([0.5, 0.5], DistortionSpec(rho, 0.0), 0.0)
         assert sol.rate_nats == pytest.approx(math.log(2), abs=1e-6)
 
     def test_single_letterization(self):
@@ -147,7 +146,7 @@ class TestRdTrajectory:
         rho = np.array(
             [[np.mean([a != c, b != d]) for (c, d) in trajs] for (a, b) in trajs]
         )
-        sol = rd_trajectory(np.full(4, 0.25), DistortionSpec(rho, eps), eps)
+        sol = rd_curve(np.full(4, 0.25), DistortionSpec(rho, eps), eps)
         assert sol.rate_nats == pytest.approx(2 * (math.log(2) - h_nats(eps)), abs=1e-4)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from genbounds.info import Pmf, mutual_information
-from genbounds.ratedistortion import DistortionSpec, rd_trajectory
+from genbounds.ratedistortion import DistortionSpec, rd_curve
 from genbounds.seeding import rng
 from genbounds.trajectory import (
     CouplingEstimate,
@@ -277,5 +277,5 @@ class TestSweep:
         span = float(rho.max())
         if span > 0:
             eps_grid = [0.5 * span, 0.25 * span, 0.1 * span]
-            rates = [rd_trajectory(dist, DistortionSpec(rho, e), e).rate_nats for e in eps_grid]
+            rates = [rd_curve(dist, DistortionSpec(rho, e), e).rate_nats for e in eps_grid]
             assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
