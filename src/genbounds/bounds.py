@@ -1,7 +1,10 @@
 """Closed-form generalization bounds and condition evaluators.
 
-Every bound returns a BoundReport whose value is reconstructible from its
-named terms; infinite bounds are legal values (flagged), never exceptions.
+Every bound returns a BoundReport built by `_finish`, which computes the
+value from the named terms with the kind's one formula in `_VALUE`; the same
+table backs `reconstruct_bound` (the thm5 parts alone report their minimised
+objective, which their terms match to rounding). Infinite bounds are legal
+values (flagged), never exceptions; a NaN bound raises ValueError.
 Log-MGF terms are exact finite-alphabet sums unless the caller explicitly
 selects the subgaussian surrogate lambda^2 sigma^2 / 2 path; both appear in
 the source material and both are exposed.
@@ -10,7 +13,7 @@ the source material and both are exposed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
@@ -56,14 +59,7 @@ class BoundReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bound_value": self.bound_value,
-            "terms": dict(self.terms),
-            "params": dict(self.params),
-            "infinite": self.infinite,
-            "extra": dict(self.extra),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -77,46 +73,89 @@ class ConditionReport:
         return iter((self.lhs, self.satisfied, self.distortion_ok))
 
 
-def _sqrt_kinds():
-    return {
-        "thm1": lambda t: math.sqrt(t["rate_term"] + t["confidence_term"] + t["epsilon_term"]),
-        "eq4": lambda t: math.sqrt(t["rate_term"] + t["confidence_term"]) + t["epsilon_term"],
-        "eq21": lambda t: math.sqrt(t["rate_term"] + t["confidence_term"]) + t["epsilon_term"],
-        "toy": lambda t: math.sqrt(t["rate_term"] + t["confidence_term"]),
-        "thm7": lambda t: math.sqrt(t["rate_term"] + t["confidence_term"]) + t["epsilon_term"],
-        "thm8": lambda t: math.sqrt(t["rate_term"] + t["confidence_term"] + t["lipschitz_term"]),
-    }
+def _root(radicand: float, terms: dict) -> float:
+    if radicand < 0:
+        raise ValueError(f"negative radicand {radicand} (terms {terms})")
+    return math.sqrt(radicand)
+
+
+def _sqrt_plus_eps(t, p):
+    return _root(t["rate_term"] + t["confidence_term"], t) + t["epsilon_term"]
+
+
+def _rate_mgf_eps(t, p):
+    return t["rate_term"] + t["mgf_term"] + t["epsilon_term"]
+
+
+def _rate_mgf_conf_eps(t, p):
+    return t["rate_term"] + t["mgf_term"] + t["confidence_term"] + t["epsilon_term"]
+
+
+def _seeger(t, p):
+    c = t["c_term"]
+    return math.sqrt(p["emp_risk"] * c / p["n"]) + c / p["n"]
+
+
+# kind -> bound value from (terms, params). Each sum runs in the order the
+# constructor has always added its terms, so values keep their last bits.
+_VALUE = {
+    "thm1": lambda t, p: _root(t["rate_term"] + t["confidence_term"] + t["epsilon_term"], t),
+    "eq4": _sqrt_plus_eps,
+    "eq21": _sqrt_plus_eps,
+    "seeger": _seeger,
+    "eq22": lambda t, p: t["rate_term"] + t["mgf_term"] + t["confidence_term"],
+    "prop5i": _rate_mgf_conf_eps,
+    "prop5ii": _rate_mgf_conf_eps,
+    "toy": lambda t, p: _root(t["rate_term"] + t["confidence_term"], t),
+    "thm5i": _rate_mgf_eps,
+    "thm5ii": lambda t, p: math.exp(t["rate_term"] + t["mgf_term"]),
+    "thm7": _sqrt_plus_eps,
+    "thm8": lambda t, p: _root(t["rate_term"] + t["confidence_term"] + t["lipschitz_term"], t),
+    "sco_expectation": _rate_mgf_eps,
+    "sco_tail": _rate_mgf_conf_eps,
+}
 
 
 def reconstruct_bound(report: BoundReport) -> float:
     """Recompute the bound value from its term breakdown (kind-dispatched)."""
-    t = report.terms
-    p = report.params
-    kind = report.kind
-    sqrt_kinds = _sqrt_kinds()
-    if kind in sqrt_kinds:
-        return sqrt_kinds[kind](t)
-    if kind == "seeger":
-        c = t["rate_term"] + t["confidence_term"]
-        return math.sqrt(p["emp_risk"] * c / p["n"]) + c / p["n"]
-    if kind in ("eq22", "prop5i", "prop5ii", "sco_expectation", "sco_tail"):
-        return sum(t.values())
-    if kind == "thm5i":
-        return t["rate_term"] + t["mgf_term"] + t["epsilon_term"]
-    if kind == "thm5ii":
-        return math.exp(t["rate_term"] + t["mgf_term"])
-    raise KeyError(f"unknown bound kind {kind!r}")
+    return _VALUE[report.kind](report.terms, report.params)
 
 
-def _finish(kind, value, terms, params, extra=None) -> BoundReport:
+def _finish(kind, terms, params, extra=None, value=None) -> BoundReport:
+    """Assemble a report whose value is `_VALUE[kind]` of its terms.
+
+    `value` overrides the formula only for the thm5 parts, which report the
+    minimised objective itself; its terms agree with it to rounding.
+    """
+    terms = {k: float(v) for k, v in terms.items()}
+    value = float(_VALUE[kind](terms, params) if value is None else value)
+    if math.isnan(value):
+        raise ValueError(f"{kind} bound is NaN (terms={terms})")
     return BoundReport(
         kind=kind,
-        bound_value=float(value),
-        terms={k: float(v) for k, v in terms.items()},
+        bound_value=value,
+        terms=terms,
         params=params,
         infinite=not math.isfinite(value),
         extra=extra or {},
     )
+
+
+def _check_domain(n=None, delta=None, **nonneg) -> None:
+    """Shared input checks, written as `not x >= 0` so that NaN fails them."""
+    if n is not None and not n >= 1:
+        raise ValueError("n must be at least 1")
+    if delta is not None and not delta > 0:
+        raise ValueError("delta must be positive")
+    for name, x in nonneg.items():
+        if not x >= 0:
+            raise ValueError(f"{name} must be non-negative")
+
+
+def _q_rows(q_hat, rows: int) -> np.ndarray:
+    """q_hat with one row per dataset symbol; a 1-D q_hat is shared by every row."""
+    q = np.asarray(q_hat, dtype=float)
+    return np.tile(q, (rows, 1)) if q.ndim == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +179,7 @@ def channel_kl(nu_s, p_hat, q_hat, alpha: float = 1.0) -> float:
 def log_mgf(P_S, q_hat, g) -> float:
     """log E_{P_S q}[ e^{g(S,What)} ], exact by finite summation in log space."""
     ps = np.asarray(P_S, dtype=float).reshape(-1)
-    q = np.asarray(q_hat, dtype=float)
-    if q.ndim == 1:
-        q = np.tile(q, (ps.size, 1))
+    q = _q_rows(q_hat, ps.size)
     gm = np.asarray(g, dtype=float)
     with np.errstate(divide="ignore"):
         logw = np.log(np.outer(ps, np.ones(q.shape[1]))) + np.log(q)
@@ -195,39 +232,26 @@ def minimize_unimodal(h, lo: float, hi: float, grid: int = 64, refine: int = 80)
 
 def thm1_bound(R_sw: float, sigma: float, n: int, delta: float, epsilon: float = 0.0) -> BoundReport:
     """Variable-size tail bound sqrt(4sigma^2 (R + log(sqrt(2n)/delta)) / (2n-1) + eps)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if R_sw < 0:
-        raise ValueError("the rate must be non-negative")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_domain(n, delta, rate=R_sw)
     rate = 4.0 * sigma**2 * R_sw / (2 * n - 1)
     conf = 4.0 * sigma**2 * math.log(math.sqrt(2 * n) / delta) / (2 * n - 1)
-    radicand = rate + conf + epsilon
-    if radicand < 0:
-        raise ValueError(
-            f"negative radicand {radicand} (rate={rate}, confidence={conf}, epsilon={epsilon})"
-        )
     terms = {"rate_term": rate, "confidence_term": conf, "epsilon_term": epsilon}
     params = {"n": n, "sigma": sigma, "delta": delta, "epsilon": epsilon, "rate": R_sw}
-    return _finish("thm1", math.sqrt(radicand), terms, params)
+    return _finish("thm1", terms, params)
 
 
 def fixed_size_bound(R: float, sigma: float, n: int, delta: float, epsilon: float = 0.0) -> BoundReport:
     """Fixed-size tail bound sqrt(2sigma^2 (R + log(1/delta)) / n) + eps."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if R < 0:
-        raise ValueError("the rate must be non-negative")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_domain(n, delta, rate=R)
+    params = {"n": n, "sigma": sigma, "delta": delta, "epsilon": epsilon, "rate": R}
+    return _finish("eq4", _eq4_terms(R, sigma, n, delta, epsilon), params)
+
+
+def _eq4_terms(R: float, sigma: float, n: int, delta: float, epsilon: float) -> dict:
+    """Terms of sqrt(2sigma^2 (R + log(1/delta)) / n) + eps, shared by eq4 and eq21."""
     rate = 2.0 * sigma**2 * R / n
     conf = 2.0 * sigma**2 * math.log(1.0 / delta) / n
-    if rate + conf < 0:
-        raise ValueError(f"negative radicand {rate + conf}")
-    terms = {"rate_term": rate, "confidence_term": conf, "epsilon_term": epsilon}
-    params = {"n": n, "sigma": sigma, "delta": delta, "epsilon": epsilon, "rate": R}
-    return _finish("eq4", math.sqrt(rate + conf) + epsilon, terms, params)
+    return {"rate_term": rate, "confidence_term": conf, "epsilon_term": epsilon}
 
 
 def rd_tail_bound(
@@ -259,25 +283,14 @@ def rd_tail_bound(
     sup_rd, argmax = gdelta_sup(np.asarray(joint), delta, rd_of, search_budget=search_budget, seed=seed)
     sup_rd = max(sup_rd, baseline_rd)
     sigma = prob.sigma
-
-    def assemble(rd_value: float) -> tuple[dict, float]:
-        rate = 2.0 * sigma**2 * rd_value / n
-        conf = 2.0 * sigma**2 * math.log(1.0 / delta) / n
-        return (
-            {"rate_term": rate, "confidence_term": conf, "epsilon_term": epsilon},
-            math.sqrt(rate + conf) + epsilon,
-        )
-
-    terms, value = assemble(sup_rd)
-    _, baseline_value = assemble(baseline_rd)
     params = {"n": n, "sigma": sigma, "delta": delta, "epsilon": epsilon}
     extra = {
         "sup_rd": sup_rd,
         "baseline_rd": baseline_rd,
-        "baseline_bound": baseline_value,
+        "baseline_bound": _VALUE["eq21"](_eq4_terms(baseline_rd, sigma, n, delta, epsilon), params),
         "sup_is_heuristic_lower_estimate": True,
     }
-    return _finish("eq21", value, terms, params, extra)
+    return _finish("eq21", _eq4_terms(sup_rd, sigma, n, delta, epsilon), params, extra)
 
 
 def seeger_fast_rate_bound(emp_risk: float, sup_mi: float, sigma: float, n: int, delta: float) -> BoundReport:
@@ -286,17 +299,12 @@ def seeger_fast_rate_bound(emp_risk: float, sup_mi: float, sigma: float, n: int,
     C = 4 sigma^2 (sup_mi + log(2 sqrt(n)/delta)); the bound follows from the
     KL-inverse cap a + sqrt(2ab) + 2b and is O(1/n) at zero empirical risk.
     """
-    if emp_risk < 0:
-        raise ValueError("empirical risk must be non-negative")
-    if n < 1 or delta <= 0:
-        raise ValueError("need n >= 1 and delta > 0")
+    _check_domain(n, delta, empirical_risk=emp_risk)
     rate = 4.0 * sigma**2 * sup_mi
     conf = 4.0 * sigma**2 * math.log(2.0 * math.sqrt(n) / delta)
-    c = rate + conf
-    value = math.sqrt(emp_risk * c / n) + c / n
-    terms = {"rate_term": rate, "confidence_term": conf, "c_term": c}
+    terms = {"rate_term": rate, "confidence_term": conf, "c_term": rate + conf}
     params = {"n": n, "sigma": sigma, "delta": delta, "emp_risk": emp_risk, "sup_mi": sup_mi}
-    return _finish("seeger", value, terms, params)
+    return _finish("seeger", terms, params)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +317,10 @@ def pac_bayes_eq22(pi, q, logmgf: float, delta: float) -> BoundReport:
     `logmgf` is the exact log E_{P_S q}[e^{f(S,W)}], supplied by the caller
     (finite alphabets make it an exact sum; see log_mgf).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_domain(delta=delta)
     kl = kl_divergence(np.asarray(pi, dtype=float), np.asarray(q, dtype=float))
-    conf = math.log(1.0 / delta)
-    value = kl + logmgf + conf
-    terms = {"rate_term": kl, "mgf_term": logmgf, "confidence_term": conf}
-    params = {"delta": delta}
-    return _finish("eq22", value, terms, params)
+    terms = {"rate_term": kl, "mgf_term": logmgf, "confidence_term": math.log(1.0 / delta)}
+    return _finish("eq22", terms, {"delta": delta})
 
 
 def prop5_bound(
@@ -347,12 +351,9 @@ def prop5_bound(
     p*(.|s), and the bound replaces the KL with the expected log-ratio
     log(p*/q) under kernel(.|w) at the realized (s, w).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_domain(delta=delta)
     ps = np.asarray(P_S, dtype=float).reshape(-1)
-    q = np.asarray(q_hat, dtype=float)
-    if q.ndim == 1:
-        q = np.tile(q, (ps.size, 1))
+    q = _q_rows(q_hat, ps.size)
     gm = np.asarray(g, dtype=float)
     conf = math.log(1.0 / delta)
     mgf = log_mgf(ps, q, gm)
@@ -369,12 +370,9 @@ def prop5_bound(
             raise ValueError(
                 f"quantizer violates the declared distortion: E[f-g]={avg_f - avg_g} > epsilon={epsilon}"
             )
-        kl = kl_divergence(pq, q[s_index])
-        terms = {"rate_term": kl, "mgf_term": mgf, "confidence_term": conf, "epsilon_term": epsilon}
+        rate = kl_divergence(pq, q[s_index])
         params = {"delta": delta, "epsilon": epsilon, "s_index": s_index, "mode": "i"}
-        return _finish("prop5i", kl + mgf + conf + epsilon, terms, params)
-
-    if mode == "ii":
+    elif mode == "ii":
         if kernel is None or P_WgS is None or w_index is None or f is None:
             raise ValueError("mode ii needs kernel, P_WgS, w_index and f")
         ker = np.asarray(kernel, dtype=float)
@@ -390,16 +388,16 @@ def prop5_bound(
             )
         support = row > 0
         if np.any(p_star[s_index, support] <= 0) or np.any(q[s_index, support] <= 0):
-            logratio = math.inf
+            rate = math.inf
         else:
-            logratio = float(
+            rate = float(
                 (row[support] * (np.log(p_star[s_index, support]) - np.log(q[s_index, support]))).sum()
             )
-        terms = {"rate_term": logratio, "mgf_term": mgf, "confidence_term": conf, "epsilon_term": epsilon}
         params = {"delta": delta, "epsilon": epsilon, "s_index": s_index, "w_index": w_index, "mode": "ii"}
-        return _finish("prop5ii", logratio + mgf + conf + epsilon, terms, params)
-
-    raise ValueError("mode must be 'i' or 'ii'")
+    else:
+        raise ValueError("mode must be 'i' or 'ii'")
+    terms = {"rate_term": rate, "mgf_term": mgf, "confidence_term": conf, "epsilon_term": epsilon}
+    return _finish("prop5" + mode, terms, params)
 
 
 def toy_example_bound(
@@ -415,8 +413,9 @@ def toy_example_bound(
     S is the squared-norm of the per-coordinate sample means; the bound stays
     finite for deterministic mean-style algorithms on continuous parameters.
     """
-    if min(sample_means_sq_sum, lipschitz_L, d, sigma) < 0 or n < 1 or delta <= 0:
-        raise ValueError("inputs must be non-negative with n >= 1, delta > 0")
+    _check_domain(
+        n, delta, sample_means_sq_sum=sample_means_sq_sum, lipschitz_L=lipschitz_L, d=d, sigma=sigma
+    )
     inner = 2.0 * math.sqrt(lipschitz_L * d * sample_means_sq_sum)
     rate = 2.0 * sigma**2 * inner / n
     conf = 2.0 * sigma**2 * math.log(1.0 / delta) / n
@@ -429,7 +428,7 @@ def toy_example_bound(
         "lipschitz_L": lipschitz_L,
         "sample_means_sq_sum": sample_means_sq_sum,
     }
-    return _finish("toy", math.sqrt(rate + conf), terms, params)
+    return _finish("toy", terms, params)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +452,19 @@ def lipschitz_distortion_budget(epsilon: float, lipschitz_L: float) -> float:
     if lipschitz_L <= 0:
         raise ValueError("the Lipschitz constant must be positive")
     return epsilon / (2.0 * lipschitz_L)
+
+
+def _variant_ii_log_f(f, lam: float, alpha: float | None) -> np.ndarray:
+    """log f for the Renyi variants, after checking alpha > 1, lam >= alpha/(alpha-1), f >= 0."""
+    if alpha is None or alpha <= 1:
+        raise ValueError("variant ii needs alpha > 1")
+    if lam < alpha / (alpha - 1) - 1e-12:
+        raise ValueError("variant ii needs lam >= alpha/(alpha-1)")
+    fm = np.asarray(f, dtype=float)
+    if np.any(fm < 0):
+        raise ValueError("variant ii needs a non-negative f")
+    with np.errstate(divide="ignore"):
+        return np.where(fm > 0, np.log(np.where(fm > 0, fm, 1.0)), -math.inf)
 
 
 def check_thm3_condition(
@@ -481,7 +493,6 @@ def check_thm3_condition(
     P_t = np.asarray(P, dtype=float)
     if nu_t.shape != P_t.shape:
         raise ValueError("nu and P must share a shape")
-    fm = np.asarray(f, dtype=float)
     gm = np.asarray(g, dtype=float)
     dm = np.asarray(Delta, dtype=float)
     nu_s = nu_t.sum(axis=1)
@@ -503,16 +514,9 @@ def check_thm3_condition(
         lhs = tval - kl_to_mixed - lam * (float((nu_t * dm).sum()) - epsilon)
         dok = distortion_ok_fg(nu_t, p_hat, dm, gm, epsilon)
     elif variant == "ii":
-        if alpha is None or alpha <= 1:
-            raise ValueError("variant ii needs alpha > 1")
-        if lam < alpha / (alpha - 1) - 1e-12:
-            raise ValueError("variant ii needs lam >= alpha/(alpha-1)")
-        if np.any(fm < 0):
-            raise ValueError("variant ii needs a non-negative f")
+        logf = _variant_ii_log_f(f, lam, alpha)
         with np.errstate(divide="ignore", invalid="ignore"):
             nu_wgs = np.where(nu_s[:, None] > 0, nu_t / np.where(nu_s[:, None] > 0, nu_s[:, None], 1.0), 0.0)
-        with np.errstate(divide="ignore"):
-            logf = np.where(fm > 0, np.log(np.where(fm > 0, fm, 1.0)), -math.inf)
         tval = t_functional(nu_s, nu_wgs, q_hat, lam * logf, alpha, P_s)
         inner = np.einsum("sw,sw->s", nu_wgs, dm)
         if np.any((nu_s > 0) & (inner <= 0)):
@@ -563,15 +567,7 @@ def check_thm4_condition(
         e_gap = float(nu @ dv) - float((nu[:, None] * p * gm).sum())
         dok = e_gap <= epsilon + DISTORTION_SLACK
     elif variant == "ii":
-        if alpha is None or alpha <= 1:
-            raise ValueError("variant ii needs alpha > 1")
-        if lam < alpha / (alpha - 1) - 1e-12:
-            raise ValueError("variant ii needs lam >= alpha/(alpha-1)")
-        fm = np.asarray(f, dtype=float)
-        if np.any(fm < 0):
-            raise ValueError("variant ii needs a non-negative f")
-        with np.errstate(divide="ignore"):
-            logf = np.where(fm > 0, np.log(np.where(fm > 0, fm, 1.0)), -math.inf)
+        logf = _variant_ii_log_f(f, lam, alpha)
         tval = t_functional(nu, pi_S, q_hat, lam * logf, alpha, ps)
         if np.any((nu > 0) & (dv <= 0)):
             lhs = math.inf
@@ -614,17 +610,14 @@ def thm5_expectation_bound(
     ps = P_t.sum(axis=1)
     fm = np.asarray(f, dtype=float)
     gm = np.asarray(g, dtype=float)
+    q = _q_rows(q_hat, ps.size)
     true_ef = float((P_t * fm).sum())
 
     if part == "i":
         p = np.asarray(p_hat, dtype=float)
-        q = np.asarray(q_hat, dtype=float)
-        if q.ndim == 1:
-            q = np.tile(q, (ps.size, 1))
         if not distortion_ok_fg(P_t, p, fm, gm, epsilon):
-            e_f = float((P_t * fm).sum())
             e_g = float((ps[:, None] * p * gm).sum())
-            raise ValueError(f"distortion violated: E[f-g]={e_f - e_g} > epsilon={epsilon}")
+            raise ValueError(f"distortion violated: E[f-g]={true_ef - e_g} > epsilon={epsilon}")
         kl = channel_kl(ps, p, q, 1.0)
 
         def mgf_term(lmb: float) -> float:
@@ -647,16 +640,14 @@ def thm5_expectation_bound(
             raise AssertionError(
                 f"in-expectation bound {exact_value} fell below the exact E[f] {true_ef}"
             )
-        return _finish("thm5i", value, terms, params, {"true_e_f": true_ef, "exact_mgf_value": exact_value})
+        extra = {"true_e_f": true_ef, "exact_mgf_value": exact_value}
+        return _finish("thm5i", terms, params, extra, value=value)
 
     if part == "ii":
         if alpha is None or alpha <= 1:
             raise ValueError("part ii needs alpha > 1")
         if np.any(fm <= 0):
             raise ValueError("part ii needs strictly positive f")
-        q = np.asarray(q_hat, dtype=float)
-        if q.ndim == 1:
-            q = np.tile(q, (ps.size, 1))
         q_joint = ps[:, None] * q
         dalpha = renyi_divergence(P_t.reshape(-1), q_joint.reshape(-1), alpha)
 
@@ -669,13 +660,12 @@ def thm5_expectation_bound(
         if lam is None:
             lam, _ = minimize_unimodal(value_log, alpha / (alpha - 1), 1e8)
             lam = max(lam, alpha / (alpha - 1))
-        log_value = value_log(lam)
-        value = math.exp(log_value)
+        value = math.exp(value_log(lam))
         mgf_f = log_mgf(ps, q, lam * np.log(fm))
         terms = {"rate_term": dalpha / lam, "mgf_term": mgf_f / lam}
         params = {"lambda": lam, "alpha": alpha}
         if value < true_ef - 1e-9:
             raise AssertionError(f"part-ii bound {value} fell below the exact E[f] {true_ef}")
-        return _finish("thm5ii", value, terms, params, {"true_e_f": true_ef})
+        return _finish("thm5ii", terms, params, {"true_e_f": true_ef}, value=value)
 
     raise ValueError("part must be 'i' or 'ii'")

@@ -37,9 +37,10 @@ from .learning import GibbsAlgorithm, gen_table, induced_joint, sample_dataset
 from .ratedistortion import DistortionSpec, rd_curve, rd_gen
 from .seeding import rng as _rng
 from .trajectory import LogisticToy, QuadraticToy, lr_sweep, thm7_bound, thm8_bound
-from .validation import covering_default_instance, covering_failure_estimate, mc_tail_validate
+from .validation import BookCapError, covering_default_instance, covering_failure_estimate, mc_tail_validate
 
 BOUND_KINDS = ("thm1", "eq4", "eq21", "seeger", "eq22", "prop5i", "prop5ii", "toy", "thm5i", "thm5ii")
+_SWEEP_KINDS = ("thm1", "eq4", "seeger", "thm7", "thm8")
 
 
 def _strict_load_config(path: str) -> dict:
@@ -77,21 +78,33 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in str(text).split(",") if x != ""]
 
 
-def _manifest(args, outputs: list[Path], t0: float) -> dict:
+def _manifest(args, path: Path) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")}
     return {
         "config": cfg,
         "artifact_version": __version__,
-        "wall_time_s": time.time() - t0,
-        "outputs": [{"path": str(p), "sha256": file_sha256(p)} for p in outputs],
+        "wall_time_s": time.time() - args._t0,
+        "outputs": [{"path": str(path), "sha256": file_sha256(path)}],
     }
 
 
-def _out_dir(args) -> Path:
+def _emit(args, write, data, default_name: str, *header) -> Path:
+    """Write `data` to --out (a file, or a directory plus `default_name`) and manifest.json beside it."""
     out = Path(args.out)
-    if out.suffix:  # a file path was given; use its directory for the manifest
-        return out.parent
-    return out
+    path = write(data, *header, out if out.suffix else out / default_name)
+    write_report(_manifest(args, path), path.parent / "manifest.json")
+    return path
+
+
+# closed-form kinds shared by `bound` and `sweep`: (args, n) -> BoundReport
+_CLOSED_FORM = {
+    "thm1": lambda a, n: thm1_bound(a.rate, a.sigma, n, a.delta, a.epsilon),
+    "eq4": lambda a, n: fixed_size_bound(a.rate, a.sigma, n, a.delta, a.epsilon),
+    "seeger": lambda a, n: seeger_fast_rate_bound(a.emp_risk, a.sup_mi, a.sigma, n, a.delta),
+    "toy": lambda a, n: toy_example_bound(a.means_sq_sum, a.lipschitz, a.d, a.sigma, n, a.delta),
+    "thm7": lambda a, n: thm7_bound(a.rate, a.delta, n, a.epsilon),
+    "thm8": lambda a, n: thm8_bound(a.rate, a.log_m, a.lipschitz, a.delta, n, a.epsilon),
+}
 
 
 def _gibbs_setup(args):
@@ -104,70 +117,55 @@ def _gibbs_setup(args):
 
 def cmd_bound(args) -> int:
     kind = args.kind
-    if kind == "thm1":
-        rep = thm1_bound(args.rate, args.sigma, args.n, args.delta, args.epsilon)
-    elif kind == "eq4":
-        rep = fixed_size_bound(args.rate, args.sigma, args.n, args.delta, args.epsilon)
-    elif kind == "seeger":
-        rep = seeger_fast_rate_bound(args.emp_risk, args.sup_mi, args.sigma, args.n, args.delta)
-    elif kind == "toy":
-        rep = toy_example_bound(args.means_sq_sum, args.lipschitz, args.d, args.sigma, args.n, args.delta)
+    if kind not in BOUND_KINDS:  # a --config value skips argparse's choices
+        raise ValueError(f"unknown bound kind {kind}")
+    if kind in _CLOSED_FORM:
+        rep = _CLOSED_FORM[kind](args, args.n)
     elif kind == "eq21":
         prob, alg = _gibbs_setup(args)
         rep = rd_tail_bound(prob, alg, args.n, args.delta, args.epsilon, seed=args.seed)
-    elif kind in ("eq22", "prop5i", "prop5ii"):
+    else:  # the exact kinds, on the type-level joint of the Gibbs algorithm
         prob, alg = _gibbs_setup(args)
         joint, contexts = induced_joint(prob, alg, args.n, by_type=True)
         gtab = gen_table(prob, contexts, by_type=True)
-        f = args.lam * gtab
-        p_s = np.asarray(joint.marginal_s())
-        s = sample_dataset(prob, args.n, args.seed)
-        counts = np.bincount(s.samples, minlength=prob.z_alphabet_size)
-        s_idx = int(np.flatnonzero((contexts == counts).all(axis=1))[0])
-        pi = np.asarray(alg.posterior(prob, s))
-        q_rows = np.tile(np.asarray(alg.prior), (len(contexts), 1))
-        if kind == "eq22":
-            rep = pac_bayes_eq22(pi, np.asarray(alg.prior), log_mgf(p_s, q_rows, f), args.delta)
-        elif kind == "prop5i":
-            eps = 0.0  # lossless quantizer: reproduction = W, g = f
-            rep = prop5_bound(
-                "i", P_S=p_s, q_hat=q_rows, g=f, delta=args.delta, epsilon=eps,
-                s_index=s_idx, pi=pi, p_quant=pi, f=f,
-            )
+        if kind in ("thm5i", "thm5ii"):
+            q = np.asarray(joint.marginal_w())
+            pws = np.asarray(joint) / np.asarray(joint).sum(axis=1, keepdims=True)
+            if kind == "thm5i":
+                lam = args.lam if args.lam > 0 else None
+                rep = thm5_expectation_bound("i", joint, pws, q, gtab, gtab, lam=lam, epsilon=args.epsilon)
+            else:
+                f = gtab**2 + args.f_floor
+                rep = thm5_expectation_bound("ii", joint, pws, q, f, f, lam=None, alpha=args.alpha)
         else:
-            k = prob.w_alphabet_size
-            flip = args.kernel_flip
-            kernel = (1 - flip) * np.eye(k) + flip / max(k - 1, 1) * (1 - np.eye(k))
-            w_idx = int(_rng(args.seed, 1).choice(k, p=pi))
-            pws = alg.posteriors(prob, contexts)
-            achieved = float(f[s_idx, w_idx] - kernel[w_idx] @ f[s_idx])
-            rep = prop5_bound(
-                "ii", P_S=p_s, q_hat=q_rows, g=f, delta=args.delta,
-                epsilon=max(args.epsilon, achieved, 0.0), s_index=s_idx,
-                kernel=kernel, P_WgS=pws, w_index=w_idx, f=f,
-            )
-    elif kind in ("thm5i", "thm5ii"):
-        prob, alg = _gibbs_setup(args)
-        joint, contexts = induced_joint(prob, alg, args.n, by_type=True)
-        gtab = gen_table(prob, contexts, by_type=True)
-        q = np.asarray(joint.marginal_w())
-        pws = np.asarray(joint) / np.asarray(joint).sum(axis=1, keepdims=True)
-        if kind == "thm5i":
-            rep = thm5_expectation_bound(
-                "i", joint, pws, q, gtab, gtab, lam=args.lam if args.lam > 0 else None,
-                epsilon=args.epsilon,
-            )
-        else:
-            f = gtab**2 + args.f_floor
-            rep = thm5_expectation_bound(
-                "ii", joint, pws, q, f, f, lam=None, alpha=args.alpha,
-            )
-    else:
-        raise ValueError(f"unknown bound kind {kind}")
-    t0 = args._t0
-    out = Path(args.out)
-    path = write_report(rep, out if out.suffix else out / "report.json")
-    write_report(_manifest(args, [path], t0), _out_dir(args) / "manifest.json")
+            f = args.lam * gtab
+            p_s = np.asarray(joint.marginal_s())
+            s = sample_dataset(prob, args.n, args.seed)
+            counts = np.bincount(s.samples, minlength=prob.z_alphabet_size)
+            s_idx = int(np.flatnonzero((contexts == counts).all(axis=1))[0])
+            pi = np.asarray(alg.posterior(prob, s))
+            q_rows = np.tile(np.asarray(alg.prior), (len(contexts), 1))
+            if kind == "eq22":
+                rep = pac_bayes_eq22(pi, np.asarray(alg.prior), log_mgf(p_s, q_rows, f), args.delta)
+            elif kind == "prop5i":
+                eps = 0.0  # lossless quantizer: reproduction = W, g = f
+                rep = prop5_bound(
+                    "i", P_S=p_s, q_hat=q_rows, g=f, delta=args.delta, epsilon=eps,
+                    s_index=s_idx, pi=pi, p_quant=pi, f=f,
+                )
+            else:
+                k = prob.w_alphabet_size
+                flip = args.kernel_flip
+                kernel = (1 - flip) * np.eye(k) + flip / max(k - 1, 1) * (1 - np.eye(k))
+                w_idx = int(_rng(args.seed, 1).choice(k, p=pi))
+                pws = alg.posteriors(prob, contexts)
+                achieved = float(f[s_idx, w_idx] - kernel[w_idx] @ f[s_idx])
+                rep = prop5_bound(
+                    "ii", P_S=p_s, q_hat=q_rows, g=f, delta=args.delta,
+                    epsilon=max(args.epsilon, achieved, 0.0), s_index=s_idx,
+                    kernel=kernel, P_WgS=pws, w_index=w_idx, f=f,
+                )
+    _emit(args, write_report, rep, "report.json")
     print(f"{kind}: bound = {rep.bound_value:.6g}")
     return 0
 
@@ -193,10 +191,8 @@ def cmd_rd(args) -> int:
         for eps in _floats(args.epsilon_grid):
             sol = rd_curve(source, DistortionSpec(d, eps), eps)
             rows.append((eps, sol.rate_nats, sol.lagrange_lambda, sol.iterations, sol.converged))
-    out = Path(args.out)
-    path = write_csv(rows, ["epsilon", "rate_nats", "lagrange", "iterations", "converged"],
-                     out if out.suffix else out / "rd_curve.csv")
-    write_report(_manifest(args, [path], args._t0), _out_dir(args) / "manifest.json")
+    header = ["epsilon", "rate_nats", "lagrange", "iterations", "converged"]
+    path = _emit(args, write_csv, rows, "rd_curve.csv", header)
     print(f"rd: {len(rows)} points -> {path}")
     return 0
 
@@ -205,18 +201,15 @@ def cmd_mc_validate(args) -> int:
     prob, alg = _gibbs_setup(args)
     sigma = prob.sigma
     prior = np.asarray(alg.prior)
+    bound = thm1_bound if args.kind == "thm1" else fixed_size_bound
 
     def bound_fn(s, w):
         post = np.asarray(alg.posterior(prob, s))
         rate = max(0.0, math.log(post[w] / prior[w])) if post[w] > 0 else 0.0
-        if args.kind == "thm1":
-            return thm1_bound(rate, sigma, args.n, args.delta, args.epsilon).bound_value
-        return fixed_size_bound(rate, sigma, args.n, args.delta, args.epsilon).bound_value
+        return bound(rate, sigma, args.n, args.delta, args.epsilon).bound_value
 
     report = mc_tail_validate(prob, alg, bound_fn, args.n, args.delta, args.trials, args.seed)
-    out = Path(args.out)
-    path = write_report(report, out if out.suffix else out / "validation.json")
-    write_report(_manifest(args, [path], args._t0), _out_dir(args) / "manifest.json")
+    _emit(args, write_report, report, "validation.json")
     print(
         f"mc-validate: rate {report.violation_rate:.4f} vs delta {args.delta} "
         f"(+3se {report.target_delta + 3 * report.binomial_se:.4f}) -> {'pass' if report.passed else 'FAIL'}"
@@ -230,13 +223,10 @@ def cmd_covering(args) -> int:
         inst["prob"], inst["alg"], inst["n"], inst["rates"], inst["epsilon"],
         _ints(args.m_grid), args.trials, args.seed, q_hat=inst["q_hat"],
     )
-    out = Path(args.out)
-    path = write_csv(
-        [(r.m, r.trials, r.failures, r.exponent, r.censored) for r in rows],
-        ["m", "trials", "failures", "exponent", "censored"],
-        out if out.suffix else out / "covering.csv",
+    _emit(
+        args, write_csv, [(r.m, r.trials, r.failures, r.exponent, r.censored) for r in rows],
+        "covering.csv", ["m", "trials", "failures", "exponent", "censored"],
     )
-    write_report(_manifest(args, [path], args._t0), _out_dir(args) / "manifest.json")
     for r in rows:
         print(f"m={r.m}: failures {r.failures}/{r.trials}, exponent {r.exponent:.4f}, censored={r.censored}")
     return 0
@@ -266,26 +256,21 @@ def cmd_trajectory(args) -> int:
         model, _floats(args.lr_grid), args.trials, n=args.n, steps=args.steps,
         epsilon=args.epsilon if args.epsilon > 0 else None, seed=args.seed, bins=args.bins,
     )
-    out = Path(args.out)
-    path = write_csv(result.to_csv_rows(), ["lr", "mean_gen", "rd_nats", "flag"],
-                     out if out.suffix else out / "sweep.csv")
-    write_report(_manifest(args, [path], args._t0), _out_dir(args) / "manifest.json")
+    _emit(args, write_csv, result.to_csv_rows(), "sweep.csv", ["lr", "mean_gen", "rd_nats", "flag"])
     print(f"trajectory: spearman rho = {result.spearman_rho}")
     return 0
 
 
 def cmd_counterexample(args) -> int:
     result = scaling_study(_ints(args.n_list), args.trials, seed=args.seed, delta=args.delta)
-    out = Path(args.out)
-    path = write_csv(
+    _emit(
+        args, write_csv,
         [
             (r.n, r.mc_mean_gen, r.bound_expectation, r.bound_tail, r.event_rate, result.slope_bound)
             for r in result.rows
         ],
-        ["n", "mc_mean_gen", "bound_expectation", "bound_tail", "event_rate", "slope_fit"],
-        out if out.suffix else out / "scaling.csv",
+        "scaling.csv", ["n", "mc_mean_gen", "bound_expectation", "bound_tail", "event_rate", "slope_fit"],
     )
-    write_report(_manifest(args, [path], args._t0), _out_dir(args) / "manifest.json")
     print(
         f"counterexample: bound slope {result.slope_bound:.3f}, mc slope {result.slope_mc:.3f}"
         if args.trials > 0
@@ -295,24 +280,10 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rows = []
-    for n in _ints(args.n_grid):
-        if args.kind == "thm1":
-            v = thm1_bound(args.rate, args.sigma, n, args.delta, args.epsilon).bound_value
-        elif args.kind == "eq4":
-            v = fixed_size_bound(args.rate, args.sigma, n, args.delta, args.epsilon).bound_value
-        elif args.kind == "seeger":
-            v = seeger_fast_rate_bound(args.emp_risk, args.sup_mi, args.sigma, n, args.delta).bound_value
-        elif args.kind == "thm7":
-            v = thm7_bound(args.rate, args.delta, n, args.epsilon).bound_value
-        elif args.kind == "thm8":
-            v = thm8_bound(args.rate, args.log_m, args.lipschitz, args.delta, n, args.epsilon).bound_value
-        else:
-            raise ValueError(f"sweep does not support kind {args.kind}")
-        rows.append((n, v))
-    out = Path(args.out)
-    path = write_csv(rows, ["n", "bound_value"], out if out.suffix else out / "sweep_bounds.csv")
-    write_report(_manifest(args, [path], args._t0), _out_dir(args) / "manifest.json")
+    if args.kind not in _SWEEP_KINDS:
+        raise ValueError(f"sweep does not support kind {args.kind}")
+    rows = [(n, _CLOSED_FORM[args.kind](args, n).bound_value) for n in _ints(args.n_grid)]
+    path = _emit(args, write_csv, rows, "sweep_bounds.csv", ["n", "bound_value"])
     print(f"sweep: {len(rows)} rows -> {path}")
     return 0
 
@@ -396,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="closed-form bound values over an n grid")
     common(p)
-    p.add_argument("--kind", choices=("thm1", "eq4", "seeger", "thm7", "thm8"), default="thm1")
+    p.add_argument("--kind", choices=_SWEEP_KINDS, default="thm1")
     p.add_argument("--n-grid", dest="n_grid", type=str, default="10,20,40,80")
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=0.5)
@@ -418,7 +389,7 @@ def main(argv=None) -> int:
         args = _apply_config(args, argv)
         args._t0 = time.time()
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, FileNotFoundError, KeyError, BookCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

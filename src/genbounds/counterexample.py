@@ -378,7 +378,6 @@ def assemble_bound(inst: ScoInstance, r: float, mode: str, delta: float | None =
     if mode == "expectation":
         lam_mult = float(n**2)
         eps = exact_distortion(inst, r)
-        conf = 0.0
         kind = "sco_expectation"
         params = {"n": n, "r": r, "lambda": lam_mult, "mode": mode}
     elif mode == "tail":
@@ -386,19 +385,16 @@ def assemble_bound(inst: ScoInstance, r: float, mode: str, delta: float | None =
             raise ValueError("tail mode needs delta in (0, 1)")
         lam_mult = n**2 / 60.0
         eps = tail_distortion(inst, r)
-        conf = math.log(1.0 / delta) / lam_mult
         kind = "sco_tail"
         params = {"n": n, "r": r, "lambda": lam_mult, "mode": mode, "delta": delta}
     else:
         raise ValueError("mode must be 'expectation' or 'tail'")
     rate = _rate_term_raw(inst, r) / lam_mult
-    mgf = lam_mult / (10.0 * n**3)
-    terms = {"rate_term": rate, "mgf_term": mgf, "epsilon_term": eps}
+    terms = {"rate_term": rate, "mgf_term": lam_mult / (10.0 * n**3), "epsilon_term": eps}
     if mode == "tail":
-        terms["confidence_term"] = conf
-    value = rate + mgf + conf + eps
+        terms["confidence_term"] = math.log(1.0 / delta) / lam_mult
     extra = {"epsilon_paper_chain": _chain_distortion(inst), "sigma": inst.sigma}
-    return _finish(kind, value, terms, params, extra)
+    return _finish(kind, terms, params, extra)
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,7 @@ def binary_kl_inverse(a: float, b: float, *, tol: float = 1e-12, max_iter: int =
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError("a must lie in [0, 1]")
-    if b < 0:
+    if not b >= 0:
         raise ValueError("b must be non-negative")
     if b == 0.0:
         return a

@@ -55,11 +55,13 @@ class FiniteLearningProblem:
         loss = np.array(self.loss, dtype=float, copy=True)
         if loss.ndim != 2 or loss.size == 0:
             raise ValueError("loss must be a non-empty (z, w) matrix")
-        if np.any(loss < 0):
-            raise ValueError("loss entries must be non-negative")
+        if not (loss >= 0).all() or not np.isfinite(loss).all():
+            raise ValueError("loss entries must be finite and non-negative")
         mu = self.mu if isinstance(self.mu, Pmf) else Pmf(np.asarray(self.mu, dtype=float))
         if mu.alphabet_size != loss.shape[0]:
             raise ValueError("mu size must match the loss row count")
+        if self.bound is not None and not math.isfinite(self.bound):
+            raise ValueError("the declared bound B must be finite")
         if self.bound is not None and np.any(loss > self.bound + 1e-12):
             raise ValueError("loss exceeds the declared bound B")
         loss.setflags(write=False)

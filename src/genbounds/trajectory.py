@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import spearmanr
 
-from .bounds import BoundReport, _finish
+from .bounds import BoundReport, _check_domain, _finish
 from .info import Pmf, gdelta_sup, mutual_information
 from .ratedistortion import DistortionSpec, rd_curve
 from .seeding import rng as _rng
@@ -231,15 +231,12 @@ def gen_trajectory(model: ToyModel, samples: np.ndarray, traj: TrajectoryProcess
 
 def thm7_bound(rd_sup: float, delta: float, n: int, epsilon: float) -> BoundReport:
     """Trajectory tail bound sqrt((rd_sup + log(1/delta)) / (2n)) + eps for losses in [0,1]."""
-    if n < 1 or delta <= 0:
-        raise ValueError("need n >= 1 and delta > 0")
+    _check_domain(n, delta)
     rate = rd_sup / (2 * n)
     conf = math.log(1.0 / delta) / (2 * n)
-    if rate + conf < 0:
-        raise ValueError(f"negative radicand {rate + conf}")
     terms = {"rate_term": rate, "confidence_term": conf, "epsilon_term": epsilon}
     params = {"n": n, "delta": delta, "epsilon": epsilon, "rd_sup": rd_sup}
-    return _finish("thm7", math.sqrt(rate + conf) + epsilon, terms, params)
+    return _finish("thm7", terms, params)
 
 
 def thm8_bound(
@@ -255,17 +252,10 @@ def thm8_bound(
     When log_M comes from estimate_M it is a certified lower estimate of the
     coupling supremum, and the bound value inherits that caveat.
     """
-    if n < 1 or delta <= 0:
-        raise ValueError("need n >= 1 and delta > 0")
-    if log_M < 0:
-        raise ValueError("log_M must be non-negative")
+    _check_domain(n, delta, log_M=log_M)
     rate = rd_s / (2 * n - 1)
     conf = (0.5 * math.log(2 * n) + log_M + math.log(1.0 / delta)) / (2 * n - 1)
-    lip = 4.0 * lipschitz_L * epsilon
-    radicand = rate + conf + lip
-    if radicand < 0:
-        raise ValueError(f"negative radicand {radicand}")
-    terms = {"rate_term": rate, "confidence_term": conf, "lipschitz_term": lip}
+    terms = {"rate_term": rate, "confidence_term": conf, "lipschitz_term": 4.0 * lipschitz_L * epsilon}
     params = {
         "n": n,
         "delta": delta,
@@ -274,7 +264,7 @@ def thm8_bound(
         "log_M": log_M,
         "lipschitz_L": lipschitz_L,
     }
-    return _finish("thm8", math.sqrt(radicand), terms, params)
+    return _finish("thm8", terms, params)
 
 
 @dataclass(frozen=True)

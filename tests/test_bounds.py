@@ -549,6 +549,7 @@ def Joint_like(table):
 
 class TestReportInvariants:
     def test_every_kind_reconstructs(self):
+        from genbounds.counterexample import ScoInstance, assemble_bound
         from genbounds.trajectory import thm7_bound, thm8_bound
 
         prob, alg, joint, ctx = exact_instance(98)
@@ -559,16 +560,16 @@ class TestReportInvariants:
         q = P.sum(axis=0)
         q_rows = np.tile(np.asarray(alg.prior), (len(ctx), 1))
         pi = np.asarray(alg.posterior(prob, ctx[0]))
+        prob2, alg2, _, _ = exact_instance(93, w=2)
         reports = [
             thm1_bound(1.2, 0.7, 30, 0.05, 0.02),
             fixed_size_bound(0.8, 0.5, 60, 0.1, 0.01),
+            rd_tail_bound(prob2, alg2, 3, 0.2, 0.005, search_budget=60, seed=3),
             seeger_fast_rate_bound(0.15, 0.4, 0.5, 80, 0.05),
             toy_example_bound(0.3, 1.2, 4, 0.6, 50, 0.1),
             pac_bayes_eq22(np.array([0.2, 0.8]), np.array([0.5, 0.5]), 0.7, 0.1),
             thm7_bound(0.9, 0.05, 40, 0.02),
             thm8_bound(0.6, 0.1, 1.3, 0.1, 40, 0.01),
-            thm5_expectation_bound("i", P, pws, q, gt, gt, 2.0, 0.0),
-            thm5_expectation_bound("ii", P, pws, q, gt**2 + 0.05, gt**2 + 0.05, None, alpha=2.0),
             prop5_bound(
                 "i", P_S=ps, q_hat=q_rows, g=gt, delta=0.07, epsilon=0.0,
                 s_index=0, pi=pi, p_quant=pi, f=gt,
@@ -577,9 +578,40 @@ class TestReportInvariants:
                 "ii", P_S=ps, q_hat=q_rows, g=gt, delta=0.07, epsilon=0.0,
                 s_index=0, kernel=np.eye(3), P_WgS=pws, w_index=0, f=gt,
             ),
+            assemble_bound(ScoInstance(5), 1 - 1 / 25, "expectation"),
+            # sco_tail adds confidence before epsilon; its dict order would move the last bit
+            assemble_bound(ScoInstance(4), 1 - 1 / 16, "tail", delta=0.05),
         ]
         for rep in reports:
+            assert reconstruct_bound(rep) == rep.bound_value, rep.kind
+        # thm5 reports its minimised objective; the terms agree to rounding
+        thm5 = [
+            thm5_expectation_bound("i", P, pws, q, gt, gt, 2.0, 0.0),
+            thm5_expectation_bound("ii", P, pws, q, gt**2 + 0.05, gt**2 + 0.05, None, alpha=2.0),
+        ]
+        for rep in thm5:
             assert reconstruct_bound(rep) == pytest.approx(rep.bound_value, abs=1e-12), rep.kind
+        assert len({rep.kind for rep in reports + thm5}) == 14
+
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            thm1_bound(1.0, math.nan, 10, 0.05, 0.0)
+        with pytest.raises(ValueError, match="NaN"):
+            pac_bayes_eq22(np.array([0.2, 0.8]), np.array([0.5, 0.5]), math.nan, 0.1)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: thm1_bound(math.nan, 0.5, 10, 0.05, 0.0),
+            lambda: thm1_bound(1.0, 0.5, 10, math.nan, 0.0),
+            lambda: fixed_size_bound(1.0, 0.5, math.nan, 0.05, 0.0),
+            lambda: seeger_fast_rate_bound(math.nan, 0.4, 0.5, 80, 0.05),
+            lambda: toy_example_bound(0.3, 1.2, 4, math.nan, 50, 0.1),
+        ],
+    )
+    def test_nan_input_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_infinite_flag(self):
         rep = pac_bayes_eq22(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 0.1)

@@ -177,6 +177,10 @@ class TestBinaryKlInverse:
             p = float(gen.uniform(a, 0.999))
             assert binary_kl_inverse(a, binary_kl(p, a)) == pytest.approx(p, abs=1e-7)
 
+    def test_nan_b_rejected(self):
+        with pytest.raises(ValueError):
+            binary_kl_inverse(0.3, math.nan)
+
 
 class TestEmpiricalJoint:
     def test_point_mass(self):

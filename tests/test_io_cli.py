@@ -292,3 +292,45 @@ class TestCli:
             ])
             assert code == 0, kind
             assert math.isfinite(json.loads(out.read_text())["bound_value"])
+
+    def test_nan_bound_is_an_error(self, tmp_path):
+        out = tmp_path / "nan"
+        assert main(["bound", "--kind", "thm1", "--rate", "nan", "--out", str(out)]) == 1
+        assert main(["bound", "--kind", "thm1", "--sigma", "nan", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_book_cap_is_a_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "cov"
+        assert main(["covering", "--m-grid", "40", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: book of ") and "exceeds the cap" in err
+        assert not out.exists()
+
+
+SUBCOMMANDS = {
+    "bound": (["bound", "--kind", "thm1"], "report.json"),
+    "rd": (["rd", "--epsilon-grid", "0.1"], "rd_curve.csv"),
+    "mc-validate": (["mc-validate", "--n", "5", "--trials", "100"], "validation.json"),
+    "covering": (["covering", "--m-grid", "2", "--trials", "20"], "covering.csv"),
+    "trajectory": (
+        ["trajectory", "--lr-grid", "0.1,0.4", "--trials", "2", "--n", "6", "--steps", "10"],
+        "sweep.csv",
+    ),
+    "counterexample": (["counterexample", "--n-list", "4", "--trials", "0"], "scaling.csv"),
+    "sweep": (["sweep", "--n-grid", "10,20"], "sweep_bounds.csv"),
+}
+
+
+@pytest.mark.parametrize("as_file", [False, True], ids=["dir", "file"])
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_output_and_manifest_paths(tmp_path, problem_file, command, as_file):
+    argv, default_name = SUBCOMMANDS[command]
+    if command == "mc-validate":
+        argv = argv + ["--problem", str(problem_file)]
+    target = tmp_path / "run" / ("x" + Path(default_name).suffix if as_file else default_name)
+    out = target if as_file else target.parent
+    assert main(argv + ["--out", str(out)]) == 0
+    assert target.is_file()
+    manifest = json.loads((target.parent / "manifest.json").read_text())
+    assert manifest["outputs"] == [{"path": str(target), "sha256": file_sha256(target)}]
+    assert sorted(p.name for p in target.parent.iterdir()) == sorted([target.name, "manifest.json"])

@@ -60,6 +60,15 @@ class TestRisks:
             brute = np.mean([prob.loss[z, w] for z in s])
             assert empirical_risk(prob, s, w) == pytest.approx(brute, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "loss, bound",
+        [([[0.0, math.nan], [0.5, 0.2]], None), ([[0.0, math.inf], [0.5, 0.2]], None),
+         ([[0.0, 0.1], [0.5, 0.2]], math.nan), ([[0.0, 0.1], [0.5, 0.2]], math.inf)],
+    )
+    def test_non_finite_rejected(self, loss, bound):
+        with pytest.raises(ValueError):
+            FiniteLearningProblem(loss=np.array(loss), mu=Pmf(np.array([0.5, 0.5])), bound=bound)
+
     def test_index_out_of_range(self):
         prob = small_problem()
         with pytest.raises(ValueError):
