@@ -457,13 +457,15 @@ def scaling_study(
     and empirical-mean types), both assembled bounds at r = r_rule(n)
     (default 1 - 1/n^2), and the event frequency. Raises if the MC mean
     exceeds the expectation bound beyond 3 standard errors at any n. Slopes
-    are least-squares fits of log(value) against log(n); with trials = 0 the
-    table is bounds-only.
+    are least-squares fits of log(value) against log(n), so `n_list` needs at
+    least two distinct values; with trials = 0 the table is bounds-only.
     """
     ns = sorted(int(x) for x in n_list)
     if any(b <= a for a, b in zip(ns, ns[1:])) or len(ns) != len(set(ns)):
         raise ValueError("n_list must be strictly increasing")
-    if ns and ns[-1] > max_n:
+    if len(ns) < 2:
+        raise ValueError("n_list needs at least two n values to fit a slope")
+    if ns[-1] > max_n:
         raise ValueError(f"n = {ns[-1]} exceeds the memory cap n <= {max_n}")
     r_rule = r_rule or (lambda n: 1.0 - 1.0 / n**2)
     rows: list[ScalingRow] = []
@@ -501,7 +503,7 @@ def scaling_study(
             )
         )
     logn = np.log(np.asarray(ns, dtype=float))
-    fit = lambda ys: float(np.polyfit(logn, np.log(ys), 1)[0]) if len(ns) >= 2 else math.nan
+    fit = lambda ys: float(np.polyfit(logn, np.log(ys), 1)[0])
     slope_bound = fit([r.bound_expectation for r in rows])
     slope_mc = (
         fit([r.mc_mean_gen for r in rows])

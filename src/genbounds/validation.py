@@ -154,8 +154,12 @@ class HypothesisBook:
 
     def effective_size(self, type_seq, w_seq) -> int:
         total = float(np.asarray(self.rates)[np.asarray(type_seq), np.asarray(w_seq)].sum())
-        j = int(math.floor(math.exp(min(total, 700.0))))
-        return max(1, min(j, self.entries.shape[0]))
+        return _searchable_prefix(total, self.entries.shape[0])
+
+
+def _searchable_prefix(total_rate: float, size: int) -> int:
+    """floor(exp(total_rate)) entries, clipped to [1, size]; exp is capped at e^700."""
+    return max(1, min(int(math.floor(math.exp(min(total_rate, 700.0)))), size))
 
 
 def _book_size(m: int, rates: np.ndarray) -> int:
@@ -221,9 +225,14 @@ def covering_failure_estimate(
     """Estimate the excess-distortion exponent -(1/m) log P(failure) per m.
 
     A trial draws m iid (dataset, hypothesis) pairs from the algorithm's
-    joint, rebuilds a fresh random book, and fails when no entry within the
-    pair-dependent searchable prefix meets the squared-gap distortion
+    joint, then draws a fresh random book's searchable prefix: its first
+    floor(exp(sum_i R[s_i, w_i])) entries, capped at the full book size
+    floor(exp(m * R_max)). The trial fails when no prefix entry meets the
+    squared-gap distortion
     (1/m) sum_i [gen(s_i, w_i)^2 - gen(s_i, what_i)^2] <= epsilon.
+    Entries past the prefix are never searched, and the trial's Philox
+    stream yields its uniforms in sequence, so drawing only the prefix gives
+    the same entries, bit for bit, as drawing the whole book and slicing it.
     The rate table `rates` is indexed by dataset type (enumerate_types
     order) and hypothesis; the algorithm must be exchangeable. Zero-failure
     rows are right-censored: the exponent column carries +inf and
@@ -241,6 +250,7 @@ def covering_failure_estimate(
         q_hat = np.asarray(joint.marginal_w())
     q_cdf = np.cumsum(np.asarray(q_hat, dtype=float))
     type_cdf = np.cumsum(type_probs)
+    last_type, last_w, last_q = len(types) - 1, prob.w_alphabet_size - 1, q_cdf.size - 1
 
     rows: list[CoveringRow] = []
     for mi, m in enumerate(m_grid):
@@ -250,25 +260,14 @@ def covering_failure_estimate(
         failures = 0
         for t in range(trials):
             gen = _rng(seed, mi, t)
-            t_seq = np.minimum(
-                np.searchsorted(type_cdf, gen.random(m), side="right"), len(types) - 1
-            )
-            w_seq = np.minimum(
-                (post_cdf[t_seq] < gen.random(m)[:, None]).sum(axis=1),
-                prob.w_alphabet_size - 1,
-            )
-            j_max = max(
-                1,
-                min(
-                    int(math.floor(math.exp(min(float(r[t_seq, w_seq].sum()), 700.0)))),
-                    size,
-                ),
-            )
+            t_seq = np.minimum(np.searchsorted(type_cdf, gen.random(m), side="right"), last_type)
+            w_seq = np.minimum((post_cdf[t_seq] < gen.random(m)[:, None]).sum(axis=1), last_w)
+            j_max = _searchable_prefix(float(r[t_seq, w_seq].sum()), size)
             entries = np.minimum(
-                np.searchsorted(q_cdf, gen.random((size, m)), side="right"), q_cdf.size - 1
+                np.searchsorted(q_cdf, gen.random((j_max, m)), side="right"), last_q
             )
             own = float(g2[t_seq, w_seq].mean())
-            repro = g2[t_seq[None, :], entries[:j_max]].mean(axis=1)
+            repro = g2[t_seq[None, :], entries].mean(axis=1)
             if own - float(repro.max()) > epsilon:
                 failures += 1
         if failures == 0:

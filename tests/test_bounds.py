@@ -94,8 +94,7 @@ class TestThm1:
         assert rep.bound_value == pytest.approx(0.54303, abs=1e-4)
 
     def test_degenerate_zero(self):
-        n = 50
-        rep = thm1_bound(0.0, 1.0, n, math.sqrt(2 * n), 0.0)
+        rep = thm1_bound(0.0, 0.0, 50, 0.05, 0.0)
         assert rep.bound_value == pytest.approx(0.0, abs=1e-12)
 
     def test_doubling_n_shrinks(self):
@@ -607,6 +606,13 @@ class TestReportInvariants:
             lambda: fixed_size_bound(1.0, 0.5, math.nan, 0.05, 0.0),
             lambda: seeger_fast_rate_bound(math.nan, 0.4, 0.5, 80, 0.05),
             lambda: toy_example_bound(0.3, 1.2, 4, math.nan, 50, 0.1),
+            # thm1 and eq4 take delta in (0, 1] and sigma >= 0
+            lambda: thm1_bound(0.0, 1.0, 50, math.sqrt(100), 0.0),
+            lambda: thm1_bound(0.1, 0.5, 10, 5.0, 0.0),
+            lambda: thm1_bound(0.1, -0.5, 10, 0.05, 0.0),
+            lambda: fixed_size_bound(0.1, 0.5, 10, 1.5, 0.0),
+            lambda: fixed_size_bound(0.1, -0.5, 10, 0.05, 0.0),
+            lambda: fixed_size_bound(0.1, 0.5, 10, 0.0, 0.0),
         ],
     )
     def test_nan_input_rejected(self, make):

@@ -277,7 +277,7 @@ class TestScaling:
         assert res.slope_mc <= -0.4
 
     def test_event_rate_floor(self):
-        res = scaling_study([4], trials=1000, seed=19)
+        res = scaling_study([4, 5], trials=1000, seed=19)
         inst = ScoInstance(4)
         floor = 1 - 2 * math.exp(-inst.T / 36)
         se = math.sqrt(0.25 / 1000)
@@ -288,6 +288,8 @@ class TestScaling:
             scaling_study([4, 4], trials=0)
         with pytest.raises(ValueError):
             scaling_study([4, 20], trials=0)
+        with pytest.raises(ValueError, match="two n values"):
+            scaling_study([4], trials=0)
 
     def test_closed_form_good_value_consistency(self):
         inst = ScoInstance(6)

@@ -123,13 +123,21 @@ class TestCli:
     def test_counterexample_smoke_row(self, tmp_path):
         out = tmp_path / "ce"
         code = main([
-            "counterexample", "--n-list", "4", "--trials", "50", "--out", str(out), "--seed", "3",
+            "counterexample", "--n-list", "4,5", "--trials", "50", "--out", str(out), "--seed", "3",
         ])
         assert code == 0
         with (out / "scaling.csv").open() as fh:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "n"
-        assert len(rows) == 2 and rows[1][0] == "4"
+        assert len(rows) == 3 and rows[1][0] == "4"
+        assert all(math.isfinite(float(r[5])) for r in rows[1:])
+
+    def test_counterexample_single_n_is_an_error(self, tmp_path, capsys):
+        # one n value leaves the slope fit undefined
+        out = tmp_path / "ce"
+        assert main(["counterexample", "--n-list", "4", "--trials", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: n_list needs at least two")
+        assert not out.exists()
 
     def test_rd_curve_csv(self, tmp_path):
         out = tmp_path / "rd"
@@ -208,6 +216,31 @@ class TestCli:
         cfg.write_text(json.dumps({"not_a_key": 1}))
         code = main(["bound", "--kind", "thm1", "--config", str(cfg), "--out", str(tmp_path / "x.json")])
         assert code == 1
+
+    def test_config_values_converted_like_flags(self, tmp_path, problem_file, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "5", "rate": "2"}))
+        out = tmp_path / "r.json"
+        assert main(["bound", "--kind", "thm1", "--config", str(cfg), "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["bound_value"] == thm1_bound(2.0, 0.5, 5, 0.05, 0.0).bound_value
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["n"] == 5 and manifest["config"]["rate"] == 2.0
+
+        capsys.readouterr()
+        bad_runs = [
+            (["bound", "--kind", "thm1"], {"n": "five"}),
+            (["bound", "--kind", "thm1"], {"n": 5.5}),
+            (["bound", "--kind", "thm1"], {"n": None}),
+            (["sweep"], {"kind": "eq21"}),
+            (["mc-validate", "--problem", str(problem_file)], {"kind": "thm5i"}),
+        ]
+        for argv, values in bad_runs:
+            cfg.write_text(json.dumps(values))
+            bad = tmp_path / "bad"
+            assert main(argv + ["--config", str(cfg), "--out", str(bad)]) == 1, values
+            assert capsys.readouterr().err.startswith("error: config key "), values
+            assert not bad.exists()
 
     def test_duplicate_config_key_errors(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -316,7 +349,7 @@ SUBCOMMANDS = {
         ["trajectory", "--lr-grid", "0.1,0.4", "--trials", "2", "--n", "6", "--steps", "10"],
         "sweep.csv",
     ),
-    "counterexample": (["counterexample", "--n-list", "4", "--trials", "0"], "scaling.csv"),
+    "counterexample": (["counterexample", "--n-list", "4,5", "--trials", "0"], "scaling.csv"),
     "sweep": (["sweep", "--n-grid", "10,20"], "sweep_bounds.csv"),
 }
 

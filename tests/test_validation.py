@@ -213,3 +213,21 @@ class TestCovering:
         )
         assert rows[0].failures >= 5 and rows[1].failures >= 5
         assert rows[1].exponent >= rows[0].exponent
+
+    def test_failure_counts_pinned(self):
+        # the counts the full-book draw gave; the prefix draw must keep them
+        inst = covering_default_instance()
+        rows = covering_failure_estimate(
+            inst["prob"], inst["alg"], inst["n"], inst["rates"], inst["epsilon"],
+            [4, 8, 12], 2000, seed=7, q_hat=inst["q_hat"],
+        )
+        assert [r.failures for r in rows] == [338, 32, 2]
+
+    @pytest.mark.parametrize("j, size, m", [(1, 2963, 12), (37, 2963, 12), (5, 6, 3), (7, 7, 4)])
+    def test_prefix_draw_matches_full_book(self, j, size, m):
+        # a trial draws only its searchable prefix; the stream must yield the
+        # same rows it would have put first in the whole book
+        a, b = rng(7, 2, 5), rng(7, 2, 5)
+        for gen in (a, b):
+            gen.random(2 * m)  # the pair draws that precede the book
+        assert np.array_equal(a.random((j, m)), b.random((size, m))[:j])
