@@ -141,12 +141,12 @@ def _finish(kind, terms, params, extra=None, value=None) -> BoundReport:
     )
 
 
-def _check_domain(n=None, delta=None, max_delta=math.inf, **nonneg) -> None:
+def _check_domain(n=None, delta=None, **nonneg) -> None:
     """Shared input checks, written as `not x >= 0` so that NaN fails them."""
     if n is not None and not n >= 1:
         raise ValueError("n must be at least 1")
-    if delta is not None and not 0 < delta <= max_delta:
-        raise ValueError(f"delta must lie in (0, {max_delta:g}]")
+    if delta is not None and not 0 < delta <= 1:
+        raise ValueError("delta must lie in (0, 1]")
     for name, x in nonneg.items():
         if not x >= 0:
             raise ValueError(f"{name} is NaN" if math.isnan(x) else f"{name} must be non-negative")
@@ -232,7 +232,7 @@ def minimize_unimodal(h, lo: float, hi: float, grid: int = 64, refine: int = 80)
 
 def thm1_bound(R_sw: float, sigma: float, n: int, delta: float, epsilon: float = 0.0) -> BoundReport:
     """Variable-size tail bound sqrt(4sigma^2 (R + log(sqrt(2n)/delta)) / (2n-1) + eps)."""
-    _check_domain(n, delta, max_delta=1.0, rate=R_sw, sigma=sigma)
+    _check_domain(n, delta, rate=R_sw, sigma=sigma)
     rate = 4.0 * sigma**2 * R_sw / (2 * n - 1)
     conf = 4.0 * sigma**2 * math.log(math.sqrt(2 * n) / delta) / (2 * n - 1)
     terms = {"rate_term": rate, "confidence_term": conf, "epsilon_term": epsilon}
@@ -242,7 +242,7 @@ def thm1_bound(R_sw: float, sigma: float, n: int, delta: float, epsilon: float =
 
 def fixed_size_bound(R: float, sigma: float, n: int, delta: float, epsilon: float = 0.0) -> BoundReport:
     """Fixed-size tail bound sqrt(2sigma^2 (R + log(1/delta)) / n) + eps."""
-    _check_domain(n, delta, max_delta=1.0, rate=R, sigma=sigma)
+    _check_domain(n, delta, rate=R, sigma=sigma)
     params = {"n": n, "sigma": sigma, "delta": delta, "epsilon": epsilon, "rate": R}
     return _finish("eq4", _eq4_terms(R, sigma, n, delta, epsilon), params)
 

@@ -12,6 +12,7 @@ coefficient, and the learning-rate sweep.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,10 @@ class Quantizer:
         return (self.hi - self.lo) / self.bins
 
     def index(self, w: float, step_no: int) -> int:
-        if w < self.lo - 0.5 * self.step or w > self.hi + 0.5 * self.step:
+        half = 0.5 * self.step
+        if not self.lo - half <= w <= self.hi + half:  # written so that a NaN iterate fails it
             raise TrajectoryDivergence(f"iterate {w} left the grid range at step {step_no}")
-        return int(np.clip(round((w - self.lo) / self.step), 0, self.bins))
+        return min(max(round((w - self.lo) / self.step), 0), self.bins)
 
     def value(self, idx: int) -> float:
         return self.lo + idx * self.step
@@ -98,7 +100,7 @@ class TrajectoryProcess:
         return np.array([self.quantizer.value(i) for i in self.state_indices])
 
     def key(self) -> tuple:
-        return tuple(int(i) for i in self.state_indices)
+        return tuple(self.state_indices.tolist())
 
 
 class ToyModel:
@@ -141,8 +143,7 @@ class QuadraticToy(ToyModel):
         self.z_values = np.asarray(z_values, dtype=float)
         self.mu = Pmf(np.asarray(mu, dtype=float))
         self.w_lo, self.w_hi = float(w_lo), float(w_hi)
-        span = max(abs(self.w_hi - z) for z in self.z_values)
-        span = max(span, max(abs(self.w_lo - z) for z in self.z_values))
+        span = max(abs(w - z) for w in (self.w_lo, self.w_hi) for z in self.z_values.tolist())
         self._scale = span**2
         self.lipschitz_L = 2.0 * span / self._scale
 
@@ -167,6 +168,8 @@ class LogisticToy(ToyModel):
         return np.log1p(np.exp(-z * np.asarray(w))) / self._scale
 
     def grad(self, z, w):
+        if z * w > 700.0:  # e^{zw} overflows past 709.8; 1 + e^{zw} == e^{zw} from zw = 37 on
+            return -z * math.exp(-z * w) / self._scale
         return -z / (1.0 + math.exp(z * w)) / self._scale
 
 
@@ -186,7 +189,9 @@ def simulate_trajectory(
 
     The default window is the last half of training (t1 = steps // 2,
     t2 = steps); iterates outside the grid raise TrajectoryDivergence with
-    the offending step. Deterministic given (seed, samples).
+    the offending step. Deterministic given (seed, samples): the stochastic
+    picks are drawn in one call from the (seed, 17) stream, which yields the
+    same values as one scalar draw per step.
     """
     if steps < 2:
         raise ValueError("need at least 2 steps")
@@ -198,16 +203,15 @@ def simulate_trajectory(
     samples = np.asarray(samples, dtype=int)
     gen = _rng(seed, 17)
     w = 0.5 * (quantizer.lo + quantizer.hi) if w0 is None else float(w0)
+    zs = model.z_values[samples].tolist()
+    picks = gen.integers(samples.size, size=steps).tolist() if stochastic else None
     raw = []
     idx = []
     for t in range(steps):
         if stochastic:
-            z = model.z_values[samples[int(gen.integers(samples.size))]]
-            g = model.grad(z, w)
+            g = model.grad(zs[picks[t]], w)
         else:
-            g = float(
-                np.mean([model.grad(model.z_values[s], w) for s in samples])
-            )
+            g = float(np.mean([model.grad(z, w) for z in zs]))
         w = w - lr * g
         if t1 <= t < t2:
             idx.append(quantizer.index(w, t))
@@ -222,11 +226,15 @@ def simulate_trajectory(
 
 
 def gen_trajectory(model: ToyModel, samples: np.ndarray, traj: TrajectoryProcess) -> float:
-    """Windowed generalization error (1/Delta_t) sum_t gen(s, w_t), exact risks."""
-    vals = traj.states
-    pop = np.fromiter((model.population_risk(v) for v in vals), dtype=float)
-    emp = np.fromiter((model.empirical_risk(samples, v) for v in vals), dtype=float)
-    return float(np.mean(pop - emp))
+    """Windowed generalization error (1/Delta_t) sum_t gen(s, w_t), exact risks.
+
+    The risks are evaluated once per distinct quantizer cell of the window
+    and gathered back to the steps, so every per-step gap is the same float
+    as a per-step evaluation.
+    """
+    cells, inverse = np.unique(traj.state_indices, return_inverse=True)
+    gaps = np.array([model.gen_error(samples, traj.quantizer.value(c)) for c in cells.tolist()])
+    return float(np.mean(gaps[inverse]))
 
 
 def thm7_bound(rd_sup: float, delta: float, n: int, epsilon: float) -> BoundReport:
@@ -310,10 +318,7 @@ def trajectory_distribution(trajs: list[TrajectoryProcess]):
     The distortion between two trajectories is the per-step absolute
     difference of the quantized states averaged over the window.
     """
-    keys = {}
-    for tr in trajs:
-        keys.setdefault(tr.key(), 0)
-        keys[tr.key()] += 1
+    keys = Counter(tr.key() for tr in trajs)
     alphabet = sorted(keys)
     counts = np.asarray([keys[k] for k in alphabet], dtype=float)
     probs = counts / counts.sum()
@@ -363,6 +368,10 @@ def lr_sweep(
     lrs = [float(x) for x in lr_grid]
     if not lrs:
         raise ValueError("lr grid must be non-empty")
+    if not all(math.isfinite(lr) for lr in lrs):
+        raise ValueError("learning rates must be finite")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     quant = model.default_quantizer(bins)
     rows: list[SweepRow] = []
     for li, lr in enumerate(lrs):

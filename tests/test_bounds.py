@@ -31,6 +31,7 @@ from genbounds.learning import (
     induced_joint,
 )
 from genbounds.seeding import rng
+from genbounds.trajectory import thm7_bound, thm8_bound
 
 
 def exact_instance(seed=70, z=2, w=3, n=3, beta=1.1):
@@ -549,7 +550,6 @@ def Joint_like(table):
 class TestReportInvariants:
     def test_every_kind_reconstructs(self):
         from genbounds.counterexample import ScoInstance, assemble_bound
-        from genbounds.trajectory import thm7_bound, thm8_bound
 
         prob, alg, joint, ctx = exact_instance(98)
         gt = gen_table(prob, ctx)
@@ -613,6 +613,17 @@ class TestReportInvariants:
             lambda: fixed_size_bound(0.1, 0.5, 10, 1.5, 0.0),
             lambda: fixed_size_bound(0.1, -0.5, 10, 0.05, 0.0),
             lambda: fixed_size_bound(0.1, 0.5, 10, 0.0, 0.0),
+            # every other kind takes delta in (0, 1] as well
+            lambda: thm7_bound(1.0, 2.0, 10, 0.0),
+            lambda: thm8_bound(0.5, 0.2, 1.0, 1.5, 50, 0.01),
+            lambda: seeger_fast_rate_bound(0.0, 0.1, 0.5, 80, 50.0),
+            lambda: pac_bayes_eq22(np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.0, 5.0),
+            lambda: prop5_bound(
+                "i", P_S=np.array([0.5, 0.5]), q_hat=np.array([0.5, 0.5]), g=np.zeros((2, 2)),
+                delta=2.0, epsilon=0.0, s_index=0, pi=np.array([0.5, 0.5]),
+                p_quant=np.array([0.5, 0.5]), f=np.zeros((2, 2)),
+            ),
+            lambda: toy_example_bound(0.3, 1.2, 4, 0.6, 50, 3.0),
         ],
     )
     def test_nan_input_rejected(self, make):

@@ -139,6 +139,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: n_list needs at least two")
         assert not out.exists()
 
+    def test_trajectory_overflow_reads_diverged(self, tmp_path):
+        out = tmp_path / "tr"
+        code = main([
+            "trajectory", "--model", "quadratic", "--lr-grid", "0.1,1e6", "--trials", "2",
+            "--out", str(out),
+        ])
+        assert code == 0
+        with (out / "sweep.csv").open() as fh:
+            rows = list(csv.reader(fh))
+        assert [r[3] for r in rows[1:]] == ["ok", "diverged"]
+
+    @pytest.mark.parametrize("bad", [["--trials", "0"], ["--trials", "-3"], ["--lr-grid", "nan"]])
+    def test_trajectory_bad_input_is_an_error(self, tmp_path, capsys, bad):
+        out = tmp_path / "tr"
+        assert main(["trajectory", *bad, "--n", "6", "--steps", "10", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_rd_curve_csv(self, tmp_path):
         out = tmp_path / "rd"
         code = main([
