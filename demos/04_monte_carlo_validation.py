@@ -31,9 +31,8 @@ prior = np.asarray(alg.prior)
 n, delta, trials = 25, 0.1, 10_000
 
 
-def bound_fn(s, w):
+def bound_fn(s, w, post):
     # pair-dependent rate: the clipped posterior/prior log-ratio
-    post = np.asarray(alg.posterior(prob, s))
     rate = max(0.0, math.log(post[w] / prior[w]))
     return thm1_bound(rate, prob.sigma, n, delta, 0.0).bound_value
 

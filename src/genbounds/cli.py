@@ -218,8 +218,7 @@ def cmd_mc_validate(args) -> int:
     prior = np.asarray(alg.prior)
     bound = thm1_bound if args.kind == "thm1" else fixed_size_bound
 
-    def bound_fn(s, w):
-        post = np.asarray(alg.posterior(prob, s))
+    def bound_fn(s, w, post):
         rate = max(0.0, math.log(post[w] / prior[w])) if post[w] > 0 else 0.0
         return bound(rate, sigma, args.n, args.delta, args.epsilon).bound_value
 

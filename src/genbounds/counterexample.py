@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import binom
@@ -63,21 +64,21 @@ class ScoInstance:
         if self.n < 1:
             raise ValueError("n must be at least 1")
 
-    @property
+    @cached_property
     def T(self) -> int:
         return 2 * self.n**2
 
-    @property
+    @cached_property
     def eta(self) -> float:
         return 1.0 / (self.n * math.sqrt(5.0 * self.n))
 
-    @property
+    @cached_property
     def d(self) -> int:
         if self.d_override is not None:
             return self.d_override
         return (3 * self.T * 2**self.n) // 4
 
-    @property
+    @cached_property
     def lam(self) -> float:
         return 1.0 / (self.n * math.sqrt(self.d)) if self.d > 0 else 0.0
 
@@ -107,6 +108,15 @@ def _check_w(inst: ScoInstance, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _check_r(inst: ScoInstance, r: float) -> None:
+    if not 1.0 - 1.0 / inst.n**2 <= r <= 1.0:
+        raise ValueError(f"r must lie in [1 - 1/n^2, 1] = [{1 - 1/inst.n**2}, 1]")
+
+
+def _hinge(w: np.ndarray) -> float:
+    return max(float(w.max()), 0.0) if w.size else 0.0
+
+
 def sco_loss(inst: ScoInstance, z, w) -> float:
     """ell(z, w) = sum_j z_j w_j^2 + lam <w, z> + max(max_j w_j, 0)."""
     w = _check_w(inst, w)
@@ -115,22 +125,19 @@ def sco_loss(inst: ScoInstance, z, w) -> float:
         raise ValueError(f"z must have length d = {inst.d}")
     quad = float(z @ (w * w))
     lin = inst.lam * float(w @ z)
-    hinge = max(float(w.max()), 0.0) if w.size else 0.0
-    return quad + lin + hinge
+    return quad + lin + _hinge(w)
 
 
 def sco_population_risk(inst: ScoInstance, w) -> float:
     """E_z ell(z, w) = sum_j w_j^2 / 2 + (lam/2) sum_j w_j + max(max_j w_j, 0)."""
     w = _check_w(inst, w)
-    hinge = max(float(w.max()), 0.0) if w.size else 0.0
-    return float((w * w).sum()) / 2.0 + inst.lam * float(w.sum()) / 2.0 + hinge
+    return float((w * w).sum()) / 2.0 + inst.lam * float(w.sum()) / 2.0 + _hinge(w)
 
 
 def sco_empirical_risk(inst: ScoInstance, mu_hat, w) -> float:
     w = _check_w(inst, w)
     m = np.asarray(mu_hat, dtype=float)
-    hinge = max(float(w.max()), 0.0) if w.size else 0.0
-    return float(m @ (w * w)) + inst.lam * float(m @ w) + hinge
+    return float(m @ (w * w)) + inst.lam * float(m @ w) + _hinge(w)
 
 
 def bad_coords(inst: ScoInstance, s: np.ndarray) -> BadCoords:
@@ -141,9 +148,10 @@ def bad_coords(inst: ScoInstance, s: np.ndarray) -> BadCoords:
     return BadCoords(mask=mask, count=count, event_ok=bool(inst.T // 2 <= count <= inst.T))
 
 
-def good_value(inst: ScoInstance, mu_hat_j: float) -> float:
-    """Closed-form terminal value (lam/2)(-1 + (1 - 2 eta muhat)^T) of a good coordinate."""
-    return inst.lam / 2.0 * (-1.0 + (1.0 - 2.0 * inst.eta * mu_hat_j) ** inst.T)
+def good_value(inst: ScoInstance, mu_hat, eta: float | None = None):
+    """Closed-form terminal value (lam/2)(-1 + (1 - 2 eta muhat)^T) of a good coordinate, elementwise."""
+    eta = inst.eta if eta is None else eta
+    return inst.lam / 2.0 * (-1.0 + (1.0 - 2.0 * eta * mu_hat) ** inst.T)
 
 
 def run_gd(inst: ScoInstance, s: np.ndarray, mode: str = "iterative", eta: float | None = None):
@@ -161,7 +169,7 @@ def run_gd(inst: ScoInstance, s: np.ndarray, mode: str = "iterative", eta: float
     bc = bad_coords(inst, s)
 
     if mode == "closed_form":
-        w = inst.lam / 2.0 * (-1.0 + (1.0 - 2.0 * eta * mu_hat) ** inst.T)
+        w = good_value(inst, mu_hat, eta)
         w[bc.mask] = -eta
         return w, bc.event_ok
     if mode != "iterative":
@@ -216,9 +224,8 @@ def bad_coord_stats(inst: ScoInstance, trials: int, seed: int) -> dict:
 
 
 def quantizer_levels(inst: ScoInstance) -> tuple[float, float]:
-    """(v0, v1) = ((lam/2)(-1 + (1-eta)^T), -eta)."""
-    v0 = inst.lam / 2.0 * (-1.0 + (1.0 - inst.eta) ** inst.T)
-    return v0, -inst.eta
+    """(v0, v1) = ((lam/2)(-1 + (1-eta)^T), -eta): v0 is the good value at muhat = 1/2."""
+    return good_value(inst, 0.5), -inst.eta
 
 
 def quantize_w(inst: ScoInstance, s: np.ndarray, r: float, seed: int) -> np.ndarray:
@@ -228,8 +235,7 @@ def quantize_w(inst: ScoInstance, s: np.ndarray, r: float, seed: int) -> np.ndar
     coordinates with positive empirical mean map to v0 and zero-mean (bad)
     coordinates to v0 with probability r, v1 with probability 1 - r.
     """
-    if not 1.0 - 1.0 / inst.n**2 <= r <= 1.0:
-        raise ValueError(f"r must lie in [1 - 1/n^2, 1] = [{1 - 1/inst.n**2}, 1]")
+    _check_r(inst, r)
     s = np.asarray(s)
     bc = bad_coords(inst, s)
     if not bc.event_ok:
@@ -251,27 +257,38 @@ def quantize_w(inst: ScoInstance, s: np.ndarray, r: float, seed: int) -> np.ndar
 # iid pushed/-eta, good ones iid with muhat ~ Binomial(n, 1/2)/n given > 0.
 
 
-def _phi(inst: ScoInstance, x: float) -> float:
+def _phi(inst: ScoInstance, x):
     return x * (x + inst.lam)
 
 
-def _good_m_probs(inst: ScoInstance) -> np.ndarray:
+def _good_law(inst: ScoInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per count m = 0..n of a coordinate: its Binomial(n, 1/2) pmf (unconditioned),
+    the gap weight 1/2 - m/n and phi of the good terminal value w(m/n).
+
+    The m = 0 cell is the bad one; its gap and phi entries are not used.
+    """
     n = inst.n
     pm = np.array([math.comb(n, m) for m in range(n + 1)], dtype=float) * 2.0 ** (-n)
-    pm[0] = 0.0
-    return pm / pm.sum()
+    gap = 0.5 - np.arange(n + 1) / n
+    # one scalar pow per m: numpy's vectorised power may round differently from libm
+    phi_w = _phi(inst, np.array([good_value(inst, m / n) for m in range(n + 1)]))
+    return pm, gap, phi_w
 
 
-def _good_terms(inst: ScoInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional law of a good coordinate's mean count and its terminal values."""
-    n = inst.n
-    probs = _good_m_probs(inst)
-    w_m = np.array([good_value(inst, m / n) for m in range(n + 1)])
-    return probs, w_m
+def _given_good(pm: np.ndarray) -> np.ndarray:
+    """The count law conditioned on m > 0, normalised by the full-length sum."""
+    probs = pm.copy()
+    probs[0] = 0.0
+    return probs / probs.sum()
 
 
 def _bad_count_pmf(inst: ScoInstance) -> np.ndarray:
     return binom.pmf(np.arange(inst.d + 1), inst.d, 2.0 ** (-inst.n))
+
+
+def _gen_given_k(inst: ScoInstance, ks: np.ndarray, c_good_gen: float) -> np.ndarray:
+    """E[gen(S, W_T) | #bad = k]: min(k, T) pushed bad coordinates and d - k good ones."""
+    return np.minimum(ks, inst.T) * 0.5 * _phi(inst, -inst.eta) + (inst.d - ks) * c_good_gen
 
 
 def exact_mean_gen(inst: ScoInstance) -> float:
@@ -283,37 +300,25 @@ def exact_mean_gen(inst: ScoInstance) -> float:
     instead, is treated as push-free: its weight exp(-1.5 n^2) is below
     double precision for every supported n.
     """
-    probs, w_m = _good_terms(inst)
-    n = inst.n
-    ms = np.arange(n + 1)
-    c_good_gen = float(
-        (probs * (0.5 - ms / n) * np.array([_phi(inst, x) for x in w_m])).sum()
-    )
+    pm, gap, phi_w = _good_law(inst)
+    c_good_gen = float((_given_good(pm) * gap * phi_w).sum())
     pmf = _bad_count_pmf(inst)
-    ks = np.arange(inst.d + 1)
-    pushed = np.minimum(ks, inst.T)
-    per_k = pushed * 0.5 * _phi(inst, -inst.eta) + (inst.d - ks) * c_good_gen
+    per_k = _gen_given_k(inst, np.arange(inst.d + 1), c_good_gen)
     return float((pmf * per_k).sum())
 
 
 def _distortion_terms(inst: ScoInstance, r: float) -> dict:
     """Per-coordinate distortion pieces for the quantizer at parameter r."""
-    n = inst.n
     v0, v1 = quantizer_levels(inst)
-    probs, w_m = _good_terms(inst)
-    ms = np.arange(n + 1)
-    phi_w = np.array([_phi(inst, x) for x in w_m])
+    pm, gap, phi_w = _good_law(inst)
+    probs = _given_good(pm)
     phi_v0 = _phi(inst, v0)
-    # v1 = -eta so phi(v1) = phi(-eta)
-    c_bad_diff = 0.5 * r * (_phi(inst, -inst.eta) - phi_v0)
-    good_diff_m = (0.5 - ms / n) * (phi_w - phi_v0)
-    c_good_diff = float((probs * good_diff_m).sum())
-    c_good_gen = float((probs * (0.5 - ms / n) * phi_w).sum())
+    good_diff_m = gap * (phi_w - phi_v0)
     return {
-        "c_bad_diff": c_bad_diff,
-        "c_good_diff": c_good_diff,
-        "c_good_gen": c_good_gen,
-        "good_diff_max": float(good_diff_m[1:].max()) if n >= 1 else 0.0,
+        "c_bad_diff": 0.5 * r * (_phi(inst, v1) - phi_v0),
+        "c_good_diff": float((probs * good_diff_m).sum()),
+        "c_good_gen": float((probs * gap * phi_w).sum()),
+        "good_diff_max": float(good_diff_m[1:].max()),
     }
 
 
@@ -330,7 +335,7 @@ def exact_distortion(inst: ScoInstance, r: float) -> float:
     per_k = np.where(
         in_event,
         ks * terms["c_bad_diff"] + (inst.d - ks) * terms["c_good_diff"],
-        np.minimum(ks, inst.T) * 0.5 * _phi(inst, -inst.eta) + (inst.d - ks) * terms["c_good_gen"],
+        _gen_given_k(inst, ks, terms["c_good_gen"]),
     )
     return float((pmf * per_k).sum())
 
@@ -372,8 +377,7 @@ def assemble_bound(inst: ScoInstance, r: float, mode: str, delta: float | None =
     The distortion term is exact in expectation mode and a uniform-over-event
     bound in tail mode; the inequality-chain value rides along in `extra`.
     """
-    if not 1.0 - 1.0 / inst.n**2 <= r <= 1.0:
-        raise ValueError("r out of range")
+    _check_r(inst, r)
     n = inst.n
     if mode == "expectation":
         lam_mult = float(n**2)
@@ -415,31 +419,13 @@ class ScalingResult:
     slope_bound: float
     slope_mc: float
 
-    def to_csv_rows(self):
-        return [
-            (
-                r.n,
-                r.mc_mean_gen,
-                r.bound_expectation,
-                r.bound_tail,
-                r.event_rate,
-            )
-            for r in self.rows
-        ]
 
-
-def _trial_gen(inst: ScoInstance, gen: np.random.Generator) -> tuple[float, bool]:
-    """One MC draw of gen(S, W_T) via the exact per-type closed forms."""
-    n = inst.n
-    pm = np.array([math.comb(n, m) for m in range(n + 1)], dtype=float) * 2.0 ** (-n)
+def _trial_gen(inst: ScoInstance, law: tuple, gen: np.random.Generator) -> tuple[float, bool]:
+    """One MC draw of gen(S, W_T) via the exact per-type closed forms; `law` is `_good_law(inst)`."""
+    pm, gap, phi_w = law
     counts = gen.multinomial(inst.d, pm)
     k = int(counts[0])
-    pushed = min(k, inst.T)
-    ms = np.arange(n + 1)
-    w_m = np.array([good_value(inst, m / n) for m in ms])
-    val = pushed * 0.5 * _phi(inst, -inst.eta) + float(
-        (counts[1:] * (0.5 - ms[1:] / n) * np.array([_phi(inst, x) for x in w_m[1:]])).sum()
-    )
+    val = min(k, inst.T) * 0.5 * _phi(inst, -inst.eta) + float((counts[1:] * gap[1:] * phi_w[1:]).sum())
     return val, inst.T // 2 <= k <= inst.T
 
 
@@ -475,10 +461,11 @@ def scaling_study(
         be = assemble_bound(inst, r, "expectation")
         bt = assemble_bound(inst, r, "tail", delta=delta)
         if trials > 0:
+            law = _good_law(inst)
             vals = np.empty(trials)
             hits = 0
             for t in range(trials):
-                vals[t], ok = _trial_gen(inst, _rng(seed, ni, t))
+                vals[t], ok = _trial_gen(inst, law, _rng(seed, ni, t))
                 hits += ok
             mean = float(vals.mean())
             se = float(vals.std(ddof=1) / math.sqrt(trials))

@@ -266,9 +266,11 @@ def induced_joint(
         raise ValueError("n must be at least 1")
     log_mu = np.where(np.asarray(prob.mu) > 0, np.log(np.clip(np.asarray(prob.mu), 1e-300, None)), -np.inf)
     if by_type:
+        # compositions of n into z parts, counted before any is built
+        n_types = math.comb(n + prob.z_alphabet_size - 1, prob.z_alphabet_size - 1)
+        if n_types > cap:
+            raise EnumerationCapError(f"{n_types} types exceed the cap {cap}")
         contexts = enumerate_types(prob.z_alphabet_size, n)
-        if len(contexts) > cap:
-            raise EnumerationCapError(f"{len(contexts)} types exceed the cap {cap}")
         log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
         mass = (contexts * np.where(contexts > 0, log_mu, 0.0)).sum(axis=1)
         # math.exp, not np.exp: numpy's vectorised exp differs from libm in the last ulp

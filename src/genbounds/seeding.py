@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["child_sequence", "rng", "spawn_rngs"]
+__all__ = ["child_sequence", "rng"]
 
 
 def child_sequence(root: int, *path: int) -> np.random.SeedSequence:
@@ -21,8 +21,3 @@ def child_sequence(root: int, *path: int) -> np.random.SeedSequence:
 def rng(root: int, *path: int) -> np.random.Generator:
     """Independent generator for the stream addressed by (root, *path)."""
     return np.random.Generator(np.random.Philox(child_sequence(root, *path)))
-
-
-def spawn_rngs(root: int, count: int, *prefix: int) -> list[np.random.Generator]:
-    """`count` independent generators, one per trial index under `prefix`."""
-    return [rng(root, *prefix, i) for i in range(count)]

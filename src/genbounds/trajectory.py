@@ -318,6 +318,8 @@ def trajectory_distribution(trajs: list[TrajectoryProcess]):
     The distortion between two trajectories is the per-step absolute
     difference of the quantized states averaged over the window.
     """
+    if not trajs:
+        raise ValueError("trajectory_distribution needs at least one trajectory")
     keys = Counter(tr.key() for tr in trajs)
     alphabet = sorted(keys)
     counts = np.asarray([keys[k] for k in alphabet], dtype=float)

@@ -80,7 +80,7 @@ def _draw_trial(prob, alg, n, seed, t):
     s = gen.choice(prob.z_alphabet_size, size=n, p=np.asarray(prob.mu))
     post = np.asarray(alg.posterior(prob, s))
     w = int(gen.choice(post.size, p=post))
-    return s, w
+    return s, w, post
 
 
 def mc_tail_validate(
@@ -94,17 +94,18 @@ def mc_tail_validate(
 ) -> ValidationReport:
     """Empirical tail check of a per-(S, W) bound at confidence level delta.
 
-    `bound_fn(s, w)` returns the bound for the realized pair; a trial is a
-    violation when the exact generalization error exceeds it. Per-trial seeds
-    derive from (seed, trial), so the count is order-independent.
+    `bound_fn(s, w, post)` returns the bound for the realized pair, where
+    `post` is the posterior array P_{W|S=s} that w was drawn from; a trial is
+    a violation when the exact generalization error exceeds it. Per-trial
+    seeds derive from (seed, trial), so the count is order-independent.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
     violations = 0
     for t in range(trials):
-        s, w = _draw_trial(prob, alg, n, seed, t)
+        s, w, post = _draw_trial(prob, alg, n, seed, t)
         ge = float(gen_errors(prob, s)[w])
-        if ge > bound_fn(s, w):
+        if ge > bound_fn(s, w, post):
             violations += 1
     return ValidationReport(trials=trials, violations=violations, target_delta=delta)
 
@@ -125,7 +126,7 @@ def mc_expectation_validate(
         raise ValueError("need at least 100 trials")
     vals = np.empty(trials)
     for t in range(trials):
-        s, w = _draw_trial(prob, alg, n, seed, t)
+        s, w, _ = _draw_trial(prob, alg, n, seed, t)
         vals[t] = gen_errors(prob, s)[w]
     mean = float(vals.mean())
     ci = float(vals.std(ddof=1) / math.sqrt(trials))
@@ -162,6 +163,11 @@ def _searchable_prefix(total_rate: float, size: int) -> int:
     return max(1, min(int(math.floor(math.exp(min(total_rate, 700.0)))), size))
 
 
+def _inverse_cdf(cdf: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF draw: the first index whose cumulative mass exceeds u, clipped to the last."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+
+
 def _book_size(m: int, rates: np.ndarray) -> int:
     r_max = float(np.asarray(rates).max()) if np.asarray(rates).size else 0.0
     return max(1, int(math.floor(math.exp(min(m * r_max, 700.0)))))
@@ -183,8 +189,7 @@ def build_hypothesis_book(q_hat, m: int, rates, seed: int, cap: int = BOOK_CAP) 
         raise BookCapError(f"book of {size} sequences exceeds the cap {cap}")
     cdf = np.cumsum(np.asarray(q_hat, dtype=float))
     gen = _rng(seed)
-    entries = np.searchsorted(cdf, gen.random(size=(size, m)), side="right")
-    entries = np.minimum(entries, cdf.size - 1)
+    entries = _inverse_cdf(cdf, gen.random(size=(size, m)))
     return HypothesisBook(entries=entries, rates=np.array(r, copy=True))
 
 
@@ -250,7 +255,7 @@ def covering_failure_estimate(
         q_hat = np.asarray(joint.marginal_w())
     q_cdf = np.cumsum(np.asarray(q_hat, dtype=float))
     type_cdf = np.cumsum(type_probs)
-    last_type, last_w, last_q = len(types) - 1, prob.w_alphabet_size - 1, q_cdf.size - 1
+    last_w = prob.w_alphabet_size - 1
 
     rows: list[CoveringRow] = []
     for mi, m in enumerate(m_grid):
@@ -260,12 +265,10 @@ def covering_failure_estimate(
         failures = 0
         for t in range(trials):
             gen = _rng(seed, mi, t)
-            t_seq = np.minimum(np.searchsorted(type_cdf, gen.random(m), side="right"), last_type)
+            t_seq = _inverse_cdf(type_cdf, gen.random(m))
             w_seq = np.minimum((post_cdf[t_seq] < gen.random(m)[:, None]).sum(axis=1), last_w)
             j_max = _searchable_prefix(float(r[t_seq, w_seq].sum()), size)
-            entries = np.minimum(
-                np.searchsorted(q_cdf, gen.random((j_max, m)), side="right"), last_q
-            )
+            entries = _inverse_cdf(q_cdf, gen.random((j_max, m)))
             own = float(g2[t_seq, w_seq].mean())
             repro = g2[t_seq[None, :], entries].mean(axis=1)
             if own - float(repro.max()) > epsilon:

@@ -67,8 +67,7 @@ def test_criterion_2_thm1_tail_guarantee():
     sigma = prob.sigma
     n, delta, trials = 25, 0.1, 10_000
 
-    def bound_fn(s, w):
-        post = np.asarray(alg.posterior(prob, s))
+    def bound_fn(s, w, post):
         rate = max(0.0, math.log(post[w] / prior[w]))
         return thm1_bound(rate, sigma, n, delta, 0.0).bound_value
 

@@ -536,7 +536,7 @@ class TestEq21Construction:
         from genbounds.validation import mc_tail_validate
 
         out = mc_tail_validate(
-            prob, alg, lambda s, w: rep.bound_value, n, delta, 2000, seed=97
+            prob, alg, lambda s, w, post: rep.bound_value, n, delta, 2000, seed=97
         )
         assert out.passed
 

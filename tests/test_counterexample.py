@@ -5,6 +5,7 @@ import pytest
 
 from genbounds.bounds import reconstruct_bound
 from genbounds.counterexample import (
+    ScalingRow,
     ScoInstance,
     assemble_bound,
     bad_coord_stats,
@@ -296,3 +297,32 @@ class TestScaling:
         for m in range(1, inst.n + 1):
             v = good_value(inst, m / inst.n)
             assert -inst.lam / 2 <= v <= 0.0
+
+    def test_good_value_array_and_eta(self):
+        inst = ScoInstance(5)
+        mu = np.arange(inst.n + 1) / inst.n
+        vals = good_value(inst, mu, eta=0.01)
+        assert vals.shape == mu.shape
+        for m, v in zip(mu, vals):
+            expected = inst.lam / 2 * (-1 + (1 - 0.02 * m) ** inst.T)
+            assert v == pytest.approx(expected, rel=1e-14, abs=1e-300)
+        assert good_value(inst, 0.5) == quantizer_levels(inst)[0]
+
+    def test_rows_pinned(self):
+        # values recorded when every trial rebuilt the binomial law and the
+        # terminal values; the law shared per n must reproduce them bit for bit
+        res = scaling_study([4, 6], 200, seed=3)
+        assert res.rows == [
+            ScalingRow(
+                n=4, mc_mean_gen=0.02902473536648201, mc_se=0.000384855295560131,
+                bound_expectation=0.9624029913515278, bound_tail=65.85076510535875,
+                event_rate=0.925, exact_mean_gen=0.02945110661943899, dominance_ok=True,
+            ),
+            ScalingRow(
+                n=6, mc_mean_gen=0.022668752692322425, mc_se=0.00019390327428907075,
+                bound_expectation=0.5675960486621988, bound_tail=36.74958617794901,
+                event_rate=1.0, exact_mean_gen=0.02277830405583544, dominance_ok=True,
+            ),
+        ]
+        assert res.slope_bound == -1.3022656661170353
+        assert res.slope_mc == -0.6095739493951906

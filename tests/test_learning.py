@@ -284,6 +284,16 @@ class TestInducedJoint:
         with pytest.raises(EnumerationCapError):
             induced_joint(prob, ConstantAlgorithm(Pmf.uniform(2)), 12, cap=1000)
 
+    def test_type_cap_checked_before_enumeration(self, monkeypatch):
+        # C(303, 3) = 4,590,551 types exceed the default cap; none may be built
+        def no_enumeration(*args):
+            raise AssertionError("enumerate_types called past the cap")
+
+        monkeypatch.setattr("genbounds.learning.enumerate_types", no_enumeration)
+        prob = small_problem(27, z=4, w=2)
+        with pytest.raises(EnumerationCapError, match="4590551 types"):
+            induced_joint(prob, ConstantAlgorithm(Pmf.uniform(2)), 300, by_type=True)
+
     def test_constant_algorithm_unbiased(self):
         prob = small_problem(28, z=2, w=3)
         alg = ConstantAlgorithm(Pmf(np.array([0.2, 0.5, 0.3])))

@@ -333,6 +333,10 @@ class TestSweep:
         assert all(r.flag == "ok" for r in res.rows)
         assert -1.0 <= res.spearman_rho <= 1.0
 
+    def test_trajectory_distribution_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            trajectory_distribution([])
+
     def test_trajectory_distribution_and_rd_curve_shape(self):
         model = LogisticToy()
         trs = []

@@ -48,17 +48,17 @@ class TestValidationReport:
 class TestMcTail:
     def test_infinite_bound_no_violations(self):
         prob, alg = gibbs_instance(201)
-        rep = mc_tail_validate(prob, alg, lambda s, w: math.inf, 5, 0.1, 200, seed=1)
+        rep = mc_tail_validate(prob, alg, lambda s, w, post: math.inf, 5, 0.1, 200, seed=1)
         assert rep.violations == 0 and rep.passed
 
     def test_minus_infinite_bound_all_violations(self):
         prob, alg = gibbs_instance(202)
-        rep = mc_tail_validate(prob, alg, lambda s, w: -math.inf, 5, 0.1, 200, seed=1)
+        rep = mc_tail_validate(prob, alg, lambda s, w, post: -math.inf, 5, 0.1, 200, seed=1)
         assert rep.violations == 200 and not rep.passed
 
     def test_determinism_across_runs(self):
         prob, alg = gibbs_instance(203)
-        f = lambda s, w: 0.05
+        f = lambda s, w, post: 0.05
         a = mc_tail_validate(prob, alg, f, 5, 0.1, 300, seed=9)
         b = mc_tail_validate(prob, alg, f, 5, 0.1, 300, seed=9)
         assert a.violations == b.violations
@@ -66,7 +66,7 @@ class TestMcTail:
     def test_trials_floor(self):
         prob, alg = gibbs_instance(204)
         with pytest.raises(ValueError):
-            mc_tail_validate(prob, alg, lambda s, w: 1.0, 5, 0.1, 50, seed=1)
+            mc_tail_validate(prob, alg, lambda s, w, post: 1.0, 5, 0.1, 50, seed=1)
 
     def test_thm1_gibbs_tail_guarantee(self):
         # reduced-size version of the acceptance experiment
@@ -75,13 +75,40 @@ class TestMcTail:
         sigma = prob.sigma
         n, delta = 25, 0.1
 
-        def bound_fn(s, w):
-            post = np.asarray(alg.posterior(prob, s))
+        def bound_fn(s, w, post):
             rate = max(0.0, math.log(post[w] / prior[w]))
             return thm1_bound(rate, sigma, n, delta, 0.0).bound_value
 
         rep = mc_tail_validate(prob, alg, bound_fn, n, delta, 2000, seed=11)
         assert rep.passed
+
+    def test_thm1_violation_counts_pinned(self):
+        # counts recorded when bound_fn recomputed the posterior itself; with
+        # sigma shrunk to 0.15x the bound no longer holds and the check fails
+        prob, alg = gibbs_instance(205, z=4, w=4, beta=1.0)
+        prior = np.asarray(alg.prior)
+        n, delta = 25, 0.1
+        reps = {}
+        for scale in (1.0, 0.15):
+
+            def bound_fn(s, w, post):
+                rate = max(0.0, math.log(post[w] / prior[w]))
+                return thm1_bound(rate, scale * prob.sigma, n, delta, 0.0).bound_value
+
+            reps[scale] = mc_tail_validate(prob, alg, bound_fn, n, delta, 2000, seed=11)
+        assert reps[1.0].violations == 0 and reps[1.0].passed
+        assert reps[0.15].violations == 347 and not reps[0.15].passed
+
+    def test_bound_fn_gets_the_drawn_posterior(self):
+        prob, alg = gibbs_instance(206, z=3, w=3)
+        seen = []
+
+        def bound_fn(s, w, post):
+            seen.append(np.array_equal(post, np.asarray(alg.posterior(prob, s))) and post[w] > 0)
+            return math.inf
+
+        mc_tail_validate(prob, alg, bound_fn, 6, 0.1, 100, seed=12)
+        assert len(seen) == 100 and all(seen)
 
 
 class TestMcExpectation:
