@@ -32,7 +32,7 @@ import numpy as np
 from scipy.stats import binom
 
 from .bounds import BoundReport, _finish
-from .seeding import rng as _rng
+from .seeding import rng as _rng, rngs
 
 __all__ = [
     "ScoInstance",
@@ -81,6 +81,13 @@ class ScoInstance:
     @cached_property
     def lam(self) -> float:
         return 1.0 / (self.n * math.sqrt(self.d)) if self.d > 0 else 0.0
+
+    @cached_property
+    def bad_count_pmf(self) -> np.ndarray:
+        """Read-only Binomial(d, 2^-n) pmf of the bad-coordinate count over k = 0..d."""
+        pmf = binom.pmf(np.arange(self.d + 1), self.d, 2.0 ** (-self.n))
+        pmf.flags.writeable = False
+        return pmf
 
     @property
     def sigma(self) -> float:
@@ -282,10 +289,6 @@ def _given_good(pm: np.ndarray) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _bad_count_pmf(inst: ScoInstance) -> np.ndarray:
-    return binom.pmf(np.arange(inst.d + 1), inst.d, 2.0 ** (-inst.n))
-
-
 def _gen_given_k(inst: ScoInstance, ks: np.ndarray, c_good_gen: float) -> np.ndarray:
     """E[gen(S, W_T) | #bad = k]: min(k, T) pushed bad coordinates and d - k good ones."""
     return np.minimum(ks, inst.T) * 0.5 * _phi(inst, -inst.eta) + (inst.d - ks) * c_good_gen
@@ -302,7 +305,7 @@ def exact_mean_gen(inst: ScoInstance) -> float:
     """
     pm, gap, phi_w = _good_law(inst)
     c_good_gen = float((_given_good(pm) * gap * phi_w).sum())
-    pmf = _bad_count_pmf(inst)
+    pmf = inst.bad_count_pmf
     per_k = _gen_given_k(inst, np.arange(inst.d + 1), c_good_gen)
     return float((pmf * per_k).sum())
 
@@ -329,7 +332,7 @@ def exact_distortion(inst: ScoInstance, r: float) -> float:
     outside it What = 0 so the difference is gen(S, W_T) itself, also exact.
     """
     terms = _distortion_terms(inst, r)
-    pmf = _bad_count_pmf(inst)
+    pmf = inst.bad_count_pmf
     ks = np.arange(inst.d + 1)
     in_event = (ks >= inst.T // 2) & (ks <= inst.T)
     per_k = np.where(
@@ -444,8 +447,11 @@ def scaling_study(
     (default 1 - 1/n^2), and the event frequency. Raises if the MC mean
     exceeds the expectation bound beyond 3 standard errors at any n. Slopes
     are least-squares fits of log(value) against log(n), so `n_list` needs at
-    least two distinct values; with trials = 0 the table is bounds-only.
+    least two distinct values; with trials = 0 the table is bounds-only, and
+    otherwise trials must be at least 2 for a standard error.
     """
+    if trials != 0 and trials < 2:
+        raise ValueError("trials must be 0 (bounds only) or at least 2")
     ns = sorted(int(x) for x in n_list)
     if any(b <= a for a, b in zip(ns, ns[1:])) or len(ns) != len(set(ns)):
         raise ValueError("n_list must be strictly increasing")
@@ -464,8 +470,8 @@ def scaling_study(
             law = _good_law(inst)
             vals = np.empty(trials)
             hits = 0
-            for t in range(trials):
-                vals[t], ok = _trial_gen(inst, law, _rng(seed, ni, t))
+            for t, gen in enumerate(rngs(seed, ni, count=trials)):
+                vals[t], ok = _trial_gen(inst, law, gen)
                 hits += ok
             mean = float(vals.mean())
             se = float(vals.std(ddof=1) / math.sqrt(trials))

@@ -24,7 +24,7 @@ from .learning import (
     gen_table,
     induced_joint,
 )
-from .seeding import rng as _rng
+from .seeding import rng as _rng, rngs
 
 __all__ = [
     "ValidationReport",
@@ -75,8 +75,7 @@ class ValidationReport:
         }
 
 
-def _draw_trial(prob, alg, n, seed, t):
-    gen = _rng(seed, t)
+def _draw_trial(prob, alg, n, gen):
     s = gen.choice(prob.z_alphabet_size, size=n, p=np.asarray(prob.mu))
     post = np.asarray(alg.posterior(prob, s))
     w = int(gen.choice(post.size, p=post))
@@ -102,8 +101,8 @@ def mc_tail_validate(
     if trials < 100:
         raise ValueError("need at least 100 trials")
     violations = 0
-    for t in range(trials):
-        s, w, post = _draw_trial(prob, alg, n, seed, t)
+    for gen in rngs(seed, count=trials):
+        s, w, post = _draw_trial(prob, alg, n, gen)
         ge = float(gen_errors(prob, s)[w])
         if ge > bound_fn(s, w, post):
             violations += 1
@@ -125,8 +124,8 @@ def mc_expectation_validate(
     if trials < 100:
         raise ValueError("need at least 100 trials")
     vals = np.empty(trials)
-    for t in range(trials):
-        s, w, _ = _draw_trial(prob, alg, n, seed, t)
+    for t, gen in enumerate(rngs(seed, count=trials)):
+        s, w, _ = _draw_trial(prob, alg, n, gen)
         vals[t] = gen_errors(prob, s)[w]
     mean = float(vals.mean())
     ci = float(vals.std(ddof=1) / math.sqrt(trials))
@@ -243,6 +242,11 @@ def covering_failure_estimate(
     rows are right-censored: the exponent column carries +inf and
     failure_prob the rule-of-three upper bound 3/trials.
     """
+    m_grid = list(m_grid)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if any(m < 1 for m in m_grid):
+        raise ValueError("every m in m_grid must be at least 1")
     types = enumerate_types(prob.z_alphabet_size, n)
     r = np.asarray(rates, dtype=float)
     if r.shape != (len(types), prob.w_alphabet_size):
@@ -263,8 +267,7 @@ def covering_failure_estimate(
         if size > cap:
             raise BookCapError(f"book of {size} sequences exceeds the cap {cap}")
         failures = 0
-        for t in range(trials):
-            gen = _rng(seed, mi, t)
+        for gen in rngs(seed, mi, count=trials):
             t_seq = _inverse_cdf(type_cdf, gen.random(m))
             w_seq = np.minimum((post_cdf[t_seq] < gen.random(m)[:, None]).sum(axis=1), last_w)
             j_max = _searchable_prefix(float(r[t_seq, w_seq].sum()), size)

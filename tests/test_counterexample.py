@@ -292,6 +292,12 @@ class TestScaling:
         with pytest.raises(ValueError, match="two n values"):
             scaling_study([4], trials=0)
 
+    @pytest.mark.parametrize("trials", [1, -4])
+    def test_trials_zero_or_at_least_two(self, trials):
+        # one trial has no standard error, so the dominance check would be NaN
+        with pytest.raises(ValueError, match="trials"):
+            scaling_study([2, 3], trials=trials)
+
     def test_closed_form_good_value_consistency(self):
         inst = ScoInstance(6)
         for m in range(1, inst.n + 1):

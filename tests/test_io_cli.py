@@ -139,6 +139,13 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: n_list needs at least two")
         assert not out.exists()
 
+    @pytest.mark.parametrize("trials", ["1", "-4"])
+    def test_counterexample_bad_trials_is_an_error(self, tmp_path, capsys, trials):
+        out = tmp_path / "ce"
+        assert main(["counterexample", "--n-list", "2,3", "--trials", trials, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: trials must be 0")
+        assert not out.exists()
+
     def test_trajectory_overflow_reads_diverged(self, tmp_path):
         out = tmp_path / "tr"
         code = main([
@@ -311,6 +318,13 @@ class TestCli:
         with (out / "covering.csv").open() as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["m", "trials", "failures", "exponent", "censored"]
+
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-3"], ["--m-grid", "0,2"]])
+    def test_covering_degenerate_input_is_an_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "cov"
+        assert main(["covering", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sw"

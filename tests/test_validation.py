@@ -250,6 +250,15 @@ class TestCovering:
         )
         assert [r.failures for r in rows] == [338, 32, 2]
 
+    @pytest.mark.parametrize("trials, m_grid", [(0, [2]), (-3, [2]), (10, [0, 2]), (10, [2, -1])])
+    def test_degenerate_input_rejected(self, trials, m_grid):
+        inst = covering_default_instance()
+        with pytest.raises(ValueError, match="trials|m_grid"):
+            covering_failure_estimate(
+                inst["prob"], inst["alg"], inst["n"], inst["rates"], inst["epsilon"],
+                m_grid, trials, seed=0, q_hat=inst["q_hat"],
+            )
+
     @pytest.mark.parametrize("j, size, m", [(1, 2963, 12), (37, 2963, 12), (5, 6, 3), (7, 7, 4)])
     def test_prefix_draw_matches_full_book(self, j, size, m):
         # a trial draws only its searchable prefix; the stream must yield the
