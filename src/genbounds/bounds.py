@@ -69,9 +69,6 @@ class ConditionReport:
     distortion_ok: bool
     vacuous: bool = False
 
-    def __iter__(self):
-        return iter((self.lhs, self.satisfied, self.distortion_ok))
-
 
 def _root(radicand: float, terms: dict) -> float:
     if radicand < 0:
@@ -181,6 +178,9 @@ def log_mgf(P_S, q_hat, g) -> float:
     ps = np.asarray(P_S, dtype=float).reshape(-1)
     q = _q_rows(q_hat, ps.size)
     gm = np.asarray(g, dtype=float)
+    # g may hold +-inf (an infinite MGF, or log f at f = 0) but never NaN
+    if not math.isfinite(ps.sum() + q.sum()) or np.isnan(gm).any():
+        raise ValueError("log_mgf needs finite P_S and q_hat and a NaN-free g")
     with np.errstate(divide="ignore"):
         logw = np.log(np.outer(ps, np.ones(q.shape[1]))) + np.log(q)
     terms = logw + gm
@@ -203,17 +203,17 @@ def t_functional(nu_s, p_hat, q_hat, g, alpha: float, P_S) -> float:
     return d + log_mgf(P_S, q_hat, g)
 
 
-def minimize_unimodal(h, lo: float, hi: float, grid: int = 64, refine: int = 80):
-    """Minimize a unimodal function over [lo, hi] by log-grid plus golden section."""
-    xs = np.geomspace(max(lo, 1e-12), hi, grid)
+def minimize_unimodal(h, lo: float, hi: float):
+    """Minimize a unimodal function over [lo, hi] by a 64-point log-grid plus 80 golden-section steps."""
+    xs = np.geomspace(max(lo, 1e-12), hi, 64)
     vals = [h(x) for x in xs]
     i = int(np.argmin(vals))
     a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, grid - 1)]
+    b = xs[min(i + 1, xs.size - 1)]
     phi = (math.sqrt(5) - 1) / 2
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc, fd = h(c), h(d)
-    for _ in range(refine):
+    for _ in range(80):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -338,7 +338,6 @@ def prop5_bound(
     kernel=None,
     P_WgS=None,
     w_index: int | None = None,
-    distortion_slack: float = DISTORTION_SLACK,
 ) -> BoundReport:
     """Lossy PAC-Bayes bounds, modes "i" and "ii".
 
@@ -366,7 +365,7 @@ def prop5_bound(
         fm = np.asarray(f, dtype=float)
         avg_f = float(pv @ fm[s_index])
         avg_g = float(pq @ gm[s_index])
-        if avg_f - avg_g > epsilon + distortion_slack:
+        if avg_f - avg_g > epsilon + DISTORTION_SLACK:
             raise ValueError(
                 f"quantizer violates the declared distortion: E[f-g]={avg_f - avg_g} > epsilon={epsilon}"
             )
@@ -381,7 +380,7 @@ def prop5_bound(
         p_star = pws @ ker  # rows: s, columns: what
         row = ker[w_index]
         avg_g = float(row @ gm[s_index])
-        if fm[s_index, w_index] - avg_g > epsilon + distortion_slack:
+        if fm[s_index, w_index] - avg_g > epsilon + DISTORTION_SLACK:
             raise ValueError(
                 f"kernel violates the declared distortion: f-E[g]={fm[s_index, w_index] - avg_g} "
                 f"> epsilon={epsilon}"
@@ -435,7 +434,7 @@ def toy_example_bound(
 # condition evaluators
 
 
-def distortion_ok_fg(nu_joint, p_hat, f, g, epsilon: float, slack: float = DISTORTION_SLACK) -> bool:
+def distortion_ok_fg(nu_joint, p_hat, f, g, epsilon: float) -> bool:
     """Sufficient distortion check E_{nu p}[f(S,W) - g(S,What)] <= epsilon."""
     nu = np.asarray(nu_joint, dtype=float)
     p = np.asarray(p_hat, dtype=float)
@@ -444,7 +443,7 @@ def distortion_ok_fg(nu_joint, p_hat, f, g, epsilon: float, slack: float = DISTO
     nu_s = nu.sum(axis=1)
     e_f = float((nu * fm).sum())
     e_g = float((nu_s[:, None] * p * gm).sum())
-    return e_f - e_g <= epsilon + slack
+    return e_f - e_g <= epsilon + DISTORTION_SLACK
 
 
 def lipschitz_distortion_budget(epsilon: float, lipschitz_L: float) -> float:

@@ -301,17 +301,20 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="genbounds", description=__doc__)
+    # no prefix matching: `_apply_config` sees a flag as explicit only when it is spelled in full
+    parser = argparse.ArgumentParser(prog="genbounds", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="64-bit root seed")
+    def command(name: str, help: str, seeded: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="64-bit root seed")
         p.add_argument("--out", type=str, default="out", help="output file or directory")
         p.add_argument("--config", type=str, default=None, help="JSON config; flags override")
+        return p
 
-    p = sub.add_parser("bound", help="evaluate one bound and write report.json")
-    common(p)
+    p = command("bound", "evaluate one bound and write report.json")
     p.add_argument("--kind", choices=BOUND_KINDS, required=True)
     p.add_argument("--problem", type=str, default=None, help="problem JSON file")
     p.add_argument("--n", type=int, default=10)
@@ -331,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-floor", dest="f_floor", type=float, default=1e-12)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("rd", help="rate-distortion curve to CSV")
-    common(p)
+    p = command("rd", "rate-distortion curve to CSV", seeded=False)
     p.add_argument("--problem", type=str, default=None)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--n", type=int, default=3)
@@ -341,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon-grid", dest="epsilon_grid", type=str, default="0.05,0.1,0.25")
     p.set_defaults(func=cmd_rd)
 
-    p = sub.add_parser("mc-validate", help="Monte Carlo tail validation of thm1/eq4")
-    common(p)
+    p = command("mc-validate", "Monte Carlo tail validation of thm1/eq4")
     p.add_argument("--problem", type=str, required=True)
     p.add_argument("--kind", choices=("thm1", "eq4"), default="thm1")
     p.add_argument("--beta", type=float, default=1.0)
@@ -352,14 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     p.set_defaults(func=cmd_mc_validate)
 
-    p = sub.add_parser("covering", help="random-coding covering failure exponents")
-    common(p)
+    p = command("covering", "random-coding covering failure exponents")
     p.add_argument("--m-grid", dest="m_grid", type=str, default="4,8,12")
     p.add_argument("--trials", type=int, default=4000)
     p.set_defaults(func=cmd_covering)
 
-    p = sub.add_parser("trajectory", help="learning-rate sweep: gen error vs trajectory RD")
-    common(p)
+    p = command("trajectory", "learning-rate sweep: gen error vs trajectory RD")
     p.add_argument("--spec", type=str, default=None, help="toy-model spec JSON (overrides --model)")
     p.add_argument("--model", choices=("logistic", "quadratic"), default="logistic")
     p.add_argument("--lr-grid", dest="lr_grid", type=str, default="0.05,0.1,0.2,0.4,0.8,1.2,1.6,2.0")
@@ -370,15 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.0, help="<=0 means 10% of the distortion range")
     p.set_defaults(func=cmd_trajectory)
 
-    p = sub.add_parser("counterexample", help="SCO counter-example scaling study")
-    common(p)
+    p = command("counterexample", "SCO counter-example scaling study")
     p.add_argument("--n-list", dest="n_list", type=str, default="4,6,8,10")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--delta", type=float, default=0.05)
     p.set_defaults(func=cmd_counterexample)
 
-    p = sub.add_parser("sweep", help="closed-form bound values over an n grid")
-    common(p)
+    p = command("sweep", "closed-form bound values over an n grid", seeded=False)
     p.add_argument("--kind", choices=_SWEEP_KINDS, default="thm1")
     p.add_argument("--n-grid", dest="n_grid", type=str, default="10,20,40,80")
     p.add_argument("--rate", type=float, default=1.0)

@@ -52,6 +52,8 @@ __all__ = [
     "ScalingResult",
 ]
 
+MAX_N = 12  # memory cap: d = (3/4) 2n^2 2^n coordinates per instance
+
 
 @dataclass(frozen=True)
 class ScoInstance:
@@ -93,10 +95,6 @@ class ScoInstance:
     def sigma(self) -> float:
         """Half of the quantized-loss range 2/(5n) + 1/(4n^2)."""
         return 1.0 / (5 * self.n) + 1.0 / (8 * self.n**2)
-
-    @property
-    def loss_sup(self) -> float:
-        return 2.0 + 1.0 / self.n
 
 
 @dataclass(frozen=True)
@@ -432,23 +430,16 @@ def _trial_gen(inst: ScoInstance, law: tuple, gen: np.random.Generator) -> tuple
     return val, inst.T // 2 <= k <= inst.T
 
 
-def scaling_study(
-    n_list,
-    trials: int,
-    r_rule=None,
-    seed: int = 0,
-    delta: float = 0.05,
-    max_n: int = 12,
-) -> ScalingResult:
+def scaling_study(n_list, trials: int, seed: int = 0, delta: float = 0.05) -> ScalingResult:
     """Assembled bounds vs MC generalization error across instance sizes.
 
     Per n: `trials` MC draws of gen(S, W_T) (closed forms over the bad-count
-    and empirical-mean types), both assembled bounds at r = r_rule(n)
-    (default 1 - 1/n^2), and the event frequency. Raises if the MC mean
-    exceeds the expectation bound beyond 3 standard errors at any n. Slopes
-    are least-squares fits of log(value) against log(n), so `n_list` needs at
-    least two distinct values; with trials = 0 the table is bounds-only, and
-    otherwise trials must be at least 2 for a standard error.
+    and empirical-mean types), both assembled bounds at r = 1 - 1/n^2, and
+    the event frequency. Raises if the MC mean exceeds the expectation bound
+    beyond 3 standard errors at any n. Slopes are least-squares fits of
+    log(value) against log(n), so `n_list` needs at least two distinct
+    values; with trials = 0 the table is bounds-only, and otherwise trials
+    must be at least 2 for a standard error. n is capped at MAX_N.
     """
     if trials != 0 and trials < 2:
         raise ValueError("trials must be 0 (bounds only) or at least 2")
@@ -457,13 +448,12 @@ def scaling_study(
         raise ValueError("n_list must be strictly increasing")
     if len(ns) < 2:
         raise ValueError("n_list needs at least two n values to fit a slope")
-    if ns[-1] > max_n:
-        raise ValueError(f"n = {ns[-1]} exceeds the memory cap n <= {max_n}")
-    r_rule = r_rule or (lambda n: 1.0 - 1.0 / n**2)
+    if ns[-1] > MAX_N:
+        raise ValueError(f"n = {ns[-1]} exceeds the memory cap n <= {MAX_N}")
     rows: list[ScalingRow] = []
     for ni, n in enumerate(ns):
         inst = ScoInstance(n)
-        r = r_rule(n)
+        r = 1.0 - 1.0 / n**2
         be = assemble_bound(inst, r, "expectation")
         bt = assemble_bound(inst, r, "tail", delta=delta)
         if trials > 0:

@@ -99,14 +99,6 @@ class Channel:
             raise ValueError("every Channel row must sum to 1")
         object.__setattr__(self, "rows", _freeze(np.clip(m, 0.0, None)))
 
-    @property
-    def source_size(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def output_size(self) -> int:
-        return self.rows.shape[1]
-
     def __array__(self, dtype=None):
         return np.asarray(self.rows, dtype=dtype)
 
@@ -147,18 +139,30 @@ def _vec(p) -> np.ndarray:
     return np.asarray(p, dtype=float).reshape(-1)
 
 
+def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """p and q as flat vectors over one alphabet, with finite entries."""
+    pv, qv = _vec(p), _vec(q)
+    if pv.shape != qv.shape:
+        raise ValueError(f"alphabet mismatch: {pv.size} vs {qv.size}")
+    # a NaN or infinite entry in either vector makes the sum non-finite; one
+    # reduction is cheaper than np.isfinite on both, and kl_divergence is hot
+    if not math.isfinite((pv + qv).sum()):
+        raise ValueError("probability entries must be finite")
+    return pv, qv
+
+
 def entropy(p) -> float:
     """Shannon entropy in nats, 0 log 0 = 0."""
     v = _vec(p)
+    if not math.isfinite(v.sum()):
+        raise ValueError("probability entries must be finite")
     pos = v[v > 0]
     return float(-(pos * np.log(pos)).sum())
 
 
 def kl_divergence(p, q) -> float:
     """D_KL(p || q) in nats; +inf when supp(p) is not within supp(q)."""
-    pv, qv = _vec(p), _vec(q)
-    if pv.shape != qv.shape:
-        raise ValueError(f"alphabet mismatch: {pv.size} vs {qv.size}")
+    pv, qv = _pair(p, q)
     mask = pv > 0
     if np.any(qv[mask] <= 0):
         return math.inf
@@ -171,13 +175,11 @@ def renyi_divergence(p, q, alpha: float) -> float:
     For alpha > 1 the divergence is +inf unless supp(p) is within supp(q);
     for alpha in (0, 1) it is +inf only when the supports are disjoint.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if alpha == 1:
         raise ValueError("alpha=1 is the KL divergence; call kl_divergence")
-    pv, qv = _vec(p), _vec(q)
-    if pv.shape != qv.shape:
-        raise ValueError(f"alphabet mismatch: {pv.size} vs {qv.size}")
+    pv, qv = _pair(p, q)
     if alpha > 1 and np.any((pv > 0) & (qv <= 0)):
         return math.inf
     both = (pv > 0) & (qv > 0)
@@ -194,6 +196,8 @@ def mutual_information(j) -> float:
     t = np.asarray(j, dtype=float)
     if t.ndim != 2:
         raise ValueError("joint table must be 2-D")
+    if not math.isfinite(t.sum()):
+        raise ValueError("joint table entries must be finite")
     ps = t.sum(axis=1)
     pw = t.sum(axis=0)
     prod = np.outer(ps, pw)
@@ -220,10 +224,10 @@ def binary_kl(a: float, b: float) -> float:
     return out
 
 
-def binary_kl_inverse(a: float, b: float, *, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """sup{p in [0,1] : D(p || a) <= b}, by bisection on [a, 1].
+def binary_kl_inverse(a: float, b: float) -> float:
+    """sup{p in [0,1] : D(p || a) <= b}, by at most 200 bisection steps on [a, 1].
 
-    The result always satisfies binary_kl(p*, a) = b to within `tol` unless
+    The result always satisfies binary_kl(p*, a) = b to within 1e-12 unless
     the sup is attained at p* = 1, and never exceeds a + sqrt(2ab) + 2b.
     """
     if not 0.0 <= a <= 1.0:
@@ -240,10 +244,10 @@ def binary_kl_inverse(a: float, b: float, *, tol: float = 1e-12, max_iter: int =
     if binary_kl(1.0, a) <= b:
         return 1.0
     lo, hi = a, 1.0
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         v = binary_kl(mid, a)
-        if abs(v - b) <= tol:
+        if abs(v - b) <= 1e-12:
             return mid
         if v < b:
             lo = mid

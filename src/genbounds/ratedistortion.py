@@ -31,6 +31,7 @@ __all__ = [
 
 RATE_TOL = 1e-10
 MAX_ITER = 10_000
+DIST_TOL = 1e-9
 
 
 class InfeasibleDistortion(ValueError):
@@ -65,7 +66,7 @@ class RdSolution:
 
 
 def _ba_fixed_multiplier(
-    p: np.ndarray, d: np.ndarray, s: float, max_iter: int, tol: float, q0: np.ndarray | None = None
+    p: np.ndarray, d: np.ndarray, s: float, tol: float, q0: np.ndarray | None = None
 ):
     """Alternating minimization of I + s*E[d] at fixed multiplier s.
 
@@ -109,7 +110,7 @@ def _ba_fixed_multiplier(
     channel = np.tile(q, (ns, 1))
     evals = 0
     converged = False
-    while evals < max_iter:
+    while evals < MAX_ITER:
         q1, rate, dist, channel = step(q)
         evals += 1
         objective = rate + s * dist
@@ -119,7 +120,7 @@ def _ba_fixed_multiplier(
             converged = True
             break
         prev_rate, prev_objective = rate, objective
-        if evals + 3 > max_iter:
+        if evals + 3 > MAX_ITER:
             q = q1
             continue
         # SQUAREM extrapolation q' = q - 2 alpha r + alpha^2 v
@@ -145,13 +146,7 @@ def _ba_fixed_multiplier(
     return max(rate, 0.0), dist, channel, evals, converged
 
 
-def blahut_arimoto(
-    source,
-    d: DistortionSpec | np.ndarray,
-    lagrange: float,
-    max_iter: int = MAX_ITER,
-    tol: float = RATE_TOL,
-) -> RdSolution:
+def blahut_arimoto(source, d: DistortionSpec | np.ndarray, lagrange: float) -> RdSolution:
     """One Lagrangian-optimal point of the rate-distortion curve.
 
     Returns the rate and distortion attained at the given multiplier; with
@@ -165,7 +160,7 @@ def blahut_arimoto(
         raise ValueError("reproduction alphabet must be non-empty")
     if lagrange < 0:
         raise ValueError("lagrange multiplier must be non-negative")
-    rate, dist, channel, iters, converged = _ba_fixed_multiplier(p, dm, lagrange, max_iter, tol)
+    rate, dist, channel, iters, converged = _ba_fixed_multiplier(p, dm, lagrange, RATE_TOL)
     return RdSolution(rate, dist, Channel(channel), float(lagrange), iters, converged)
 
 
@@ -179,18 +174,11 @@ def _zero_rate_distortion(p: np.ndarray, dm: np.ndarray) -> tuple[float, int]:
     return float(col[j]), j
 
 
-def rd_curve(
-    source,
-    d: DistortionSpec | np.ndarray,
-    epsilon: float,
-    max_iter: int = MAX_ITER,
-    tol: float = RATE_TOL,
-    dist_tol: float = 1e-9,
-) -> RdSolution:
+def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSolution:
     """Epsilon-constrained rate-distortion value R(epsilon).
 
     Outer bisection on the Lagrange multiplier drives the achieved distortion
-    into [epsilon - dist_tol, epsilon]; at the lossless floor the multiplier
+    into [epsilon - DIST_TOL, epsilon]; at the lossless floor the multiplier
     is grown until the rate stabilizes instead.
     """
     p = np.asarray(source, dtype=float).reshape(-1)
@@ -206,29 +194,29 @@ def rd_curve(
         return RdSolution(0.0, zero_rate_d, Channel(rows), 0.0, 0, True)
 
     scale = max(float(dm.max() - dm.min()), 1e-30)
-    coarse = max(tol, 1e-6)  # bracketing precision; the accepted point is re-polished at `tol`
-    if epsilon <= floor + max(dist_tol * 1e-3, 1e-15):
+    coarse = max(RATE_TOL, 1e-6)  # bracketing precision; the accepted point is re-polished at RATE_TOL
+    if epsilon <= floor + max(DIST_TOL * 1e-3, 1e-15):
         # lossless edge: push the multiplier until the rate stops moving
         s = 8.0 / scale
         prev = None
         q_warm = None
         best = None
         for _ in range(60):
-            rate, dist, channel, iters, conv = _ba_fixed_multiplier(p, dm, s, max_iter, coarse, q_warm)
+            rate, dist, channel, iters, conv = _ba_fixed_multiplier(p, dm, s, coarse, q_warm)
             q_warm = p @ channel
             best = (s, q_warm)
             if prev is not None and abs(prev - rate) < max(coarse, 1e-12):
                 break
             prev = rate
             s *= 2.0
-        rate, dist, channel, iters, conv = _ba_fixed_multiplier(p, dm, best[0], max_iter, tol, best[1])
+        rate, dist, channel, iters, conv = _ba_fixed_multiplier(p, dm, best[0], RATE_TOL, best[1])
         return RdSolution(rate, dist, Channel(channel), best[0], iters, conv)
 
     lo = 0.0
     hi = 8.0 / scale
     q_warm = None
     for _ in range(80):
-        _, dist, channel, _, _ = _ba_fixed_multiplier(p, dm, hi, max_iter, coarse, q_warm)
+        _, dist, channel, _, _ = _ba_fixed_multiplier(p, dm, hi, coarse, q_warm)
         q_warm = p @ channel
         if dist <= epsilon:
             break
@@ -238,22 +226,22 @@ def rd_curve(
     found = None
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        rate, dist, channel, iters, conv = _ba_fixed_multiplier(p, dm, mid, max_iter, coarse, q_warm)
+        rate, dist, channel, iters, conv = _ba_fixed_multiplier(p, dm, mid, coarse, q_warm)
         q_warm = p @ channel
         if dist <= epsilon:
             hi = mid
             found = (mid, q_warm)
-            if dist >= epsilon - dist_tol:
+            if dist >= epsilon - DIST_TOL:
                 break
         else:
             lo = mid
     if found is None:
         found = (hi, None)
-    rate, dist, channel, iters, conv = _ba_fixed_multiplier(p, dm, found[0], max_iter, tol, found[1])
-    if dist > epsilon + max(dist_tol, 1e-12):
+    rate, dist, channel, iters, conv = _ba_fixed_multiplier(p, dm, found[0], RATE_TOL, found[1])
+    if dist > epsilon + max(DIST_TOL, 1e-12):
         # polishing drifted past the target; nudge the multiplier upward
         rate, dist, channel, iters, conv = _ba_fixed_multiplier(
-            p, dm, found[0] * (1 + 1e-6) + 1e-12, max_iter, tol, p @ channel
+            p, dm, found[0] * (1 + 1e-6) + 1e-12, RATE_TOL, p @ channel
         )
     return RdSolution(rate, dist, Channel(channel), found[0], iters, conv)
 
@@ -264,8 +252,6 @@ def rd_gen(
     contexts: np.ndarray,
     epsilon: float,
     by_type: bool = False,
-    w_hat_gen: np.ndarray | None = None,
-    **kw,
 ) -> RdSolution:
     """Generalization-gap rate-distortion value at the given joint.
 
@@ -273,16 +259,13 @@ def rd_gen(
     channel only through What, so with c = E_Q[gen(S,W)] fixed by the joint it
     reduces to a plain average-distortion constraint with per-pair distortion
     d(s, what) = -gen(s, what) and threshold epsilon - c; the source is the
-    dataset marginal of the joint. `w_hat_gen` overrides the reproduction
-    gen table when the reproduction alphabet differs from W.
+    dataset marginal of the joint.
     """
     q = np.asarray(joint, dtype=float)
     gtab = gen_table(prob, contexts, by_type=by_type)
-    if w_hat_gen is None:
-        w_hat_gen = gtab
     c = float((q * gtab).sum())
     source = q.sum(axis=1)
-    return rd_curve(source, DistortionSpec(-np.asarray(w_hat_gen, dtype=float), epsilon - c), epsilon - c, **kw)
+    return rd_curve(source, DistortionSpec(-gtab, epsilon - c), epsilon - c)
 
 
 def rd_dimension(source, rho: DistortionSpec | np.ndarray, eps_grid) -> tuple[list[float], float]:

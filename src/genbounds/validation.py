@@ -168,15 +168,19 @@ def _inverse_cdf(cdf: np.ndarray, u) -> np.ndarray:
 
 
 def _book_size(m: int, rates: np.ndarray) -> int:
+    """floor(exp(m * R_max)) sequences; a book over BOOK_CAP raises BookCapError."""
     r_max = float(np.asarray(rates).max()) if np.asarray(rates).size else 0.0
-    return max(1, int(math.floor(math.exp(min(m * r_max, 700.0)))))
+    size = max(1, int(math.floor(math.exp(min(m * r_max, 700.0)))))
+    if size > BOOK_CAP:
+        raise BookCapError(f"book of {size} sequences exceeds the cap {BOOK_CAP}")
+    return size
 
 
-def build_hypothesis_book(q_hat, m: int, rates, seed: int, cap: int = BOOK_CAP) -> HypothesisBook:
+def build_hypothesis_book(q_hat, m: int, rates, seed: int) -> HypothesisBook:
     """Draw a book of iid reproduction sequences from q_hat^(x)m.
 
     The book holds floor(exp(m * R_max)) entries so that every realized
-    effective size fits; exceeding `cap` raises BookCapError.
+    effective size fits; exceeding BOOK_CAP raises BookCapError.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -184,8 +188,6 @@ def build_hypothesis_book(q_hat, m: int, rates, seed: int, cap: int = BOOK_CAP) 
     if np.any(r < 0):
         raise ValueError("rates must be non-negative")
     size = _book_size(m, r)
-    if size > cap:
-        raise BookCapError(f"book of {size} sequences exceeds the cap {cap}")
     cdf = np.cumsum(np.asarray(q_hat, dtype=float))
     gen = _rng(seed)
     entries = _inverse_cdf(cdf, gen.random(size=(size, m)))
@@ -202,17 +204,6 @@ class CoveringRow:
     censored: bool
     low_count: bool = False  # fewer than 5 failures observed
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "trials": self.trials,
-            "failures": self.failures,
-            "failure_prob": self.failure_prob,
-            "exponent": self.exponent,
-            "censored": self.censored,
-            "low_count": self.low_count,
-        }
-
 
 def covering_failure_estimate(
     prob: FiniteLearningProblem,
@@ -224,7 +215,6 @@ def covering_failure_estimate(
     trials: int,
     seed: int,
     q_hat=None,
-    cap: int = BOOK_CAP,
 ) -> list[CoveringRow]:
     """Estimate the excess-distortion exponent -(1/m) log P(failure) per m.
 
@@ -264,8 +254,6 @@ def covering_failure_estimate(
     rows: list[CoveringRow] = []
     for mi, m in enumerate(m_grid):
         size = _book_size(m, r)
-        if size > cap:
-            raise BookCapError(f"book of {size} sequences exceeds the cap {cap}")
         failures = 0
         for gen in rngs(seed, mi, count=trials):
             t_seq = _inverse_cdf(type_cdf, gen.random(m))

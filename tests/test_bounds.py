@@ -634,6 +634,25 @@ class TestReportInvariants:
         rep = pac_bayes_eq22(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 0.1)
         assert rep.infinite and not math.isfinite(rep.bound_value)
 
+    @pytest.mark.parametrize(
+        "P_S, q_hat, g",
+        [
+            ([0.5, 0.5], [0.5, 0.5], [[math.nan, 0.0], [0.0, 0.0]]),
+            ([math.nan, 0.5], [0.5, 0.5], np.zeros((2, 2))),
+            ([0.5, 0.5], [0.5, math.nan], np.zeros((2, 2))),
+            ([0.5, 0.5], [math.inf, 0.5], np.zeros((2, 2))),
+        ],
+    )
+    def test_log_mgf_rejects_nan(self, P_S, q_hat, g):
+        with pytest.raises(ValueError, match="finite"):
+            log_mgf(P_S, q_hat, g)
+
+    def test_log_mgf_infinite_g(self):
+        # +inf in g is an infinite MGF; -inf (log f at f = 0) drops its cell
+        assert log_mgf([0.5, 0.5], [0.5, 0.5], [[math.inf, 0.0], [0.0, 0.0]]) == math.inf
+        dropped = log_mgf([0.5, 0.5], [0.5, 0.5], [[-math.inf, 0.0], [0.0, 0.0]])
+        assert dropped == pytest.approx(math.log(0.75))
+
 
 class TestHelpers:
     def test_distortion_fg(self):

@@ -127,6 +127,39 @@ class TestMutualInformation:
             assert mi <= entropy(t.sum(axis=0)) + 1e-10
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("p", [[math.nan, 1.0], [math.inf, 0.5], [0.5, -math.inf]])
+    def test_entropy(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            entropy(p)
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [([math.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [math.nan, 0.5]), ([0.5, 0.5], [math.inf, 0.5])],
+    )
+    def test_kl_divergence(self, p, q):
+        with pytest.raises(ValueError, match="finite"):
+            kl_divergence(p, q)
+
+    @pytest.mark.parametrize(
+        "p, q, alpha",
+        [
+            ([math.nan, 0.5], [0.3, 0.7], 2.0),
+            ([0.5, 0.5], [0.3, math.nan], 2.0),
+            ([0.5, 0.5], [0.3, 0.7], math.nan),
+            ([0.5, 0.5], [0.3, 0.7], math.inf),
+        ],
+    )
+    def test_renyi_divergence(self, p, q, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            renyi_divergence(p, q, alpha)
+
+    @pytest.mark.parametrize("table", [[[math.nan, 0.5], [0.25, 0.25]], [[math.inf, 0.0], [0.0, 0.0]]])
+    def test_mutual_information(self, table):
+        with pytest.raises(ValueError, match="finite"):
+            mutual_information(table)
+
+
 class TestBinaryKl:
     def test_equal_args(self):
         assert binary_kl(0.3, 0.3) == 0.0

@@ -17,7 +17,8 @@ from genbounds.io import (
     write_csv,
     write_report,
 )
-from genbounds.learning import FiniteLearningProblem
+from genbounds.learning import FiniteLearningProblem, GibbsAlgorithm, induced_joint
+from genbounds.ratedistortion import rd_gen
 
 
 @pytest.fixture
@@ -175,6 +176,48 @@ class TestCli:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epsilon", "rate_nats", "lagrange", "iterations", "converged"]
         assert float(rows[1][1]) == pytest.approx(math.log(2) - (-0.1 * math.log(0.1) - 0.9 * math.log(0.9)), abs=1e-4)
+
+    def test_rd_problem_rows_match_rd_gen(self, tmp_path, problem_file, capsys):
+        grid = [0.1, 0.05, 0.0, -0.05, -0.1]
+        out = tmp_path / "rdp"
+        argv = ["rd", "--problem", str(problem_file), "--n", "3"]
+        assert main(argv + ["--epsilon-grid=" + ",".join(map(str, grid)), "--out", str(out)]) == 0
+        with (out / "rd_curve.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        prob = load_problem(problem_file)
+        alg = GibbsAlgorithm(prior=Pmf.uniform(prob.w_alphabet_size), beta=1.0)
+        joint, ctx = induced_joint(prob, alg, 3, by_type=True)
+        assert len(rows) == len(grid)
+        for eps, row in zip(grid, rows):
+            sol = rd_gen(joint, prob, ctx, eps, by_type=True)
+            got = [float(row[0]), float(row[1]), float(row[2]), int(row[3]), row[4]]
+            assert got == [eps, sol.rate_nats, sol.lagrange_lambda, sol.iterations, str(sol.converged)]
+        rates = [float(row[1]) for row in rows]  # the grid falls, so the rates must not
+        assert all(b >= a for a, b in zip(rates, rates[1:])) and rates[-1] > rates[0]
+        # the distortion floor of this joint lies near epsilon = -0.12
+        bad = tmp_path / "below"
+        assert main(argv + ["--epsilon-grid=-0.15", "--out", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not bad.exists()
+
+    def test_abbreviated_flag_is_rejected(self, tmp_path):
+        # --config counts a flag as explicit only when it is spelled in full, so a
+        # prefix such as --del would lose to the file's delta
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0.5}))
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--kind", "thm1", "--config", str(cfg), "--del", "0.01", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rd", "sweep"])
+    def test_unseeded_commands_take_no_seed(self, tmp_path, command):
+        with pytest.raises(SystemExit):
+            main([command, "--seed", "1", "--out", str(tmp_path / "flag")])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 0}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "config")]) == 1
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
