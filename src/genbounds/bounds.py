@@ -8,6 +8,12 @@ values (flagged), never exceptions; a NaN bound raises ValueError.
 Log-MGF terms are exact finite-alphabet sums unless the caller explicitly
 selects the subgaussian surrogate lambda^2 sigma^2 / 2 path; both appear in
 the source material and both are exposed.
+
+Both tail-bound condition checks run through one evaluator, `_condition`,
+which states Theorem 4's condition at a dataset marginal nu_S. Theorem 3's
+check reduces to it: it passes nu_S, averages Delta under nu_{W|S} and
+subtracts KL(nu || P_{W|S} nu_S). Every pmf and divergence comes from
+`info`'s one validity check and one row-wise KL kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .info import Joint, gdelta_sup, kl_divergence, renyi_divergence
+from .info import Joint, _kl_rows, _pair, _probs, gdelta_sup, kl_divergence, renyi_divergence
 from .learning import FiniteLearningProblem, induced_joint
 from .ratedistortion import rd_gen
 
@@ -161,32 +167,33 @@ def _q_rows(q_hat, rows: int) -> np.ndarray:
 
 def channel_kl(nu_s, p_hat, q_hat, alpha: float = 1.0) -> float:
     """E_{nu_S}[ D_alpha(p(.|S) || q(.|S)) ], the first half of the T functional."""
-    nu = np.asarray(nu_s, dtype=float).reshape(-1)
-    p = np.asarray(p_hat, dtype=float)
-    q = np.asarray(q_hat, dtype=float)
-    total = 0.0
-    for s in np.flatnonzero(nu > 0):
-        div = kl_divergence(p[s], q[s]) if alpha == 1 else renyi_divergence(p[s], q[s], alpha)
-        if math.isinf(div):
-            return math.inf
-        total += nu[s] * div
-    return total
+    nu = _probs(np.reshape(nu_s, -1), 1)
+    pos = np.flatnonzero(nu > 0)
+    p, q = _pair(np.asarray(p_hat, dtype=float)[pos], np.asarray(q_hat, dtype=float)[pos], rows=True)
+    if alpha == 1:
+        divs = _kl_rows(p, q)
+    else:
+        divs = np.array([renyi_divergence(a, b, alpha) for a, b in zip(p, q)])
+    # a running sum in row order adds the terms as a loop over the rows would,
+    # to the last bit; an infinite divergence makes the total +inf
+    return float(np.cumsum(nu[pos] * divs)[-1])
 
 
 def log_mgf(P_S, q_hat, g) -> float:
     """log E_{P_S q}[ e^{g(S,What)} ], exact by finite summation in log space."""
-    ps = np.asarray(P_S, dtype=float).reshape(-1)
-    q = _q_rows(q_hat, ps.size)
+    ps = _probs(np.reshape(P_S, -1), 1)
+    q = _probs(_q_rows(q_hat, ps.size), 2, rows=True)
     gm = np.asarray(g, dtype=float)
-    # g may hold +-inf (an infinite MGF, or log f at f = 0) but never NaN
-    if not math.isfinite(ps.sum() + q.sum()) or np.isnan(gm).any():
-        raise ValueError("log_mgf needs finite P_S and q_hat and a NaN-free g")
+    if gm.shape != q.shape or np.isnan(gm).any():
+        raise ValueError("log_mgf needs a g shaped like q_hat whose only non-finite values are +-inf")
     with np.errstate(divide="ignore"):
-        logw = np.log(np.outer(ps, np.ones(q.shape[1]))) + np.log(q)
-    terms = logw + gm
+        logw = np.log(ps)[:, None] + np.log(q)
+    # a cell of weight 0 adds nothing even where g is +-inf: 0 e^{+inf} counts as 0
+    live = logw > -np.inf
+    terms = logw[live] + gm[live]
     if np.any(terms == np.inf):
         return math.inf
-    return float(logsumexp(terms[np.isfinite(terms)]))
+    return float(logsumexp(terms[terms > -np.inf]))
 
 
 def t_functional(nu_s, p_hat, q_hat, g, alpha: float, P_S) -> float:
@@ -318,7 +325,7 @@ def pac_bayes_eq22(pi, q, logmgf: float, delta: float) -> BoundReport:
     (finite alphabets make it an exact sum; see log_mgf).
     """
     _check_domain(delta=delta)
-    kl = kl_divergence(np.asarray(pi, dtype=float), np.asarray(q, dtype=float))
+    kl = kl_divergence(pi, q)
     terms = {"rate_term": kl, "mgf_term": logmgf, "confidence_term": math.log(1.0 / delta)}
     return _finish("eq22", terms, {"delta": delta})
 
@@ -360,7 +367,7 @@ def prop5_bound(
     if mode == "i":
         if pi is None or p_quant is None or f is None:
             raise ValueError("mode i needs pi, p_quant and f")
-        pv = np.asarray(pi, dtype=float)
+        pv = _probs(pi, 1)
         pq = np.asarray(p_quant, dtype=float)
         fm = np.asarray(f, dtype=float)
         avg_f = float(pv @ fm[s_index])
@@ -374,8 +381,8 @@ def prop5_bound(
     elif mode == "ii":
         if kernel is None or P_WgS is None or w_index is None or f is None:
             raise ValueError("mode ii needs kernel, P_WgS, w_index and f")
-        ker = np.asarray(kernel, dtype=float)
-        pws = np.asarray(P_WgS, dtype=float)
+        ker = _probs(kernel, 2, rows=True)
+        pws = _probs(P_WgS, 2, rows=True)
         fm = np.asarray(f, dtype=float)
         p_star = pws @ ker  # rows: s, columns: what
         row = ker[w_index]
@@ -436,7 +443,7 @@ def toy_example_bound(
 
 def distortion_ok_fg(nu_joint, p_hat, f, g, epsilon: float) -> bool:
     """Sufficient distortion check E_{nu p}[f(S,W) - g(S,What)] <= epsilon."""
-    nu = np.asarray(nu_joint, dtype=float)
+    nu = _probs(nu_joint, 2)
     p = np.asarray(p_hat, dtype=float)
     fm = np.asarray(f, dtype=float)
     gm = np.asarray(g, dtype=float)
@@ -453,17 +460,55 @@ def lipschitz_distortion_budget(epsilon: float, lipschitz_L: float) -> float:
     return epsilon / (2.0 * lipschitz_L)
 
 
-def _variant_ii_log_f(f, lam: float, alpha: float | None) -> np.ndarray:
-    """log f for the Renyi variants, after checking alpha > 1, lam >= alpha/(alpha-1), f >= 0."""
-    if alpha is None or alpha <= 1:
-        raise ValueError("variant ii needs alpha > 1")
-    if lam < alpha / (alpha - 1) - 1e-12:
-        raise ValueError("variant ii needs lam >= alpha/(alpha-1)")
-    fm = np.asarray(f, dtype=float)
-    if np.any(fm < 0):
-        raise ValueError("variant ii needs a non-negative f")
-    with np.errstate(divide="ignore"):
-        return np.where(fm > 0, np.log(np.where(fm > 0, fm, 1.0)), -math.inf)
+def _condition(variant, nu, div, q_hat, lam, f, g, Delta, epsilon, P_S, delta, alpha, kl_to_mixed=0.0):
+    """The shared tail-bound condition at a dataset marginal nu, as Theorem 4 states it.
+
+    `div` fills the divergence slot of the T functional and `Delta` holds
+    one expected gap per dataset symbol; Theorem 3 passes its conditional
+    quantities here and subtracts `kl_to_mixed`. The lhs is compared to
+    log(delta); a nu with infinite KL to P_S is outside the ball and vacuous.
+    """
+    if variant not in ("i", "ii"):
+        raise ValueError("variant must be 'i' or 'ii'")
+    _check_domain(delta=delta)
+    nu = np.asarray(nu, dtype=float).reshape(-1)
+    dv = np.asarray(Delta, dtype=float).reshape(-1)
+    if math.isinf(kl_to_mixed) or math.isinf(kl_divergence(nu, P_S)):
+        return ConditionReport(lhs=-math.inf, satisfied=True, distortion_ok=True, vacuous=True)
+
+    if variant == "i":
+        gm = np.asarray(g, dtype=float)
+        tval = t_functional(nu, div, q_hat, lam * gm, 1.0, P_S)
+        e_delta = float(nu @ dv)
+        lhs = tval - kl_to_mixed - lam * (e_delta - epsilon)
+        e_gap = e_delta - float((nu[:, None] * np.asarray(div, dtype=float) * gm).sum())
+        dok = e_gap <= epsilon + DISTORTION_SLACK
+    else:
+        # the Renyi form with g = log f needs alpha > 1, lam >= alpha/(alpha-1) and f >= 0
+        if alpha is None or alpha <= 1:
+            raise ValueError("variant ii needs alpha > 1")
+        if lam < alpha / (alpha - 1) - 1e-12:
+            raise ValueError("variant ii needs lam >= alpha/(alpha-1)")
+        fm = np.asarray(f, dtype=float)
+        if np.any(fm < 0):
+            raise ValueError("variant ii needs a non-negative f")
+        with np.errstate(divide="ignore"):
+            logf = np.log(fm)  # -inf at f = 0
+        tval = t_functional(nu, div, q_hat, lam * logf, alpha, P_S)
+        pos = nu > 0
+        if np.any(dv[pos] <= 0):
+            lhs = math.inf
+        else:
+            lhs = tval - kl_to_mixed - lam * float((nu[pos] * np.log(dv[pos])).sum())
+        dok = True  # variant ii carries no epsilon-distortion side condition
+    satisfied = lhs <= math.log(delta) + 1e-12
+    return ConditionReport(lhs=float(lhs), satisfied=bool(satisfied), distortion_ok=bool(dok))
+
+
+def _conditional(joint: np.ndarray, marginal: np.ndarray) -> np.ndarray:
+    """Rows joint[s] / marginal[s], and zero rows where the marginal is 0."""
+    m = marginal[:, None]
+    return np.where(m > 0, joint / np.where(m > 0, m, 1.0), 0.0)
 
 
 def check_thm3_condition(
@@ -486,48 +531,23 @@ def check_thm3_condition(
     - lam (E_nu[Delta] - eps) and compares to log(delta); variant "ii" uses
     the Renyi form with g replaced by lam*log(f) and p by nu_{W|S}, requiring
     alpha > 1 and lam >= alpha/(alpha-1). Candidates with infinite KL to P
-    are outside the ball; they report lhs = -inf and a vacuous flag.
+    are outside the ball; they report lhs = -inf and a vacuous flag. This is
+    Theorem 4's condition at nu_S with Delta averaged under nu_{W|S} and
+    KL(nu || P_{W|S} nu_S) subtracted.
     """
     nu_t = np.asarray(nu, dtype=float)
     P_t = np.asarray(P, dtype=float)
     if nu_t.shape != P_t.shape:
         raise ValueError("nu and P must share a shape")
-    gm = np.asarray(g, dtype=float)
-    dm = np.asarray(Delta, dtype=float)
-    nu_s = nu_t.sum(axis=1)
-    P_s = P_t.sum(axis=1)
-
-    if math.isinf(kl_divergence(nu_t.reshape(-1), P_t.reshape(-1))):
-        return ConditionReport(lhs=-math.inf, satisfied=True, distortion_ok=True, vacuous=True)
-
-    # KL(nu_{S,W} || P_{W|S} nu_S); rows of P_{W|S} where P_S = 0 never carry nu mass here
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_wgs = np.where(P_s[:, None] > 0, P_t / np.where(P_s[:, None] > 0, P_s[:, None], 1.0), 0.0)
-    mixed = nu_s[:, None] * p_wgs
-    kl_to_mixed = kl_divergence(nu_t.reshape(-1), mixed.reshape(-1))
-    if math.isinf(kl_to_mixed):
-        return ConditionReport(lhs=-math.inf, satisfied=True, distortion_ok=True, vacuous=True)
-
-    if variant == "i":
-        tval = t_functional(nu_s, p_hat, q_hat, lam * gm, 1.0, P_s)
-        lhs = tval - kl_to_mixed - lam * (float((nu_t * dm).sum()) - epsilon)
-        dok = distortion_ok_fg(nu_t, p_hat, dm, gm, epsilon)
-    elif variant == "ii":
-        logf = _variant_ii_log_f(f, lam, alpha)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nu_wgs = np.where(nu_s[:, None] > 0, nu_t / np.where(nu_s[:, None] > 0, nu_s[:, None], 1.0), 0.0)
-        tval = t_functional(nu_s, nu_wgs, q_hat, lam * logf, alpha, P_s)
-        inner = np.einsum("sw,sw->s", nu_wgs, dm)
-        if np.any((nu_s > 0) & (inner <= 0)):
-            lhs = math.inf
-        else:
-            logd = float((nu_s[nu_s > 0] * np.log(inner[nu_s > 0])).sum())
-            lhs = tval - kl_to_mixed - lam * logd
-        dok = True  # variant ii carries no epsilon-distortion side condition
-    else:
-        raise ValueError("variant must be 'i' or 'ii'")
-    satisfied = lhs <= math.log(delta) + 1e-12
-    return ConditionReport(lhs=float(lhs), satisfied=bool(satisfied), distortion_ok=bool(dok))
+    nu_s, P_s = nu_t.sum(axis=1), P_t.sum(axis=1)
+    kl_to_mixed = math.inf
+    if math.isfinite(kl_divergence(nu_t, P_t)):
+        # rows of P_{W|S} where P_S = 0 carry no nu mass once KL(nu || P) is finite
+        kl_to_mixed = kl_divergence(nu_t, nu_s[:, None] * _conditional(P_t, P_s))
+    nu_wgs = _conditional(nu_t, nu_s)
+    Delta_s = np.einsum("sw,sw->s", nu_wgs, np.asarray(Delta, dtype=float))
+    div = p_hat if variant == "i" else nu_wgs
+    return _condition(variant, nu_s, div, q_hat, lam, f, g, Delta_s, epsilon, P_s, delta, alpha, kl_to_mixed)
 
 
 def check_thm4_condition(
@@ -552,31 +572,8 @@ def check_thm4_condition(
     the distortion side condition; variant "ii" checks the Renyi form with
     the posterior family pi_S in the divergence slot.
     """
-    nu = np.asarray(nu_S, dtype=float).reshape(-1)
-    ps = np.asarray(P_S, dtype=float).reshape(-1)
-    dv = np.asarray(Delta_vec, dtype=float).reshape(-1)
-    gm = np.asarray(g, dtype=float)
-    if math.isinf(kl_divergence(nu, ps)):
-        return ConditionReport(lhs=-math.inf, satisfied=True, distortion_ok=True, vacuous=True)
-
-    if variant == "i":
-        tval = t_functional(nu, p_hat, q_hat, lam * gm, 1.0, ps)
-        lhs = tval - lam * (float(nu @ dv) - epsilon)
-        p = np.asarray(p_hat, dtype=float)
-        e_gap = float(nu @ dv) - float((nu[:, None] * p * gm).sum())
-        dok = e_gap <= epsilon + DISTORTION_SLACK
-    elif variant == "ii":
-        logf = _variant_ii_log_f(f, lam, alpha)
-        tval = t_functional(nu, pi_S, q_hat, lam * logf, alpha, ps)
-        if np.any((nu > 0) & (dv <= 0)):
-            lhs = math.inf
-        else:
-            lhs = tval - lam * float((nu[nu > 0] * np.log(dv[nu > 0])).sum())
-        dok = True
-    else:
-        raise ValueError("variant must be 'i' or 'ii'")
-    satisfied = lhs <= math.log(delta) + 1e-12
-    return ConditionReport(lhs=float(lhs), satisfied=bool(satisfied), distortion_ok=bool(dok))
+    div = p_hat if variant == "i" else pi_S
+    return _condition(variant, nu_S, div, q_hat, lam, f, g, Delta_vec, epsilon, P_S, delta, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +602,7 @@ def thm5_expectation_bound(
     the multiplier is optimized on a log grid plus golden-section refinement.
     The exact E[f] is attached and the exact-MGF bound is checked against it.
     """
-    P_t = np.asarray(P, dtype=float)
+    P_t = _probs(P, 2)
     ps = P_t.sum(axis=1)
     fm = np.asarray(f, dtype=float)
     gm = np.asarray(g, dtype=float)
@@ -618,23 +615,22 @@ def thm5_expectation_bound(
             e_g = float((ps[:, None] * p * gm).sum())
             raise ValueError(f"distortion violated: E[f-g]={true_ef - e_g} > epsilon={epsilon}")
         kl = channel_kl(ps, p, q, 1.0)
+        if mgf == "surrogate" and sigma_g is None:
+            raise ValueError("surrogate path needs sigma_g")
 
         def mgf_term(lmb: float) -> float:
             if mgf == "surrogate":
-                if sigma_g is None:
-                    raise ValueError("surrogate path needs sigma_g")
                 return lmb**2 * sigma_g**2 / 2.0
             return log_mgf(ps, q, lmb * gm)
 
-        def value_at(lmb: float) -> float:
-            return (kl + mgf_term(lmb)) / lmb + epsilon
-
         if lam is None:
-            lam, _ = minimize_unimodal(value_at, 1e-6, 1e8)
-        value = value_at(lam)
-        terms = {"rate_term": kl / lam, "mgf_term": mgf_term(lam) / lam, "epsilon_term": epsilon}
+            lam, _ = minimize_unimodal(lambda lmb: (kl + mgf_term(lmb)) / lmb + epsilon, 1e-6, 1e8)
+        exact_mgf = log_mgf(ps, q, lam * gm)
+        used_mgf = mgf_term(lam) if mgf == "surrogate" else exact_mgf
+        value = (kl + used_mgf) / lam + epsilon
+        terms = {"rate_term": kl / lam, "mgf_term": used_mgf / lam, "epsilon_term": epsilon}
         params = {"lambda": lam, "epsilon": epsilon, "mgf": mgf}
-        exact_value = (kl + log_mgf(ps, q, lam * gm)) / lam + epsilon
+        exact_value = (kl + exact_mgf) / lam + epsilon
         if exact_value < true_ef - 1e-9:
             raise AssertionError(
                 f"in-expectation bound {exact_value} fell below the exact E[f] {true_ef}"
@@ -649,18 +645,19 @@ def thm5_expectation_bound(
             raise ValueError("part ii needs strictly positive f")
         q_joint = ps[:, None] * q
         dalpha = renyi_divergence(P_t.reshape(-1), q_joint.reshape(-1), alpha)
+        lam_min = alpha / (alpha - 1)
+        logf = np.log(fm)
 
         def value_log(lmb: float) -> float:
-            if lmb < alpha / (alpha - 1) - 1e-12:
+            if lmb < lam_min - 1e-12:
                 return math.inf
-            mgf_f = log_mgf(ps, q, lmb * np.log(fm))
-            return (dalpha + mgf_f) / lmb
+            return (dalpha + log_mgf(ps, q, lmb * logf)) / lmb
 
         if lam is None:
-            lam, _ = minimize_unimodal(value_log, alpha / (alpha - 1), 1e8)
-            lam = max(lam, alpha / (alpha - 1))
-        value = math.exp(value_log(lam))
-        mgf_f = log_mgf(ps, q, lam * np.log(fm))
+            lam, _ = minimize_unimodal(value_log, lam_min, 1e8)
+            lam = max(lam, lam_min)
+        mgf_f = log_mgf(ps, q, lam * logf)
+        value = math.exp((dalpha + mgf_f) / lam) if lam >= lam_min - 1e-12 else math.inf
         terms = {"rate_term": dalpha / lam, "mgf_term": mgf_f / lam}
         params = {"lambda": lam, "alpha": alpha}
         if value < true_ef - 1e-9:

@@ -2,8 +2,11 @@
 
 All divergences, entropies and mutual informations are in nats. The
 0 log 0 = 0 convention applies throughout, and infinite divergences are
-returned as ``math.inf`` values, never raised. All containers are immutable
-after construction, so every function here is safe to call concurrently.
+returned as ``math.inf`` values, never raised. Containers and primitives
+alike take pmfs and check them with `_probs`, raising ValueError on
+negative, unnormalised or non-finite input; every KL goes through
+`_kl_rows`. All containers are immutable after construction, so every
+function here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -37,8 +40,29 @@ PROB_ATOL = 1e-12
 GDELTA_SLACK = 1e-9
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
+def _probs(a, ndim: int, rows: bool = False) -> np.ndarray:
+    """`a` as a non-empty pmf array of `ndim` axes, or with `rows` one pmf per row.
+
+    This is the one definition of a valid pmf: entries finite and at least
+    -PROB_ATOL, and each sum within PROB_ATOL per summed entry of 1. Returns a
+    fresh read-only copy with the entries below 0 set to 0, so that p > 0 is
+    the support and log q is -inf off the support of q.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != ndim or a.size == 0:
+        raise ValueError(f"expected a non-empty {ndim}-D probability array, got shape {a.shape}")
+    # a NaN or infinite entry makes its sum, and so the largest deviation,
+    # non-finite: one sum and one min cost less than np.isfinite over the entries.
+    # einsum sums short rows about twice as fast as sum(axis=-1) (5456 x 4 q rows
+    # of thm5, checked in each log_mgf call of its lambda search)
+    off = np.abs(np.einsum("ij->i", a) - 1.0).max() if rows else abs(a.sum() - 1.0)
+    if not math.isfinite(off):
+        raise ValueError("probability entries must be finite")
+    if a.min() < -PROB_ATOL:
+        raise ValueError("probability entries must be non-negative")
+    if off > PROB_ATOL * (a.shape[-1] if rows else a.size):
+        raise ValueError(f"probabilities must sum to 1{' in every row' if rows else ''} (off by {off:.3g})")
+    a = np.maximum(a, 0.0)
     a.setflags(write=False)
     return a
 
@@ -50,18 +74,7 @@ class Pmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("Pmf requires a non-empty 1-D probability vector")
-        total = p.sum()
-        # a NaN or infinite entry makes the sum non-finite; cheaper than np.isfinite(p).all()
-        if not math.isfinite(total):
-            raise ValueError("Pmf entries must be finite")
-        if np.any(p < -PROB_ATOL):
-            raise ValueError("Pmf entries must be non-negative")
-        if abs(total - 1.0) > max(PROB_ATOL, 1e-12 * p.size):
-            raise ValueError(f"Pmf entries must sum to 1 (got {total!r})")
-        object.__setattr__(self, "probs", _freeze(np.clip(p, 0.0, None)))
+        object.__setattr__(self, "probs", _probs(self.probs, 1))
 
     @property
     def alphabet_size(self) -> int:
@@ -88,16 +101,7 @@ class Channel:
     rows: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.rows, dtype=float)
-        if m.ndim != 2 or m.size == 0:
-            raise ValueError("Channel requires a non-empty 2-D matrix")
-        if not np.isfinite(m).all():
-            raise ValueError("Channel entries must be finite")
-        if np.any(m < -PROB_ATOL):
-            raise ValueError("Channel entries must be non-negative")
-        if np.any(np.abs(m.sum(axis=1) - 1.0) > max(PROB_ATOL, 1e-12 * m.shape[1])):
-            raise ValueError("every Channel row must sum to 1")
-        object.__setattr__(self, "rows", _freeze(np.clip(m, 0.0, None)))
+        object.__setattr__(self, "rows", _probs(self.rows, 2, rows=True))
 
     def __array__(self, dtype=None):
         return np.asarray(self.rows, dtype=dtype)
@@ -110,16 +114,7 @@ class Joint:
     table: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.table, dtype=float)
-        if m.ndim != 2 or m.size == 0:
-            raise ValueError("Joint requires a non-empty 2-D table")
-        if not np.isfinite(m).all():
-            raise ValueError("Joint entries must be finite")
-        if np.any(m < -PROB_ATOL):
-            raise ValueError("Joint entries must be non-negative")
-        if abs(m.sum() - 1.0) > max(PROB_ATOL, 1e-12 * m.size):
-            raise ValueError("Joint entries must sum to 1")
-        object.__setattr__(self, "table", _freeze(np.clip(m, 0.0, None)))
+        object.__setattr__(self, "table", _probs(self.table, 2))
 
     @property
     def shape(self):
@@ -139,34 +134,37 @@ def _vec(p) -> np.ndarray:
     return np.asarray(p, dtype=float).reshape(-1)
 
 
-def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
-    """p and q as flat vectors over one alphabet, with finite entries."""
-    pv, qv = _vec(p), _vec(q)
+def _pair(p, q, rows: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """p and q as pmfs over one alphabet: flat vectors, or with `rows` 2-D arrays of row pmfs."""
+    if not rows:
+        p, q = _vec(p), _vec(q)
+    pv, qv = _probs(p, 1 + rows, rows), _probs(q, 1 + rows, rows)
     if pv.shape != qv.shape:
-        raise ValueError(f"alphabet mismatch: {pv.size} vs {qv.size}")
-    # a NaN or infinite entry in either vector makes the sum non-finite; one
-    # reduction is cheaper than np.isfinite on both, and kl_divergence is hot
-    if not math.isfinite((pv + qv).sum()):
-        raise ValueError("probability entries must be finite")
+        raise ValueError(f"alphabet mismatch: {pv.shape} vs {qv.shape}")
     return pv, qv
+
+
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D_KL(p || q) along the last axis of two pmf arrays from `_probs`, in nats.
+
+    Where p > 0 and q = 0 the term p (log p - log 0) is +inf, and so is the
+    row's divergence. Cells with p = 0 add an exact 0.0 in place: a row
+    without them sums to the same bits as that row's own 1-D sum.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0).sum(axis=-1)
 
 
 def entropy(p) -> float:
     """Shannon entropy in nats, 0 log 0 = 0."""
-    v = _vec(p)
-    if not math.isfinite(v.sum()):
-        raise ValueError("probability entries must be finite")
+    v = _probs(_vec(p), 1)
     pos = v[v > 0]
     return float(-(pos * np.log(pos)).sum())
 
 
 def kl_divergence(p, q) -> float:
     """D_KL(p || q) in nats; +inf when supp(p) is not within supp(q)."""
-    pv, qv = _pair(p, q)
-    mask = pv > 0
-    if np.any(qv[mask] <= 0):
-        return math.inf
-    return float((pv[mask] * (np.log(pv[mask]) - np.log(qv[mask]))).sum())
+    return float(_kl_rows(*_pair(p, q)))
 
 
 def renyi_divergence(p, q, alpha: float) -> float:
@@ -193,17 +191,8 @@ def renyi_divergence(p, q, alpha: float) -> float:
 
 def mutual_information(j) -> float:
     """I(S;W) = D_KL(P_SW || P_S P_W) in nats."""
-    t = np.asarray(j, dtype=float)
-    if t.ndim != 2:
-        raise ValueError("joint table must be 2-D")
-    if not math.isfinite(t.sum()):
-        raise ValueError("joint table entries must be finite")
-    ps = t.sum(axis=1)
-    pw = t.sum(axis=0)
-    prod = np.outer(ps, pw)
-    mask = t > 0
-    val = float((t[mask] * (np.log(t[mask]) - np.log(prod[mask]))).sum())
-    return max(val, 0.0)
+    t = _probs(j, 2)
+    return max(float(_kl_rows(t.ravel(), np.outer(t.sum(axis=1), t.sum(axis=0)).ravel())), 0.0)
 
 
 def binary_kl(a: float, b: float) -> float:
@@ -287,7 +276,7 @@ def gdelta_radius(delta: float) -> float:
 
 def in_gdelta(nu, p_ref, delta: float, slack: float = GDELTA_SLACK) -> bool:
     """Membership check D_KL(nu || p_ref) <= log(1/delta) + slack."""
-    return kl_divergence(_vec(nu), _vec(p_ref)) <= gdelta_radius(delta) + slack
+    return kl_divergence(nu, p_ref) <= gdelta_radius(delta) + slack
 
 
 def _tilt(p: np.ndarray, direction: np.ndarray, t: float) -> np.ndarray:
@@ -351,8 +340,6 @@ def gdelta_sup(
 
     Returns (sup_estimate, argmax) with argmax shaped like `p_ref`.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
     ref = np.asarray(p_ref, dtype=float)
     shape = ref.shape
     p = ref.reshape(-1).copy()

@@ -280,7 +280,6 @@ class CouplingEstimate:
     """Lower estimate of log M = sup over the KL ball of I(S; W^T) under nu x pi."""
 
     log_M: float
-    method: str
     plug_in: float
 
     def __post_init__(self):
@@ -309,7 +308,7 @@ def estimate_M(pi_S, P_S, delta: float, budget: int = 800, seed: int = 0) -> Cou
     plug_in = objective(ps)
     sup_val, _ = gdelta_sup(ps, delta, objective, search_budget=budget, seed=seed)
     sup_val = max(sup_val, plug_in)
-    return CouplingEstimate(log_M=max(sup_val, 0.0), method="tilt-sup", plug_in=max(plug_in, 0.0))
+    return CouplingEstimate(log_M=max(sup_val, 0.0), plug_in=max(plug_in, 0.0))
 
 
 def trajectory_distribution(trajs: list[TrajectoryProcess]):
@@ -342,7 +341,6 @@ class SweepRow:
 class SweepResult:
     rows: list
     spearman_rho: float  # nan when undefined
-    epsilon: float
 
     def to_csv_rows(self):
         return [(r.lr, r.mean_gen, r.rd_nats, r.flag) for r in self.rows]
@@ -407,8 +405,7 @@ def lr_sweep(
         rho_val = float(spearmanr([g for g, _ in ok], [r for _, r in ok]).statistic)
     else:
         rho_val = math.nan
-    used_eps = epsilon if epsilon is not None else math.nan
-    return SweepResult(rows=rows, spearman_rho=rho_val, epsilon=used_eps)
+    return SweepResult(rows=rows, spearman_rho=rho_val)
 
 
 def _child(seed: int, *path: int) -> int:

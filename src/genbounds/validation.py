@@ -202,7 +202,6 @@ class CoveringRow:
     failure_prob: float
     exponent: float
     censored: bool
-    low_count: bool = False  # fewer than 5 failures observed
 
 
 def covering_failure_estimate(
@@ -268,7 +267,7 @@ def covering_failure_estimate(
             rows.append(CoveringRow(m, trials, 0, 3.0 / trials, math.inf, True))
         else:
             p = failures / trials
-            rows.append(CoveringRow(m, trials, failures, p, -math.log(p) / m, False, failures < 5))
+            rows.append(CoveringRow(m, trials, failures, p, -math.log(p) / m, False))
     return rows
 
 

@@ -120,7 +120,6 @@ def test_criterion_4_counterexample_scaling():
     assert -1.35 <= res.slope_bound <= -0.65
     floors = {}
     for row in res.rows:
-        assert row.dominance_ok
         inst = ScoInstance(row.n)
         floor = 1 - 2 * math.exp(-inst.T / 36)
         se = math.sqrt(max(floor * (1 - floor), 0.25 / 4) / 2000)

@@ -73,6 +73,22 @@ class TestTFunctional:
         )
         assert t_functional(nu, p, q, g, 1.0, ps) == pytest.approx(brute_kl + brute_mgf, abs=1e-10)
 
+    @pytest.mark.parametrize("width", [2, 4, 7])
+    def test_channel_kl_matches_row_loop(self, width):
+        # reference: the per-row loop with a compacted masked sum per row; on
+        # strictly positive rows the batched kernel must give the same bits
+        gen = rng(72, width)
+        nu = gen.dirichlet(np.ones(40))
+        nu[::5] = 0.0
+        nu /= nu.sum()
+        p = gen.dirichlet(np.ones(width), size=40)
+        q = gen.dirichlet(np.ones(width), size=40)
+        total = 0.0
+        for s in np.flatnonzero(nu > 0):
+            m = p[s] > 0
+            total += nu[s] * float((p[s, m] * (np.log(p[s, m]) - np.log(q[s, m]))).sum())
+        assert channel_kl(nu, p, q) == total
+
     def test_support_violation_infinite(self):
         p = np.array([[1.0, 0.0], [0.5, 0.5]])
         q = np.array([[0.0, 1.0], [0.5, 0.5]])
@@ -346,6 +362,18 @@ class TestThm3Condition:
                 "ii", P, None, np.full((2, 2), 0.5), 1.0, np.ones((2, 2)), None,
                 np.ones((2, 2)), 0.0, P, 0.1, alpha=2.0,
             )
+
+
+@pytest.mark.parametrize("delta", [math.nan, 2.0, 0.0])
+@pytest.mark.parametrize("which", ["thm3", "thm4"])
+def test_condition_rejects_delta(which, delta):
+    # delta lies in (0, 1] for the condition evaluators as for the bounds
+    p, g, nu = np.full((2, 2), 0.5), np.zeros((2, 2)), np.full((2, 2), 0.25)
+    with pytest.raises(ValueError, match="delta must lie"):
+        if which == "thm3":
+            check_thm3_condition("i", nu, p, p, 1.0, None, g, g, 0.0, nu, delta)
+        else:
+            check_thm4_condition("i", [0.5, 0.5], None, p, p, 1.0, None, g, [0.0, 0.0], 0.0, [0.5, 0.5], delta)
 
 
 class TestThm4Condition:
@@ -630,6 +658,51 @@ class TestReportInvariants:
         with pytest.raises(ValueError):
             make()
 
+    @pytest.mark.parametrize(
+        "kind", ["thm1", "eq4", "seeger", "eq22", "prop5", "toy", "thm7", "thm8", "sco_tail"]
+    )
+    @pytest.mark.parametrize("delta", [1.0, 0.0, 1.5, math.nan])
+    def test_delta_domain(self, kind, delta):
+        # every bound kind takes delta in (0, 1], the endpoint 1 included
+        from genbounds.counterexample import ScoInstance, assemble_bound
+
+        half, zeros = np.array([0.5, 0.5]), np.zeros((2, 2))
+        make = {
+            "thm1": lambda d: thm1_bound(1.2, 0.7, 30, d, 0.02),
+            "eq4": lambda d: fixed_size_bound(0.8, 0.5, 60, d, 0.01),
+            "seeger": lambda d: seeger_fast_rate_bound(0.15, 0.4, 0.5, 80, d),
+            "eq22": lambda d: pac_bayes_eq22(np.array([0.2, 0.8]), half, 0.7, d),
+            "prop5": lambda d: prop5_bound(
+                "i", P_S=half, q_hat=half, g=zeros, delta=d, epsilon=0.0, s_index=0,
+                pi=half, p_quant=half, f=zeros,
+            ),
+            "toy": lambda d: toy_example_bound(0.3, 1.2, 4, 0.6, 50, d),
+            "thm7": lambda d: thm7_bound(0.9, d, 40, 0.02),
+            "thm8": lambda d: thm8_bound(0.6, 0.1, 1.3, d, 40, 0.01),
+            "sco_tail": lambda d: assemble_bound(ScoInstance(4), 1 - 1 / 16, "tail", delta=d),
+        }[kind]
+        if delta == 1.0:
+            assert math.isfinite(make(delta).bound_value)
+        else:
+            with pytest.raises(ValueError, match="delta"):
+                make(delta)
+
+    @pytest.mark.parametrize("mode", ["i", "ii"])
+    def test_prop5_rejects_non_pmf(self, mode):
+        # pi, kernel and P_{W|S} are pmfs (per row) like every other input of a bound
+        half, zeros, bad = np.array([0.5, 0.5]), np.zeros((2, 2)), np.array([[3.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="sum to 1"):
+            if mode == "i":
+                prop5_bound(
+                    "i", P_S=half, q_hat=half, g=zeros, delta=0.1, epsilon=0.0, s_index=0,
+                    pi=np.array([0.9, 0.9]), p_quant=half, f=zeros,
+                )
+            else:
+                prop5_bound(
+                    "ii", P_S=half, q_hat=half, g=zeros, delta=0.1, epsilon=0.0, s_index=0,
+                    kernel=bad, P_WgS=np.eye(2), w_index=0, f=zeros,
+                )
+
     def test_infinite_flag(self):
         rep = pac_bayes_eq22(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 0.1)
         assert rep.infinite and not math.isfinite(rep.bound_value)
@@ -653,6 +726,11 @@ class TestReportInvariants:
         dropped = log_mgf([0.5, 0.5], [0.5, 0.5], [[-math.inf, 0.0], [0.0, 0.0]])
         assert dropped == pytest.approx(math.log(0.75))
 
+    def test_log_mgf_zero_weight_cell(self):
+        # 0 e^{+inf} counts as 0: a cell of weight 0 adds nothing and nothing warns
+        assert log_mgf([0.0, 1.0], [0.5, 0.5], [[math.inf, 0.0], [0.0, 0.0]]) == 0.0
+        assert log_mgf([0.5, 0.5], [[0.0, 1.0], [0.5, 0.5]], [[math.inf, 0.0], [0.0, 0.0]]) == 0.0
+
 
 class TestHelpers:
     def test_distortion_fg(self):
@@ -661,6 +739,16 @@ class TestHelpers:
         f = np.array([[0.5, 0.1], [0.2, 0.3]])
         assert distortion_ok_fg(nu, p, f, f, 0.0)
         assert not distortion_ok_fg(nu, p, f + 0.2, f, 0.1)
+
+    def test_joint_must_be_a_pmf(self):
+        # a negative cell hides behind valid row sums unless the joint itself is checked
+        P = np.array([[0.6, -0.1], [0.25, 0.25]])
+        p = np.full((2, 2), 0.5)
+        g = np.array([[0.1, 0.2], [0.3, 0.0]])
+        with pytest.raises(ValueError, match="non-negative"):
+            thm5_expectation_bound("i", P, p, p[0], g, g, None)
+        with pytest.raises(ValueError, match="sum to 1"):
+            distortion_ok_fg(np.full((2, 2), 5.0), p, g, g, 0.0)
 
     def test_lipschitz_budget(self):
         assert lipschitz_distortion_budget(0.4, 2.0) == pytest.approx(0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -272,10 +273,23 @@ class TestScaling:
     def test_dominance_and_slopes(self):
         res = scaling_study([4, 6, 8], trials=400, seed=18)
         for r in res.rows:
-            assert r.dominance_ok
             assert r.mc_mean_gen == pytest.approx(r.exact_mean_gen, abs=5 * r.mc_se)
         assert res.slope_bound < 0
         assert res.slope_mc <= -0.4
+
+    def test_bound_violation_raises(self, monkeypatch):
+        # a validator must be able to fail: an MC mean above the expectation bound raises
+        import genbounds.counterexample as cex
+
+        real = cex.assemble_bound
+
+        def tiny(inst, r, mode, delta=None):
+            rep = real(inst, r, mode, delta=delta)
+            return dataclasses.replace(rep, bound_value=1e-6) if mode == "expectation" else rep
+
+        monkeypatch.setattr(cex, "assemble_bound", tiny)
+        with pytest.raises(AssertionError, match="exceeded the expectation bound"):
+            scaling_study([4, 5], trials=50, seed=1)
 
     def test_event_rate_floor(self):
         res = scaling_study([4, 5], trials=1000, seed=19)
@@ -322,12 +336,12 @@ class TestScaling:
             ScalingRow(
                 n=4, mc_mean_gen=0.02902473536648201, mc_se=0.000384855295560131,
                 bound_expectation=0.9624029913515278, bound_tail=65.85076510535875,
-                event_rate=0.925, exact_mean_gen=0.02945110661943899, dominance_ok=True,
+                event_rate=0.925, exact_mean_gen=0.02945110661943899,
             ),
             ScalingRow(
                 n=6, mc_mean_gen=0.022668752692322425, mc_se=0.00019390327428907075,
                 bound_expectation=0.5675960486621988, bound_tail=36.74958617794901,
-                event_rate=1.0, exact_mean_gen=0.02277830405583544, dominance_ok=True,
+                event_rate=1.0, exact_mean_gen=0.02277830405583544,
             ),
         ]
         assert res.slope_bound == -1.3022656661170353

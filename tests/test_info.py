@@ -160,6 +160,32 @@ class TestNonFiniteInput:
             mutual_information(table)
 
 
+class TestNotAPmf:
+    # the primitives take pmfs, as the containers do: a negative or
+    # unnormalised input raises instead of giving an impossible value
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: entropy([-0.5, 1.5]),
+            lambda: entropy([0.2, 0.2]),
+            lambda: kl_divergence([0.2, 0.2], [0.5, 0.5]),
+            lambda: kl_divergence([0.5, 0.5], [-0.5, 1.5]),
+            lambda: renyi_divergence([0.2, 0.2], [0.5, 0.5], 2.0),
+            lambda: mutual_information([[0.5, 0.5], [0.5, 0.5]]),
+            lambda: mutual_information([[-0.25, 0.75], [0.25, 0.25]]),
+            lambda: Joint(np.array([[0.5, 0.5], [0.5, -0.5]])),
+        ],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(ValueError, match="non-negative|sum to 1"):
+            call()
+
+    def test_rounding_slack_kept(self):
+        # entries down to -PROB_ATOL and sums within PROB_ATOL per entry pass, clipped to 0
+        assert kl_divergence([1.0 + 5e-13, -5e-13], [0.5, 0.5]) == pytest.approx(math.log(2))
+        assert np.asarray(Pmf(np.array([1.0, -5e-13]))).tolist() == [1.0, 0.0]
+
+
 class TestBinaryKl:
     def test_equal_args(self):
         assert binary_kl(0.3, 0.3) == 0.0

@@ -204,7 +204,7 @@ class TestCoupling:
 
     def test_negative_log_m_rejected(self):
         with pytest.raises(ValueError):
-            CouplingEstimate(log_M=-0.5, method="plug-in", plug_in=0.0)
+            CouplingEstimate(log_M=-0.5, plug_in=0.0)
 
 
 class TestExactModeTailDomination:
