@@ -144,12 +144,17 @@ def _finish(kind, terms, params, extra=None, value=None) -> BoundReport:
     )
 
 
-def _check_domain(n=None, delta=None, **nonneg) -> None:
-    """Shared input checks, written as `not x >= 0` so that NaN fails them."""
+def _check_domain(n=None, delta=None, lam=None, **nonneg) -> None:
+    """Shared input checks, written as `not x >= 0` so that NaN fails them.
+
+    `lam` is the multiplier of Theorems 3-5, which must lie in (0, inf).
+    """
     if n is not None and not n >= 1:
         raise ValueError("n must be at least 1")
     if delta is not None and not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
+    if lam is not None and not 0 < lam < math.inf:
+        raise ValueError(f"the multiplier lam must be finite and positive, got {lam}")
     for name, x in nonneg.items():
         if not x >= 0:
             raise ValueError(f"{name} is NaN" if math.isnan(x) else f"{name} must be non-negative")
@@ -179,8 +184,13 @@ def channel_kl(nu_s, p_hat, q_hat, alpha: float = 1.0) -> float:
     return float(np.cumsum(nu[pos] * divs)[-1])
 
 
-def log_mgf(P_S, q_hat, g) -> float:
-    """log E_{P_S q}[ e^{g(S,What)} ], exact by finite summation in log space."""
+def _mgf_cells(P_S, q_hat, g) -> tuple[np.ndarray, np.ndarray]:
+    """log P_S + log q and g on the cells of positive weight, checked once.
+
+    A cell of weight 0 adds nothing to the MGF even where g is +-inf
+    (0 e^{+inf} counts as 0), so it is dropped here; a multiplier search
+    scales the returned g and calls `_log_mgf_cells` without checking again.
+    """
     ps = _probs(np.reshape(P_S, -1), 1)
     q = _probs(_q_rows(q_hat, ps.size), 2, rows=True)
     gm = np.asarray(g, dtype=float)
@@ -188,12 +198,21 @@ def log_mgf(P_S, q_hat, g) -> float:
         raise ValueError("log_mgf needs a g shaped like q_hat whose only non-finite values are +-inf")
     with np.errstate(divide="ignore"):
         logw = np.log(ps)[:, None] + np.log(q)
-    # a cell of weight 0 adds nothing even where g is +-inf: 0 e^{+inf} counts as 0
     live = logw > -np.inf
-    terms = logw[live] + gm[live]
+    return logw[live], gm[live]
+
+
+def _log_mgf_cells(logw: np.ndarray, g: np.ndarray) -> float:
+    """logsumexp(logw + g) over the cells from `_mgf_cells`; +inf if any term is."""
+    terms = logw + g
     if np.any(terms == np.inf):
         return math.inf
     return float(logsumexp(terms[terms > -np.inf]))
+
+
+def log_mgf(P_S, q_hat, g) -> float:
+    """log E_{P_S q}[ e^{g(S,What)} ], exact by finite summation in log space."""
+    return _log_mgf_cells(*_mgf_cells(P_S, q_hat, g))
 
 
 def t_functional(nu_s, p_hat, q_hat, g, alpha: float, P_S) -> float:
@@ -470,7 +489,7 @@ def _condition(variant, nu, div, q_hat, lam, f, g, Delta, epsilon, P_S, delta, a
     """
     if variant not in ("i", "ii"):
         raise ValueError("variant must be 'i' or 'ii'")
-    _check_domain(delta=delta)
+    _check_domain(delta=delta, lam=lam)
     nu = np.asarray(nu, dtype=float).reshape(-1)
     dv = np.asarray(Delta, dtype=float).reshape(-1)
     if math.isinf(kl_to_mixed) or math.isinf(kl_divergence(nu, P_S)):
@@ -599,9 +618,11 @@ def thm5_expectation_bound(
     quantizers satisfying E[f - g] <= eps; mgf="surrogate" replaces the exact
     log-MGF with lam^2 sigma_g^2 / 2. Part ii: exp((1/lam)(D_alpha(P||q P_S)
     + log E_{P_S q}[f^lam])) with lam >= alpha/(alpha-1), f > 0. With lam=None
-    the multiplier is optimized on a log grid plus golden-section refinement.
+    the multiplier is optimized on a log grid plus golden-section refinement;
+    a given lam outside (0, inf) raises ValueError.
     The exact E[f] is attached and the exact-MGF bound is checked against it.
     """
+    _check_domain(lam=lam)
     P_t = _probs(P, 2)
     ps = P_t.sum(axis=1)
     fm = np.asarray(f, dtype=float)
@@ -617,15 +638,16 @@ def thm5_expectation_bound(
         kl = channel_kl(ps, p, q, 1.0)
         if mgf == "surrogate" and sigma_g is None:
             raise ValueError("surrogate path needs sigma_g")
+        logw, g_live = _mgf_cells(ps, q, gm)
 
         def mgf_term(lmb: float) -> float:
             if mgf == "surrogate":
                 return lmb**2 * sigma_g**2 / 2.0
-            return log_mgf(ps, q, lmb * gm)
+            return _log_mgf_cells(logw, lmb * g_live)
 
         if lam is None:
             lam, _ = minimize_unimodal(lambda lmb: (kl + mgf_term(lmb)) / lmb + epsilon, 1e-6, 1e8)
-        exact_mgf = log_mgf(ps, q, lam * gm)
+        exact_mgf = _log_mgf_cells(logw, lam * g_live)
         used_mgf = mgf_term(lam) if mgf == "surrogate" else exact_mgf
         value = (kl + used_mgf) / lam + epsilon
         terms = {"rate_term": kl / lam, "mgf_term": used_mgf / lam, "epsilon_term": epsilon}
@@ -646,17 +668,17 @@ def thm5_expectation_bound(
         q_joint = ps[:, None] * q
         dalpha = renyi_divergence(P_t.reshape(-1), q_joint.reshape(-1), alpha)
         lam_min = alpha / (alpha - 1)
-        logf = np.log(fm)
+        logw, logf = _mgf_cells(ps, q, np.log(fm))
 
         def value_log(lmb: float) -> float:
             if lmb < lam_min - 1e-12:
                 return math.inf
-            return (dalpha + log_mgf(ps, q, lmb * logf)) / lmb
+            return (dalpha + _log_mgf_cells(logw, lmb * logf)) / lmb
 
         if lam is None:
             lam, _ = minimize_unimodal(value_log, lam_min, 1e8)
             lam = max(lam, lam_min)
-        mgf_f = log_mgf(ps, q, lam * logf)
+        mgf_f = _log_mgf_cells(logw, lam * logf)
         value = math.exp((dalpha + mgf_f) / lam) if lam >= lam_min - 1e-12 else math.inf
         terms = {"rate_term": dalpha / lam, "mgf_term": mgf_f / lam}
         params = {"lambda": lam, "alpha": alpha}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info import Channel, Joint
+from .info import Channel, Joint, _probs
 from .learning import FiniteLearningProblem, gen_table
 
 __all__ = [
@@ -65,9 +65,41 @@ class RdSolution:
     converged: bool
 
 
-def _ba_fixed_multiplier(
-    p: np.ndarray, d: np.ndarray, s: float, tol: float, q0: np.ndarray | None = None
-):
+class _BaProblem:
+    """One source and distortion matrix, validated and prepared for BA solves.
+
+    `rd_curve` and `blahut_arimoto` build one per call; every solve of the
+    call shares it. It holds what depends only on (source, distortion): the
+    row minima and the distortion shifted by them, the rate's base term, the
+    source support, and the work buffers that each step overwrites (two of
+    the distortion's shape, one with an entry per source symbol). Raises
+    ValueError for a source that is not a pmf (`info._probs`) or a
+    distortion that is not a finite, non-empty 2-D array with one row per
+    source symbol.
+    """
+
+    def __init__(self, source, d: DistortionSpec | np.ndarray):
+        p = _probs(np.reshape(source, -1), 1)
+        dm = (d if isinstance(d, DistortionSpec) else DistortionSpec(d)).matrix
+        if dm.shape[0] != p.size:
+            raise ValueError("distortion rows must match the source alphabet")
+        self.p, self.d = p, dm
+        self.p_col = p[:, None]
+        dmin = dm.min(axis=1, keepdims=True)
+        self.shifted = dm - dmin
+        self.base = float((p * dmin[:, 0]).sum())  # the distortion floor
+        self.support = None if p.min() > 0 else p > 0
+        self.weighted = np.empty(dm.shape)
+        self.product = np.empty(dm.shape)
+        self.denom = np.empty(p.size)
+
+    def channel(self, s: float, q_in: np.ndarray) -> np.ndarray:
+        """The test channel that one BA step from marginal q_in makes at multiplier s."""
+        weighted = q_in * np.exp(-s * self.shifted)
+        return weighted / np.maximum(weighted.sum(axis=1), 1e-300)[:, None]
+
+
+def _ba_fixed_multiplier(prob: _BaProblem, s: float, tol: float, q0: np.ndarray | None = None):
     """Alternating minimization of I + s*E[d] at fixed multiplier s.
 
     The per-row exponent is shifted by the row minimum; the shift cancels in
@@ -76,42 +108,71 @@ def _ba_fixed_multiplier(
     accelerated by SQUAREM extrapolation with a monotone safeguard: an
     accelerated candidate is kept only if its Lagrangian value does not
     exceed the plain two-step value, so the objective is non-increasing
-    across accepted iterations (asserted). `q0` warm-starts the marginal.
+    across accepted iterations (checked). `q0` warm-starts the marginal.
+
+    A step writes its channel, its row normalizers and the distortion
+    products into the buffers of `prob` and keeps only marginals, so the
+    loop carries no channel. It returns (rate, distortion, q_in, q_out,
+    evaluations, converged): q_in is the input marginal of the accepted
+    step and q_out its output, the next solve's warm start.
+    `prob.channel(s, q_in)` rebuilds the accepted channel with the step's
+    expressions, to the bit, once the caller needs it. The log of an
+    all-positive q_out is handed to the step that takes it as input instead
+    of being taken again.
     """
-    ns, nw = d.shape
-    dmin = d.min(axis=1, keepdims=True)
-    a = np.exp(-s * (d - dmin))
-    base = float((p * dmin[:, 0]).sum())
-    psup = p > 0
+    p, p_col, d, support = prob.p, prob.p_col, prob.d, prob.support
+    weighted, product, denom = prob.weighted, prob.product, prob.denom
+    denom_col = denom[:, None]
+    # the ufunc reductions are what ndarray.sum and .min call, minus a Python wrapper
+    add, minimum = np.add.reduce, np.minimum.reduce
+    a = np.exp(-s * prob.shifted)
+    base = prob.base
+    nw = d.shape[1]
     if q0 is None:
         q = np.full(nw, 1.0 / nw)
     else:
-        q = np.clip(np.asarray(q0, dtype=float), 1e-9, None)
-        q = q / q.sum()
+        q = np.maximum(q0, 1e-9)
+        q = q / add(q)
 
-    def step(q_in: np.ndarray):
-        """One BA update; returns (q_out, rate, dist, channel) with
+    def step(q_in: np.ndarray, log_in: np.ndarray | None):
+        """One BA update; returns (q_out, log q_out or None, rate, dist) with
         rate = I(p, channel) computed log-free via
         log ch_ij = log q_j + log a_ij - log Z_i, log a_ij = -s (d_ij - dmin_i)."""
-        weighted = q_in[None, :] * a
-        denom = np.maximum(weighted.sum(axis=1), 1e-300)
-        channel = weighted / denom[:, None]
-        q_out = p @ channel
-        dist = float((p[:, None] * channel * d).sum())
-        pos = q_out > 0
-        mix = float((q_out[pos] * (np.log(q_in[pos]) - np.log(q_out[pos]))).sum())
-        rate = mix - s * (dist - base) - float((p[psup] * np.log(denom[psup])).sum())
-        return q_out, max(rate, 0.0), dist, channel
+        np.multiply(q_in, a, out=weighted)
+        add(weighted, axis=1, out=denom)
+        np.maximum(denom, 1e-300, out=denom)
+        np.divide(weighted, denom_col, out=weighted)  # the channel
+        q_out = p @ weighted
+        np.multiply(p_col, weighted, out=product)
+        np.multiply(product, d, out=product)
+        dist = float(add(product, axis=None))
+        if minimum(q_out) > 0:
+            log_out = np.log(q_out)
+            if log_in is None:
+                log_in = np.log(q_in)
+            mix = float(add(q_out * (log_in - log_out)))
+        else:
+            log_out = None
+            pos = q_out > 0
+            mix = float(add(q_out[pos] * (np.log(q_in[pos]) - np.log(q_out[pos]))))
+        if support is None:
+            norm = float(add(p * np.log(denom)))
+        else:
+            norm = float(add(p[support] * np.log(denom[support])))
+        rate = mix - s * (dist - base) - norm
+        return q_out, log_out, max(rate, 0.0), dist
 
     prev_rate = math.inf
     prev_objective = math.inf
     rate = 0.0
     dist = 0.0
-    channel = np.tile(q, (ns, 1))
+    log_q = None
+    q_in = q
     evals = 0
     converged = False
     while evals < MAX_ITER:
-        q1, rate, dist, channel = step(q)
+        q1, log1, rate, dist = step(q, log_q)
+        q_in = q
         evals += 1
         objective = rate + s * dist
         if objective > prev_objective + 1e-9 * max(1.0, abs(prev_objective)):
@@ -121,57 +182,44 @@ def _ba_fixed_multiplier(
             break
         prev_rate, prev_objective = rate, objective
         if evals + 3 > MAX_ITER:
-            q = q1
+            q, log_q = q1, log1
             continue
         # SQUAREM extrapolation q' = q - 2 alpha r + alpha^2 v
-        q2, rate2, dist2, channel2 = step(q1)
+        q2, log2, rate2, dist2 = step(q1, log1)
         evals += 1
         r = q1 - q
         v = (q2 - q1) - r
         vnorm = float(v @ v)
         if vnorm <= 1e-30:
-            q, prev_rate, prev_objective, rate, dist, channel = (
-                q2, rate2, rate2 + s * dist2, rate2, dist2, channel2)
+            q_in, q, log_q, prev_rate, prev_objective, rate, dist = (
+                q1, q2, log2, rate2, rate2 + s * dist2, rate2, dist2)
             continue
         alpha = min(-1.0, -math.sqrt(float(r @ r) / vnorm))
-        q_acc = np.clip(q - 2 * alpha * r + alpha**2 * v, 0.0, None)
-        q_acc /= q_acc.sum()
-        q3, rate3, dist3, channel3 = step(q_acc)
+        q_acc = np.maximum(q - 2 * alpha * r + alpha**2 * v, 0.0)
+        q_acc /= add(q_acc)
+        q3, log3, rate3, dist3 = step(q_acc, None)
         evals += 1
         if rate3 + s * dist3 <= rate2 + s * dist2:
-            q, rate, dist, channel = q3, rate3, dist3, channel3
+            q_in, q, log_q, rate, dist = q_acc, q3, log3, rate3, dist3
         else:
-            q, rate, dist, channel = q2, rate2, dist2, channel2
+            q_in, q, log_q, rate, dist = q1, q2, log2, rate2, dist2
         prev_rate, prev_objective = rate, rate + s * dist
-    return max(rate, 0.0), dist, channel, evals, converged
+    return max(rate, 0.0), dist, q_in, q1 if converged else q, evals, converged
 
 
 def blahut_arimoto(source, d: DistortionSpec | np.ndarray, lagrange: float) -> RdSolution:
     """One Lagrangian-optimal point of the rate-distortion curve.
 
     Returns the rate and distortion attained at the given multiplier; with
-    lagrange=0 the channel collapses to identical rows (rate 0).
+    lagrange=0 the channel collapses to identical rows (rate 0). Raises
+    ValueError for invalid inputs (see `_BaProblem`) and for a multiplier
+    that is negative or not finite.
     """
-    p = np.asarray(source, dtype=float).reshape(-1)
-    dm = d.matrix if isinstance(d, DistortionSpec) else np.asarray(d, dtype=float)
-    if dm.shape[0] != p.size:
-        raise ValueError("distortion rows must match the source alphabet")
-    if dm.shape[1] == 0:
-        raise ValueError("reproduction alphabet must be non-empty")
-    if lagrange < 0:
-        raise ValueError("lagrange multiplier must be non-negative")
-    rate, dist, channel, iters, converged = _ba_fixed_multiplier(p, dm, lagrange, RATE_TOL)
-    return RdSolution(rate, dist, Channel(channel), float(lagrange), iters, converged)
-
-
-def _distortion_floor(p: np.ndarray, dm: np.ndarray) -> float:
-    return float((p * dm.min(axis=1)).sum())
-
-
-def _zero_rate_distortion(p: np.ndarray, dm: np.ndarray) -> tuple[float, int]:
-    col = p @ dm
-    j = int(np.argmin(col))
-    return float(col[j]), j
+    prob = _BaProblem(source, d)
+    if not 0 <= lagrange < math.inf:
+        raise ValueError("lagrange multiplier must be finite and non-negative")
+    rate, dist, q_in, _, iters, converged = _ba_fixed_multiplier(prob, lagrange, RATE_TOL)
+    return RdSolution(rate, dist, Channel(prob.channel(lagrange, q_in)), float(lagrange), iters, converged)
 
 
 def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSolution:
@@ -179,15 +227,24 @@ def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSoluti
 
     Outer bisection on the Lagrange multiplier drives the achieved distortion
     into [epsilon - DIST_TOL, epsilon]; at the lossless floor the multiplier
-    is grown until the rate stabilizes instead.
+    is grown until the rate stabilizes instead. The inputs are validated and
+    prepared once (`_BaProblem`), so every BA solve of the call shares the
+    set-up and the step buffers; each solve warm-starts from the previous
+    solve's output marginal, and only the returned solve's channel is built.
+    Raises ValueError for invalid inputs and a non-finite epsilon, before
+    any solve, and InfeasibleDistortion below the distortion floor.
     """
-    p = np.asarray(source, dtype=float).reshape(-1)
-    dm = d.matrix if isinstance(d, DistortionSpec) else np.asarray(d, dtype=float)
-    floor = _distortion_floor(p, dm)
+    prob = _BaProblem(source, d)
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
+    p, dm = prob.p, prob.d
+    floor = prob.base
     if epsilon < floor - 1e-12 * max(1.0, abs(floor)):
         raise InfeasibleDistortion(f"epsilon={epsilon} below the achievable floor {floor}")
 
-    zero_rate_d, best_col = _zero_rate_distortion(p, dm)
+    col = p @ dm
+    best_col = int(np.argmin(col))
+    zero_rate_d = float(col[best_col])
     if epsilon >= zero_rate_d - 1e-15:
         rows = np.zeros((p.size, dm.shape[1]))
         rows[:, best_col] = 1.0
@@ -202,22 +259,21 @@ def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSoluti
         q_warm = None
         best = None
         for _ in range(60):
-            rate, dist, channel, iters, conv = _ba_fixed_multiplier(p, dm, s, coarse, q_warm)
-            q_warm = p @ channel
+            rate, _, _, q_warm, _, _ = _ba_fixed_multiplier(prob, s, coarse, q_warm)
             best = (s, q_warm)
             if prev is not None and abs(prev - rate) < max(coarse, 1e-12):
                 break
             prev = rate
             s *= 2.0
-        rate, dist, channel, iters, conv = _ba_fixed_multiplier(p, dm, best[0], RATE_TOL, best[1])
-        return RdSolution(rate, dist, Channel(channel), best[0], iters, conv)
+        s = best[0]
+        rate, dist, q_in, _, iters, conv = _ba_fixed_multiplier(prob, s, RATE_TOL, best[1])
+        return RdSolution(rate, dist, Channel(prob.channel(s, q_in)), s, iters, conv)
 
     lo = 0.0
     hi = 8.0 / scale
     q_warm = None
     for _ in range(80):
-        _, dist, channel, _, _ = _ba_fixed_multiplier(p, dm, hi, coarse, q_warm)
-        q_warm = p @ channel
+        _, dist, _, q_warm, _, _ = _ba_fixed_multiplier(prob, hi, coarse, q_warm)
         if dist <= epsilon:
             break
         hi *= 2.0
@@ -226,8 +282,7 @@ def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSoluti
     found = None
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        rate, dist, channel, iters, conv = _ba_fixed_multiplier(p, dm, mid, coarse, q_warm)
-        q_warm = p @ channel
+        _, dist, _, q_warm, _, _ = _ba_fixed_multiplier(prob, mid, coarse, q_warm)
         if dist <= epsilon:
             hi = mid
             found = (mid, q_warm)
@@ -237,13 +292,13 @@ def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSoluti
             lo = mid
     if found is None:
         found = (hi, None)
-    rate, dist, channel, iters, conv = _ba_fixed_multiplier(p, dm, found[0], RATE_TOL, found[1])
+    s = found[0]
+    rate, dist, q_in, q_warm, iters, conv = _ba_fixed_multiplier(prob, s, RATE_TOL, found[1])
     if dist > epsilon + max(DIST_TOL, 1e-12):
         # polishing drifted past the target; nudge the multiplier upward
-        rate, dist, channel, iters, conv = _ba_fixed_multiplier(
-            p, dm, found[0] * (1 + 1e-6) + 1e-12, RATE_TOL, p @ channel
-        )
-    return RdSolution(rate, dist, Channel(channel), found[0], iters, conv)
+        s = found[0] * (1 + 1e-6) + 1e-12
+        rate, dist, q_in, _, iters, conv = _ba_fixed_multiplier(prob, s, RATE_TOL, q_warm)
+    return RdSolution(rate, dist, Channel(prob.channel(s, q_in)), found[0], iters, conv)
 
 
 def rd_gen(
@@ -277,6 +332,8 @@ def rd_dimension(source, rho: DistortionSpec | np.ndarray, eps_grid) -> tuple[li
     eps = [float(e) for e in eps_grid]
     if len(eps) < 3:
         raise ValueError("need at least 3 grid points")
+    if not all(map(math.isfinite, eps)):
+        raise ValueError("epsilon grid points must be finite")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon grid must be strictly decreasing")
     rates = [rd_curve(source, rho, e).rate_nats for e in eps]

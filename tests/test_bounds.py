@@ -491,6 +491,48 @@ class TestThm5:
             thm5_expectation_bound("i", P, pws, q, gt + 1.0, gt, 2.0, 0.0)
 
 
+class TestMultiplierDomain:
+    """Theorems 3-5 take lam in (0, inf); anything else is a ValueError."""
+
+    p = np.full((2, 2), 0.5)
+    g = np.array([[0.1, 0.2], [0.3, 0.0]])
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf])
+    def test_condition_rejects_lam(self, lam):
+        half = [0.5, 0.5]
+        with pytest.raises(ValueError, match="multiplier"):
+            check_thm4_condition("i", half, None, self.p, self.p, lam, None, self.g, [0.1, 0.2], 0.0, half, 0.1)
+        with pytest.raises(ValueError, match="multiplier"):
+            check_thm3_condition("i", np.full((2, 2), 0.25), self.p, self.p, lam, None, self.g,
+                                 np.zeros((2, 2)), 0.0, np.full((2, 2), 0.25), 0.1)
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("part", ["i", "ii"])
+    def test_thm5_rejects_lam(self, part, lam):
+        f = self.g + 0.1
+        with pytest.raises(ValueError, match="multiplier"):
+            thm5_expectation_bound(part, np.full((2, 2), 0.25), self.p, self.p[0], f, f, lam, alpha=2.0)
+
+    def test_optimised_lam_unchanged(self):
+        # float.hex of (bound, lambda, terms) recorded before thm5 checked its
+        # log-MGF inputs once per bound instead of once per lambda
+        prob, alg, joint, ctx = exact_instance(86, n=4)
+        gt = gen_table(prob, ctx)
+        P = np.asarray(joint)
+        pws = P / P.sum(axis=1, keepdims=True)
+        q = P.sum(axis=0)
+        ri = thm5_expectation_bound("i", P, pws, q, gt, gt, None, 0.0)
+        rii = thm5_expectation_bound("ii", P, pws, q, gt**2 + 0.05, gt**2 + 0.05, None, alpha=2.0)
+        got = [
+            (float(r.bound_value).hex(), float(r.params["lambda"]).hex(), *(float(v).hex() for v in r.terms.values()))
+            for r in (ri, rii)
+        ]
+        assert got == [
+            ("0x1.3009f8694ba71p-6", "0x1.00dd21f20ef96p+2", "0x1.2b532e96d6922p-7", "0x1.34c0c23bc0bc0p-7", "0x0.0p+0"),
+            ("0x1.d606a44fe2520p-5", "0x1.2de1b1986bf7cp+1", "0x1.f1783e6385649p-6", "-0x1.71b9fe862cf5ep+1"),
+        ]
+
+
 class TestRdTailBound:
     def test_constant_posterior_zero_rd(self):
         gen = rng(91)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -74,6 +75,116 @@ class TestBlahutArimoto:
     def test_achieved_distortion_within_target(self):
         sol = rd_curve([0.3, 0.7], DistortionSpec(hamming(2), 0.12), 0.12)
         assert sol.achieved_distortion <= 0.12 + 1e-9
+
+
+def random_problem(seed, zero=None):
+    gen = rng(seed)
+    p = gen.dirichlet(np.ones(4))
+    if zero is not None:
+        p[zero] = 0.0
+        p /= p.sum()
+    d = gen.uniform(0, 1, size=(4, 4))
+    np.fill_diagonal(d, 0.0)
+    return p, d
+
+
+def between_floor_and_zero_rate(p, d, frac):
+    floor = float((p * d.min(axis=1)).sum())
+    return floor + frac * (float((p @ d).min()) - floor)
+
+
+def abs_problem(k):
+    grid = np.arange(k) / (k - 1)
+    return np.full(k, 1.0 / k), np.abs(grid[:, None] - grid[None, :])
+
+
+# Every call runs a different branch of the solver: plain SQUAREM-accelerated
+# solves, a step whose output marginal has exact zeros (the masked log branch:
+# the third reproduction symbol is never optimal and exp underflows at this
+# multiplier), a solve stopped at MAX_ITER, rd_curve's bracketing plus
+# bisection, its lossless edge, and a source with a zero-probability symbol.
+GOLDEN_CALLS = {
+    "ba_random": lambda: blahut_arimoto(*random_problem(72), 3.0),
+    "ba_masked": lambda: blahut_arimoto([0.4, 0.6], [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]], 1000.0),
+    "ba_max_iter": lambda: blahut_arimoto(*abs_problem(16), 2.072265625),
+    "rd_bisection": lambda: rd_curve(
+        *random_problem(72), between_floor_and_zero_rate(*random_problem(72), 0.3)
+    ),
+    "rd_lossless": lambda: rd_curve(*random_problem(72), 0.0),
+    "rd_partial_support": lambda: rd_curve(
+        *random_problem(71, zero=2), between_floor_and_zero_rate(*random_problem(71, zero=2), 0.4)
+    ),
+}
+
+# (rate, distortion, multiplier as float.hex, iterations, converged, sha256 of
+# the channel bytes), recorded before the solver was restructured around one
+# prepared problem per call; any change to the floating-point operations of a
+# BA step shows up here.
+GOLDEN = {
+    "ba_random": ("0x1.5158dcd5f4a5ep-3", "0x1.109eb783ce0f9p-3", "0x1.8000000000000p+1", 31, True,
+                  "5b90076f6bb13514944a2d993c7e3206e6fab291ecd9a32f63e2035e4b8a7965"),
+    "ba_masked": ("0x1.5894fc37432c8p-1", "0x0.0p+0", "0x1.f400000000000p+9", 4, True,
+                  "e7c6bff0f84ed48b4f18ee4f3f45716a62d7b2c9d6000334483986fa86bbbe3d"),
+    "ba_max_iter": ("0x1.b238989200b00p-8", "0x1.0c941e13bc1a0p-2", "0x1.0940000000000p+1", 10000, False,
+                    "63b3f2c8dd8cb97732c0711dde99a74ee7cb5fa2122b683c5d71018ad2c1f928"),
+    "rd_bisection": ("0x1.145d4be44bf24p-1", "0x1.c265074fb5caap-5", "0x1.ccefaef3bacb6p+2", 3, True,
+                     "4cc0d8617b2c52f0827514523d825660b61d6899a78bd212b508cce8614428d4"),
+    "rd_lossless": ("0x1.30dffb7dcae88p+0", "0x1.8cb4948dbf44ap-54", "0x1.076463f8fd068p+8", 3, True,
+                    "4b4045259cd0a1096f251ebe5951edc1b3220b2e6f6df71d438b5b9c4a5fafe3"),
+    "rd_partial_support": ("0x1.ff78b05a270c6p-3", "0x1.68c9d75c140e6p-7", "0x1.300a459caf5a6p+4", 7, True,
+                           "8c6ce04c3d90109735d612e204a605150a1ce55a800dcaec2b0b7c62c990f625"),
+}
+
+
+class TestBitExactSolver:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CALLS))
+    def test_golden(self, name):
+        sol = GOLDEN_CALLS[name]()
+        channel = np.ascontiguousarray(np.asarray(sol.channel, dtype=float))
+        got = (
+            float(sol.rate_nats).hex(),
+            float(sol.achieved_distortion).hex(),
+            float(sol.lagrange_lambda).hex(),
+            sol.iterations,
+            sol.converged,
+            hashlib.sha256(channel.tobytes()).hexdigest(),
+        )
+        assert got == GOLDEN[name]
+
+
+class TestInputContract:
+    abs4 = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))) / 3.0
+
+    @pytest.mark.parametrize(
+        "source",
+        [[-0.5, 0.5, 0.5, 0.5], [0.5] * 4, [0.25, 0.25, np.nan, 0.5], [0.25, 0.25, np.inf, 0.5]],
+    )
+    def test_source_must_be_a_pmf(self, source):
+        with pytest.raises(ValueError, match="probabilit"):
+            rd_curve(source, self.abs4, 0.5)
+        with pytest.raises(ValueError, match="probabilit"):
+            blahut_arimoto(source, self.abs4, 1.0)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+    def test_epsilon_must_be_finite(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            rd_curve(np.full(4, 0.25), self.abs4, epsilon)
+
+    @pytest.mark.parametrize("lagrange", [np.inf, np.nan, -1.0])
+    def test_lagrange_must_be_finite_and_non_negative(self, lagrange):
+        with pytest.raises(ValueError, match="lagrange"):
+            blahut_arimoto(np.full(4, 0.25), self.abs4, lagrange)
+
+    @pytest.mark.parametrize("d", [np.ones((3, 4)), np.ones((4, 0)), np.ones(4), [[0.0, np.nan]] * 4])
+    def test_distortion_shape_and_entries(self, d):
+        with pytest.raises(ValueError, match="distortion"):
+            rd_curve(np.full(4, 0.25), d, 0.5)
+        with pytest.raises(ValueError, match="distortion"):
+            blahut_arimoto(np.full(4, 0.25), d, 1.0)
+
+    def test_dimension_grid_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            rd_dimension(np.full(4, 0.25), DistortionSpec(self.abs4, 0), [0.3, np.nan, 0.1])
 
 
 class TestRdGen:
