@@ -22,7 +22,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .info import Joint, _kl_rows, _pair, _probs, gdelta_sup, kl_divergence, renyi_divergence
 from .learning import FiniteLearningProblem, induced_joint
@@ -202,12 +201,30 @@ def _mgf_cells(P_S, q_hat, g) -> tuple[np.ndarray, np.ndarray]:
     return logw[live], gm[live]
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum exp(a) of a 1-D array: -inf when it is empty or all -inf, +inf if any term is.
+
+    The steps are scipy.special.logsumexp's, and so are the result's bits:
+    the m cells at the maximum are counted and left out of the shifted sum
+    s, which is then divided by m unless it is 0, and the result is
+    log1p(s) + log(m) + max, each on a 1-element array.
+    """
+    if a.size == 0:
+        return -math.inf
+    top = a.max(keepdims=True)
+    if top[0] == -math.inf:
+        return -math.inf
+    at_top = a == top
+    m = at_top.sum(keepdims=True, dtype=float)
+    s = np.exp(np.where(at_top, -np.inf, a) - top).sum(keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return float((np.log1p(s) + np.log(m) + top)[0])
+
+
 def _log_mgf_cells(logw: np.ndarray, g: np.ndarray) -> float:
     """logsumexp(logw + g) over the cells from `_mgf_cells`; +inf if any term is."""
     terms = logw + g
-    if np.any(terms == np.inf):
-        return math.inf
-    return float(logsumexp(terms[terms > -np.inf]))
+    return _logsumexp(terms[terms > -np.inf])
 
 
 def log_mgf(P_S, q_hat, g) -> float:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import binom
 
 from .bounds import BoundReport, _check_domain, _finish
 from .seeding import rng as _rng, rngs
@@ -53,6 +52,132 @@ __all__ = [
 ]
 
 MAX_N = 12  # memory cap: d = (3/4) 2n^2 2^n coordinates per instance
+
+
+# Binomial pmf in Loader's saddle-point form (Loader 2000, "Fast and accurate
+# computation of binomial probabilities"; R's dbinom): each cell is
+# exp(stirlerr(d) - stirlerr(k) - stirlerr(d-k) - bd0(k, dp) - bd0(d-k, dq)
+# - log(2 pi k (1 - k/d)) / 2), with no lgamma difference to cancel.
+# _STIRLERR[k] = log k! - (k + 1/2) log k + k - log sqrt(2 pi), correctly rounded
+# for k = 1..15 ([0] is never read); R's series takes over above 15.
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
+_LN_2PI = math.log(2 * math.pi)
+# exp(x) is exactly 0 in float64 for every x below this
+_LOG_UNDERFLOW = -746.0
+
+
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    """Stirling-series error at integers k >= 1: the table up to 15, R's series above."""
+    small = k <= 15
+    out = _STIRLERR[np.where(small, k, 0).astype(int)]
+    if not small.all():
+        big = k[~small]
+        kk = big * big
+        out[~small] = np.select(
+            [big > 500, big > 80, big > 35],
+            [(_S0 - _S1 / kk) / big,
+             (_S0 - (_S1 - _S2 / kk) / kk) / big,
+             (_S0 - (_S1 - (_S2 - _S3 / kk) / kk) / kk) / big],
+            (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / big,
+        )
+    return out
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker, by Veltkamp splits)."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _bd0(x: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Deviance x log(x/m) + m - x for x > 0 as an unevaluated sum hi + lo.
+
+    Where |x - m| < 0.1 (x + m) it is R's series (lo = 0). Elsewhere it is
+    x log1p((x - m)/m) - (x - m), whose product and difference carry their
+    rounding errors in lo: tail cells have deviances of several hundred, so
+    the rounding of these two steps alone would cost up to 1e-13 of the cell.
+    """
+    dev = x - m
+    prod, e_prod = _two_prod(x, np.log1p(dev / m))
+    hi, e_diff = _two_sum(prod, -dev)
+    lo = e_diff + e_prod
+    near = np.abs(dev) < 0.1 * (x + m)
+    if near.any():
+        xn = x[near]
+        v = dev[near] / (xn + m)
+        s = dev[near] * v
+        ej = 2 * xn * v
+        v = v * v
+        for j in range(1, 1000):  # v^2 < 0.01: each term is 100 times smaller
+            ej = ej * v
+            s1 = s + ej / (2 * j + 1)
+            if np.array_equal(s1, s):
+                break
+            s = s1
+        hi[near], lo[near] = s, 0.0
+    return hi, lo
+
+
+def _binom_logpmf(k: np.ndarray, d: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """log Binomial(d, p) pmf as hi + lo at the integers k (as floats) in [0, d].
+
+    For d >= 1 and 0 < p < 1. The edge cells k = 0 and k = d follow R's
+    dbinom_raw. Inner cells add the small terms first and the deviance of k
+    last, the largest term, with the rounding errors collected in lo.
+    """
+    q = 1.0 - p
+    one = np.ones(1)
+    hi, lo = np.empty(k.shape), np.zeros(k.shape)
+    inner = (k > 0) & (k < d)
+    ki = k[inner]
+    dev_k, lo_k = _bd0(ki, d * p)
+    dev_rest, lo_rest = _bd0(d - ki, d * q)
+    rest = (_stirlerr(d * one) - _stirlerr(ki) - _stirlerr(d - ki)
+            - 0.5 * (_LN_2PI + np.log(ki) + np.log1p(-ki / d)) - dev_rest)
+    hi[inner], e = _two_sum(rest, -dev_k)
+    lo[inner] = e - lo_k - lo_rest
+    hi[k == 0] = -_bd0(d * one, d * q)[0] - d * p if p < 0.1 else d * np.log(q)
+    hi[k == d] = -_bd0(d * one, d * p)[0] - d * q if q < 0.1 else d * np.log(p)
+    return hi, lo
+
+
+def _binom_pmf(d: int, p: float) -> np.ndarray:
+    """Binomial(d, p) pmf over k = 0..d for 0 < p < 1.
+
+    The pmf falls above its mode floor((d + 1) p), so once a cell past the
+    mode underflows, every later cell is the exact 0 it would round to:
+    cells are evaluated in growing blocks up to the first such cell.
+    """
+    pmf = np.zeros(d + 1)
+    if d == 0:
+        pmf[0] = 1.0
+        return pmf
+    mode = int((d + 1) * p)
+    lo, hi = 0, min(d, mode + 64 + 64 * math.isqrt(mode))  # a first guess; the loop extends it
+    while True:
+        log_hi, log_lo = _binom_logpmf(np.arange(lo, hi + 1.0), d, p)
+        cells = np.exp(log_hi)
+        pmf[lo : hi + 1] = cells + cells * log_lo
+        if hi == d or (hi > mode and log_hi[-1] < _LOG_UNDERFLOW):
+            return pmf
+        lo, hi = hi + 1, min(d, 2 * hi)
 
 
 @dataclass(frozen=True)
@@ -87,7 +212,7 @@ class ScoInstance:
     @cached_property
     def bad_count_pmf(self) -> np.ndarray:
         """Read-only Binomial(d, 2^-n) pmf of the bad-coordinate count over k = 0..d."""
-        pmf = binom.pmf(np.arange(self.d + 1), self.d, 2.0 ** (-self.n))
+        pmf = _binom_pmf(self.d, 2.0 ** (-self.n))
         pmf.flags.writeable = False
         return pmf
 

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 PROB_ATOL = 1e-12
+SUM_ATOL = 1e-10
 GDELTA_SLACK = 1e-9
 
 
@@ -44,25 +45,35 @@ def _probs(a, ndim: int, rows: bool = False) -> np.ndarray:
     """`a` as a non-empty pmf array of `ndim` axes, or with `rows` one pmf per row.
 
     This is the one definition of a valid pmf: entries finite and at least
-    -PROB_ATOL, and each sum within PROB_ATOL per summed entry of 1. Returns a
-    fresh read-only copy with the entries below 0 set to 0, so that p > 0 is
-    the support and log q is -inf off the support of q.
+    -PROB_ATOL, and, once the entries below 0 are set to 0, every sum within
+    SUM_ATOL of 1, whatever the number of entries. A 2-D table is summed
+    along both marginals (a row sum each, then their total; likewise for the
+    columns), the sums that its marginals' own checks take, so the marginals
+    of an accepted table are accepted, and so are its rows divided by their
+    sums. Returns that fresh read-only copy, so that p > 0 is the support
+    and log q is -inf off the support of q.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != ndim or a.size == 0:
         raise ValueError(f"expected a non-empty {ndim}-D probability array, got shape {a.shape}")
-    # a NaN or infinite entry makes its sum, and so the largest deviation,
-    # non-finite: one sum and one min cost less than np.isfinite over the entries.
+    low = a.min()  # NaN if any entry is
+    if not low >= -PROB_ATOL:
+        if math.isnan(low) or low == -math.inf:
+            raise ValueError("probability entries must be finite")
+        raise ValueError("probability entries must be non-negative")
+    a = np.maximum(a, 0.0)
     # einsum sums short rows about twice as fast as sum(axis=-1) (5456 x 4 q rows
     # of thm5, checked in each log_mgf call of its lambda search)
-    off = np.abs(np.einsum("ij->i", a) - 1.0).max() if rows else abs(a.sum() - 1.0)
+    if rows:
+        off = np.abs(np.einsum("ij->i", a) - 1.0).max()
+    elif ndim == 2:
+        off = max(abs(a.sum(axis=1).sum() - 1.0), abs(a.sum(axis=0).sum() - 1.0))
+    else:
+        off = abs(a.sum() - 1.0)
     if not math.isfinite(off):
         raise ValueError("probability entries must be finite")
-    if a.min() < -PROB_ATOL:
-        raise ValueError("probability entries must be non-negative")
-    if off > PROB_ATOL * (a.shape[-1] if rows else a.size):
+    if off > SUM_ATOL:
         raise ValueError(f"probabilities must sum to 1{' in every row' if rows else ''} (off by {off:.3g})")
-    a = np.maximum(a, 0.0)
     a.setflags(write=False)
     return a
 

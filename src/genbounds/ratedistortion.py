@@ -94,9 +94,19 @@ class _BaProblem:
         self.denom = np.empty(p.size)
 
     def channel(self, s: float, q_in: np.ndarray) -> np.ndarray:
-        """The test channel that one BA step from marginal q_in makes at multiplier s."""
+        """The test channel that one BA step from marginal q_in makes at multiplier s.
+
+        A row whose normaliser underflows to 0 is the point mass on its
+        least-distortion reproduction. That happens at a large s when the
+        reproductions that a symbol can reach have marginal 0, as for a
+        symbol of probability 0. Every other row is the step's, to the bit.
+        """
         weighted = q_in * np.exp(-s * self.shifted)
-        return weighted / np.maximum(weighted.sum(axis=1), 1e-300)[:, None]
+        z = weighted.sum(axis=1)
+        rows = weighted / np.where(z > 0, z, 1.0)[:, None]
+        dead = np.flatnonzero(z == 0)
+        rows[dead, self.shifted[dead].argmin(axis=1)] = 1.0
+        return rows
 
 
 def _ba_fixed_multiplier(prob: _BaProblem, s: float, tol: float, q0: np.ndarray | None = None):

@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .bounds import BoundReport, _check_domain, _finish
 from .info import Pmf, gdelta_sup, mutual_information
@@ -402,10 +401,31 @@ def lr_sweep(
         rows.append(SweepRow(lr=lr, mean_gen=float(np.mean(gens)), rd_nats=sol.rate_nats, flag="ok"))
     ok = [(r.mean_gen, r.rd_nats) for r in rows if r.flag == "ok"]
     if len(ok) >= 2 and len({g for g, _ in ok}) > 1 and len({r for _, r in ok}) > 1:
-        rho_val = float(spearmanr([g for g, _ in ok], [r for _, r in ok]).statistic)
+        rho_val = _spearman([g for g, _ in ok], [r for _, r in ok])
     else:
         rho_val = math.nan
     return SweepResult(rows=rows, spearman_rho=rho_val)
+
+
+def _average_ranks(x) -> np.ndarray:
+    """Ranks 1..n of the entries of x, tied entries sharing their mean rank."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1], True])  # tie-group starts, then n
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((first[:-1] + first[1:] + 1) / 2.0, np.diff(first))
+    return ranks
+
+
+def _spearman(x, y) -> float:
+    """Spearman's rho: the Pearson correlation of the average ranks of x and y.
+
+    Both need at least two distinct values; the caller checks that. The
+    steps are scipy.stats.spearmanr's (np.corrcoef of the rank columns).
+    """
+    ranks = np.column_stack([_average_ranks(x), _average_ranks(y)])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def _child(seed: int, *path: int) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from genbounds.bounds import (
+    _logsumexp,
     check_thm3_condition,
     check_thm4_condition,
     channel_kl,
@@ -772,6 +773,29 @@ class TestReportInvariants:
         # 0 e^{+inf} counts as 0: a cell of weight 0 adds nothing and nothing warns
         assert log_mgf([0.0, 1.0], [0.5, 0.5], [[math.inf, 0.0], [0.0, 0.0]]) == 0.0
         assert log_mgf([0.5, 0.5], [[0.0, 1.0], [0.5, 0.5]], [[math.inf, 0.0], [0.0, 0.0]]) == 0.0
+
+
+class TestLogsumexpOracle:
+    # the numpy log-sum-exp follows scipy's steps, so it must give scipy's bits
+
+    def test_bits_match_scipy(self):
+        logsumexp = pytest.importorskip("scipy.special").logsumexp
+        gen = rng(91)
+        for t in range(2000):
+            n = int(gen.integers(1, 120))
+            a = gen.normal(size=n) * [1e-3, 1.0, 30.0, 300.0][t % 4] + 50 * gen.normal()
+            if t % 3 == 0:
+                a = np.round(a, t % 2)  # ties, at the maximum too
+            if t % 5 == 0:
+                a[gen.random(n) < 0.3] = -np.inf
+            if t % 50 == 0:
+                a[int(gen.integers(n))] = np.inf
+            assert _logsumexp(a) == float(logsumexp(a)), a
+
+    @pytest.mark.parametrize("a", [[], [-np.inf], [-np.inf, -np.inf], [np.inf, 0.0], [2.5, 2.5, 2.5]])
+    def test_edges_match_scipy(self, a):
+        logsumexp = pytest.importorskip("scipy.special").logsumexp
+        assert _logsumexp(np.array(a, dtype=float)) == float(logsumexp(np.array(a, dtype=float)))
 
 
 class TestHelpers:

@@ -6,6 +6,7 @@ import pytest
 
 from genbounds.bounds import reconstruct_bound
 from genbounds.counterexample import (
+    _binom_pmf,
     ScalingRow,
     ScoInstance,
     assemble_bound,
@@ -28,6 +29,40 @@ from genbounds.seeding import rng
 def sample_bits(inst, seed):
     gen = rng(seed)
     return (gen.random((inst.n, inst.d)) < 0.5).astype(np.uint8)
+
+
+# the SCO's Binomial(d, 2^-n) laws for n = 1..10, the smallest d, and p = 1/2
+BINOM_CASES = [(ScoInstance(n).d, 2.0 ** -n) for n in range(1, 11)] + [
+    (d, p) for d in (0, 1, 2) for p in (0.5, 0.3, 2.0 ** -10)
+] + [(10, 0.5), (1000, 0.5)]
+
+
+class TestBinomPmfOracle:
+    @pytest.mark.parametrize("d, p", BINOM_CASES)
+    def test_nonzero_cells_match_scipy(self, d, p):
+        binom = pytest.importorskip("scipy.stats").binom
+        ours = _binom_pmf(d, p)
+        assert ours.shape == (d + 1,)
+        assert np.array_equal(ours > 0, binom.pmf(np.arange(d + 1), d, p) > 0)
+        assert ours.sum() == pytest.approx(1.0, abs=1e-13)
+
+    def test_error_within_scipys_against_mpmath(self):
+        # relative error against exact binomial terms, on the cells above 1e-300
+        # (both sides are normal floats there); Loader's form must be at most
+        # as far off as scipy over these cases
+        binom = pytest.importorskip("scipy.stats").binom
+        mp = pytest.importorskip("mpmath")
+        worst = {"ours": 0.0, "scipy": 0.0}
+        with mp.workdps(40):
+            for d, p in BINOM_CASES:
+                ours, theirs = _binom_pmf(d, p), binom.pmf(np.arange(d + 1), d, p)
+                pm = mp.mpf(p)
+                for k in np.flatnonzero(theirs > 0):
+                    exact = mp.binomial(d, int(k)) * pm ** int(k) * (1 - pm) ** (d - int(k))
+                    if exact > mp.mpf("1e-300"):
+                        worst["ours"] = max(worst["ours"], float(abs(ours[k] / exact - 1)))
+                        worst["scipy"] = max(worst["scipy"], float(abs(theirs[k] / exact - 1)))
+        assert worst["ours"] <= worst["scipy"], worst
 
 
 class TestConstants:
@@ -330,7 +365,10 @@ class TestScaling:
 
     def test_rows_pinned(self):
         # values recorded when every trial rebuilt the binomial law and the
-        # terminal values; the law shared per n must reproduce them bit for bit
+        # terminal values; the law shared per n must reproduce them bit for bit.
+        # exact_mean_gen at n = 6 was re-recorded when the binomial pmf moved
+        # from scipy.stats.binom to Loader's form: 0.02277830405583544 became
+        # 0.022778304055835447 (1 ulp; see test_exact_mean_gen_matches_scipy)
         res = scaling_study([4, 6], 200, seed=3)
         assert res.rows == [
             ScalingRow(
@@ -341,8 +379,18 @@ class TestScaling:
             ScalingRow(
                 n=6, mc_mean_gen=0.022668752692322425, mc_se=0.00019390327428907075,
                 bound_expectation=0.5675960486621988, bound_tail=36.74958617794901,
-                event_rate=1.0, exact_mean_gen=0.02277830405583544,
+                event_rate=1.0, exact_mean_gen=0.022778304055835447,
             ),
         ]
         assert res.slope_bound == -1.3022656661170353
         assert res.slope_mc == -0.6095739493951906
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_exact_mean_gen_matches_scipy(self, n):
+        # the pinned exact_mean_gen against the same sum over scipy's binomial pmf
+        binom = pytest.importorskip("scipy.stats").binom
+        pinned = {4: 0.02945110661943899, 6: 0.022778304055835447}[n]
+        inst = ScoInstance(n)
+        assert exact_mean_gen(inst) == pinned
+        inst.__dict__["bad_count_pmf"] = binom.pmf(np.arange(inst.d + 1), inst.d, 2.0 ** -n)
+        assert exact_mean_gen(inst) == pytest.approx(pinned, rel=1e-13, abs=0)

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from genbounds.info import (
     Channel,
@@ -181,9 +184,40 @@ class TestNotAPmf:
             call()
 
     def test_rounding_slack_kept(self):
-        # entries down to -PROB_ATOL and sums within PROB_ATOL per entry pass, clipped to 0
+        # entries down to -PROB_ATOL pass, clipped to 0, and so do sums within SUM_ATOL
         assert kl_divergence([1.0 + 5e-13, -5e-13], [0.5, 0.5]) == pytest.approx(math.log(2))
         assert np.asarray(Pmf(np.array([1.0, -5e-13]))).tolist() == [1.0, 0.0]
+
+
+class TestToleranceClosed:
+    # one sum tolerance for every entry count: a table that passes has
+    # marginals and conditional rows that pass
+
+    def test_scaled_uniform_table(self):
+        j = Joint(np.full((4, 4), 1 / 16) * (1 + 8e-12))
+        assert j.marginal_s().alphabet_size == 4 and j.marginal_w().alphabet_size == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+               elements=st.floats(0.0, 1.0, allow_subnormal=False)),
+        st.floats(-3e-10, 3e-10),
+        st.floats(0.0, 2e-12),
+    )
+    def test_accepted_joint_has_accepted_marginals_and_rows(self, raw, rel_off, dip):
+        if raw.sum() == 0:
+            return
+        table = raw / raw.sum() * (1 + rel_off)
+        table[raw == 0] = -dip  # empty cells may dip below 0 by rounding
+        try:
+            j = Joint(table)
+        except ValueError:
+            return
+        Pmf(np.asarray(j.marginal_s()))
+        Pmf(np.asarray(j.marginal_w()))
+        t = np.asarray(j)
+        mass = t.sum(axis=1)
+        Channel(t[mass > 0] / mass[mass > 0, None])
 
 
 class TestBinaryKl:

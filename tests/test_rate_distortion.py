@@ -48,6 +48,19 @@ class TestBlahutArimoto:
         sol = rd_curve(np.full(3, 1 / 3), DistortionSpec(hamming(3), 0.0), 0.0)
         assert sol.rate_nats == pytest.approx(math.log(3), abs=1e-6)
 
+    def test_underflowed_row_is_argmin_point_mass(self):
+        # the zero-probability symbol's cheap reproduction has marginal 0 and
+        # exp(-200 * 5) underflows, so its row's normaliser is exactly 0
+        p = [0.5, 0.5, 0.0]
+        d = [[0, 1, 5], [1, 0, 5], [5, 5, 0]]
+        sol = blahut_arimoto(p, d, 200.0)
+        rows = np.asarray(sol.channel)
+        assert rows[2].tolist() == [0.0, 0.0, 1.0]
+        assert sol.rate_nats == pytest.approx(math.log(2), abs=1e-12)
+        assert sol.achieved_distortion == pytest.approx(float((np.asarray(p)[:, None] * rows * d).sum()), abs=1e-15)
+        # the lossless edge reaches the same multipliers
+        assert rd_curve(p, d, 0.0).rate_nats == pytest.approx(math.log(2), abs=1e-9)
+
     def test_infeasible_epsilon(self):
         with pytest.raises(InfeasibleDistortion):
             rd_curve([0.5, 0.5], DistortionSpec(hamming(2) + 0.2, 0.1), 0.1)

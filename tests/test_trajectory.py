@@ -9,6 +9,7 @@ from genbounds.info import Pmf, mutual_information
 from genbounds.ratedistortion import DistortionSpec, rd_curve
 from genbounds.seeding import rng
 from genbounds.trajectory import (
+    _spearman,
     CouplingEstimate,
     LogisticToy,
     QuadraticToy,
@@ -332,6 +333,17 @@ class TestSweep:
         )
         assert all(r.flag == "ok" for r in res.rows)
         assert -1.0 <= res.spearman_rho <= 1.0
+
+    def test_spearman_matches_scipy(self):
+        spearmanr = pytest.importorskip("scipy.stats").spearmanr
+        gen = rng(92)
+        for t in range(300):
+            n = int(gen.integers(2, 40))
+            x = gen.integers(0, 4, n).astype(float) if t % 2 else gen.normal(size=n)
+            y = gen.integers(0, 3, n).astype(float) if t % 3 else gen.normal(size=n)
+            if len(set(x)) < 2 or len(set(y)) < 2:
+                continue
+            assert _spearman(x, y) == pytest.approx(spearmanr(x, y).statistic, abs=1e-15, rel=0)
 
     def test_trajectory_distribution_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one trajectory"):
