@@ -47,8 +47,11 @@ print(f"exact joint over {len(contexts)} datasets x 3 hypotheses, I(S;W) = {i_sw
 print(f"variable-size tail bound : {thm1_bound(i_sw, sigma, n, delta).bound_value:.4f}")
 print(f"fixed-size tail bound    : {fixed_size_bound(i_sw, sigma, n, delta).bound_value:.4f}")
 
-# The rate-distortion tail bound searches the KL ball around the joint.
-rd_rep = rd_tail_bound(prob, alg, n, delta, epsilon=0.01, search_budget=300, seed=0)
+# The rate-distortion tail bound searches the KL ball around the type-level
+# joint (exact for the exchangeable Gibbs learner, and a smaller search space).
+type_joint, types = induced_joint(prob, alg, n, by_type=True)
+type_gt = gen_table(prob, types, by_type=True)
+rd_rep = rd_tail_bound(type_joint, type_gt, sigma, n, delta, epsilon=0.01, search_budget=300, seed=0)
 print(
     f"rate-distortion bound    : {rd_rep.bound_value:.4f} "
     f"(sup-RD {rd_rep.extra['sup_rd']:.4f}, baseline {rd_rep.extra['baseline_rd']:.4f})"

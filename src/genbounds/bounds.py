@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .info import Joint, _kl_rows, _pair, _probs, gdelta_sup, kl_divergence, renyi_divergence
-from .learning import FiniteLearningProblem, induced_joint
 from .ratedistortion import rd_gen
 
 __all__ = [
@@ -157,6 +156,12 @@ def _check_domain(n=None, delta=None, lam=None, **nonneg) -> None:
     for name, x in nonneg.items():
         if not x >= 0:
             raise ValueError(f"{name} is NaN" if math.isnan(x) else f"{name} must be non-negative")
+
+
+def _check_index(i: int, size: int, name: str) -> None:
+    """A row index in [0, size): a negative one would silently count from the end."""
+    if not 0 <= i < size:
+        raise ValueError(f"{name} = {i} is out of range for {size} rows")
 
 
 def _q_rows(q_hat, rows: int) -> np.ndarray:
@@ -298,34 +303,36 @@ def _eq4_terms(R: float, sigma: float, n: int, delta: float, epsilon: float) -> 
 
 
 def rd_tail_bound(
-    prob: FiniteLearningProblem,
-    alg,
+    joint,
+    gtab,
+    sigma: float,
     n: int,
     delta: float,
     epsilon: float,
-    by_type: bool = True,
     search_budget: int = 600,
     seed: int = 0,
 ) -> BoundReport:
     """Rate-distortion tail bound sqrt(2sigma^2 (sup_RD + log(1/delta))/n) + eps.
 
-    The supremum of the generalization-gap rate-distortion function over the
-    KL ball around the induced joint is estimated heuristically (certified
-    lower estimate); the nu = P baseline is reported alongside so the gap is
-    visible.
+    `joint` and its gen(s, w) table `gtab` come from `learning.induced_joint`
+    and `learning.gen_table`, and `sigma` is the loss's subgaussianity
+    (`FiniteLearningProblem.sigma`). The supremum of the generalization-gap
+    rate-distortion function over the KL ball around the joint is estimated
+    heuristically (certified lower estimate); the nu = P baseline is
+    reported alongside so the gap is visible.
     """
-    joint, contexts = induced_joint(prob, alg, n, by_type=by_type)
-    shape = joint.shape
+    _check_domain(n, delta, sigma=sigma)
+    table = _probs(joint, 2)
+    shape = table.shape
 
-    def rd_of(table: np.ndarray) -> float:
-        t = np.clip(np.asarray(table, dtype=float).reshape(shape), 0.0, None)
+    def rd_of(t: np.ndarray) -> float:
+        t = np.clip(np.asarray(t, dtype=float).reshape(shape), 0.0, None)
         t = t / t.sum()
-        return rd_gen(Joint(t), prob, contexts, epsilon, by_type=by_type).rate_nats
+        return rd_gen(Joint(t), gtab, epsilon).rate_nats
 
-    baseline_rd = rd_of(np.asarray(joint))
-    sup_rd, argmax = gdelta_sup(np.asarray(joint), delta, rd_of, search_budget=search_budget, seed=seed)
-    sup_rd = max(sup_rd, baseline_rd)
-    sigma = prob.sigma
+    baseline_rd = rd_of(table)
+    # gdelta_sup evaluates the joint first and keeps only improvements: sup_rd >= baseline_rd
+    sup_rd, _ = gdelta_sup(table, delta, rd_of, search_budget=search_budget, seed=seed)
     params = {"n": n, "sigma": sigma, "delta": delta, "epsilon": epsilon}
     extra = {
         "sup_rd": sup_rd,
@@ -395,6 +402,7 @@ def prop5_bound(
     """
     _check_domain(delta=delta)
     ps = np.asarray(P_S, dtype=float).reshape(-1)
+    _check_index(s_index, ps.size, "s_index")
     q = _q_rows(q_hat, ps.size)
     gm = np.asarray(g, dtype=float)
     conf = math.log(1.0 / delta)
@@ -420,6 +428,7 @@ def prop5_bound(
         ker = _probs(kernel, 2, rows=True)
         pws = _probs(P_WgS, 2, rows=True)
         fm = np.asarray(f, dtype=float)
+        _check_index(w_index, ker.shape[0], "w_index")
         p_star = pws @ ker  # rows: s, columns: what
         row = ker[w_index]
         avg_g = float(row @ gm[s_index])

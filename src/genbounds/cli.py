@@ -87,12 +87,11 @@ def _apply_config(parser, args: argparse.Namespace, argv: list[str]) -> argparse
     return args
 
 
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in str(text).split(",") if x != ""]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(x) for x in str(text).split(",") if x != ""]
+def _numbers(text: str, kind=float) -> list:
+    values = [kind(x) for x in str(text).split(",") if x != ""]
+    if not values:
+        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
+    return values
 
 
 def _manifest(args, path: Path) -> dict:
@@ -136,18 +135,17 @@ def cmd_bound(args) -> int:
     kind = args.kind
     if kind in _CLOSED_FORM:
         rep = _CLOSED_FORM[kind](args, args.n)
-    elif kind == "eq21":
-        prob, alg = _gibbs_setup(args)
-        rep = rd_tail_bound(prob, alg, args.n, args.delta, args.epsilon, seed=args.seed)
     else:  # the exact kinds, on the type-level joint of the Gibbs algorithm
         prob, alg = _gibbs_setup(args)
         joint, contexts = induced_joint(prob, alg, args.n, by_type=True)
         gtab = gen_table(prob, contexts, by_type=True)
-        if kind in ("thm5i", "thm5ii"):
+        if kind == "eq21":
+            rep = rd_tail_bound(joint, gtab, prob.sigma, args.n, args.delta, args.epsilon, seed=args.seed)
+        elif kind in ("thm5i", "thm5ii"):
             q = np.asarray(joint.marginal_w())
             pws = np.asarray(joint) / np.asarray(joint).sum(axis=1, keepdims=True)
             if kind == "thm5i":
-                lam = args.lam if args.lam > 0 else None
+                lam = None if args.lam <= 0 else args.lam  # a NaN lam reaches the bound, which rejects it
                 rep = thm5_expectation_bound("i", joint, pws, q, gtab, gtab, lam=lam, epsilon=args.epsilon)
             else:
                 f = gtab**2 + args.f_floor
@@ -159,13 +157,12 @@ def cmd_bound(args) -> int:
             counts = np.bincount(s.samples, minlength=prob.z_alphabet_size)
             s_idx = int(np.flatnonzero((contexts == counts).all(axis=1))[0])
             pi = np.asarray(alg.posterior(prob, s))
-            q_rows = np.tile(np.asarray(alg.prior), (len(contexts), 1))
             if kind == "eq22":
-                rep = pac_bayes_eq22(pi, np.asarray(alg.prior), log_mgf(p_s, q_rows, f), args.delta)
+                rep = pac_bayes_eq22(pi, np.asarray(alg.prior), log_mgf(p_s, alg.prior, f), args.delta)
             elif kind == "prop5i":
                 eps = 0.0  # lossless quantizer: reproduction = W, g = f
                 rep = prop5_bound(
-                    "i", P_S=p_s, q_hat=q_rows, g=f, delta=args.delta, epsilon=eps,
+                    "i", P_S=p_s, q_hat=alg.prior, g=f, delta=args.delta, epsilon=eps,
                     s_index=s_idx, pi=pi, p_quant=pi, f=f,
                 )
             else:
@@ -176,7 +173,7 @@ def cmd_bound(args) -> int:
                 pws = alg.posteriors(prob, contexts)
                 achieved = float(f[s_idx, w_idx] - kernel[w_idx] @ f[s_idx])
                 rep = prop5_bound(
-                    "ii", P_S=p_s, q_hat=q_rows, g=f, delta=args.delta,
+                    "ii", P_S=p_s, q_hat=alg.prior, g=f, delta=args.delta,
                     epsilon=max(args.epsilon, achieved, 0.0), s_index=s_idx,
                     kernel=kernel, P_WgS=pws, w_index=w_idx, f=f,
                 )
@@ -190,11 +187,12 @@ def cmd_rd(args) -> int:
     if args.problem:
         prob, alg = _gibbs_setup(args)
         joint, contexts = induced_joint(prob, alg, args.n, by_type=True)
-        for eps in _floats(args.epsilon_grid):
-            sol = rd_gen(joint, prob, contexts, eps, by_type=True)
+        gtab = gen_table(prob, contexts, by_type=True)
+        for eps in _numbers(args.epsilon_grid):
+            sol = rd_gen(joint, gtab, eps)
             rows.append((eps, sol.rate_nats, sol.lagrange_lambda, sol.iterations, sol.converged))
     else:
-        source = Pmf(np.asarray(_floats(args.source)))
+        source = Pmf(np.asarray(_numbers(args.source)))
         k = source.alphabet_size
         if args.distortion == "hamming":
             d = 1.0 - np.eye(k)
@@ -203,7 +201,7 @@ def cmd_rd(args) -> int:
             d = np.abs(grid[:, None] - grid[None, :])
         else:
             d = np.asarray(json.loads(Path(args.distortion).read_text()), dtype=float)
-        for eps in _floats(args.epsilon_grid):
+        for eps in _numbers(args.epsilon_grid):
             sol = rd_curve(source, DistortionSpec(d, eps), eps)
             rows.append((eps, sol.rate_nats, sol.lagrange_lambda, sol.iterations, sol.converged))
     header = ["epsilon", "rate_nats", "lagrange", "iterations", "converged"]
@@ -235,7 +233,7 @@ def cmd_covering(args) -> int:
     inst = covering_default_instance()
     rows = covering_failure_estimate(
         inst["prob"], inst["alg"], inst["n"], inst["rates"], inst["epsilon"],
-        _ints(args.m_grid), args.trials, args.seed, q_hat=inst["q_hat"],
+        _numbers(args.m_grid, int), args.trials, args.seed, q_hat=inst["q_hat"],
     )
     _emit(
         args, write_csv, [(r.m, r.trials, r.failures, r.exponent, r.censored) for r in rows],
@@ -267,8 +265,8 @@ def cmd_trajectory(args) -> int:
     else:
         model = LogisticToy() if args.model == "logistic" else QuadraticToy()
     result = lr_sweep(
-        model, _floats(args.lr_grid), args.trials, n=args.n, steps=args.steps,
-        epsilon=args.epsilon if args.epsilon > 0 else None, seed=args.seed, bins=args.bins,
+        model, _numbers(args.lr_grid), args.trials, n=args.n, steps=args.steps,
+        epsilon=None if args.epsilon <= 0 else args.epsilon, seed=args.seed, bins=args.bins,
     )
     _emit(args, write_csv, result.to_csv_rows(), "sweep.csv", ["lr", "mean_gen", "rd_nats", "flag"])
     print(f"trajectory: spearman rho = {result.spearman_rho}")
@@ -276,7 +274,7 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    result = scaling_study(_ints(args.n_list), args.trials, seed=args.seed, delta=args.delta)
+    result = scaling_study(_numbers(args.n_list, int), args.trials, seed=args.seed, delta=args.delta)
     _emit(
         args, write_csv,
         [
@@ -294,7 +292,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rows = [(n, _CLOSED_FORM[args.kind](args, n).bound_value) for n in _ints(args.n_grid)]
+    rows = [(n, _CLOSED_FORM[args.kind](args, n).bound_value) for n in _numbers(args.n_grid, int)]
     path = _emit(args, write_csv, rows, "sweep_bounds.csv", ["n", "bound_value"])
     print(f"sweep: {len(rows)} rows -> {path}")
     return 0
@@ -323,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--lam", type=float, default=1.0, help="multiplier; <= 0 optimises lambda for thm5i")
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--emp-risk", dest="emp_risk", type=float, default=0.0)
     p.add_argument("--sup-mi", dest="sup_mi", type=float, default=0.0)
@@ -366,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=24)
     p.add_argument("--steps", type=int, default=120)
     p.add_argument("--bins", type=int, default=8)
-    p.add_argument("--epsilon", type=float, default=0.0, help="<=0 means 10% of the distortion range")
+    p.add_argument("--epsilon", type=float, default=0.0, help="<= 0 means 10%% of the distortion range")
     p.set_defaults(func=cmd_trajectory)
 
     p = command("counterexample", "SCO counter-example scaling study")

@@ -239,13 +239,24 @@ def enumerate_datasets(z_size: int, n: int, cap: int = ENUMERATION_CAP) -> np.nd
     return np.ascontiguousarray(grids)
 
 
+def _symbol_counts(rows, z: int) -> np.ndarray:
+    """(N, z) symbol counts of the (N, n) index array `rows`, by one offset bincount."""
+    rows = np.asarray(rows, dtype=int)
+    if rows.ndim != 2:
+        raise ValueError(f"expected an (N, n) array of symbol indices, got shape {rows.shape}")
+    # row i counts into bins [i z, i z + z), so an index outside [0, z) would land in another row
+    if rows.size and not (rows.min() >= 0 and rows.max() < z):
+        raise ValueError(f"symbol index out of range for {z} symbols")
+    flat = (rows + z * np.arange(len(rows))[:, None]).ravel()
+    return np.bincount(flat, minlength=len(rows) * z).reshape(-1, z)
+
+
 def enumerate_types(z_size: int, n: int) -> np.ndarray:
-    """All empirical-type count vectors (N, z_size) with entries summing to n."""
-    out = []
-    for comp in itertools.combinations_with_replacement(range(z_size), n):
-        counts = np.bincount(comp, minlength=z_size)
-        out.append(counts)
-    return np.asarray(out, dtype=int)
+    """All empirical-type count vectors (N, z_size) with entries summing to n (one zero row at n = 0)."""
+    total = math.comb(n + z_size - 1, n)
+    combs = itertools.combinations_with_replacement(range(z_size), n)
+    flat = np.fromiter(itertools.chain.from_iterable(combs), dtype=int, count=total * n)
+    return _symbol_counts(flat.reshape(total, n), z_size)
 
 
 def induced_joint(
@@ -279,8 +290,7 @@ def induced_joint(
         rows = alg.posteriors(prob, contexts)
     else:
         contexts = enumerate_datasets(prob.z_alphabet_size, n, cap=cap)
-        logw = np.asarray([float(log_mu[row].sum()) for row in contexts])
-        weights = np.exp(logw)
+        weights = np.exp(log_mu[contexts].sum(axis=1))
         rows = np.stack([np.asarray(alg.posterior(prob, row)) for row in contexts])
     table = weights[:, None] * rows
     total = table.sum()
@@ -291,14 +301,6 @@ def induced_joint(
 
 def gen_table(prob: FiniteLearningProblem, contexts: np.ndarray, by_type: bool = False) -> np.ndarray:
     """gen(s, w) for every enumerated dataset (or type) and hypothesis."""
-    pop = population_risks(prob)
-    if by_type:
-        counts = np.asarray(contexts, dtype=float)
-        n = counts[0].sum()
-        emp = (counts @ prob.loss) / n
-    else:
-        idx = np.asarray(contexts, dtype=int)
-        z = prob.z_alphabet_size
-        counts = np.stack([np.bincount(row, minlength=z) for row in idx]).astype(float)
-        emp = (counts @ prob.loss) / idx.shape[1]
-    return pop[None, :] - emp
+    # one product over the whole counts matrix: computing it in other batches moves last bits
+    counts = np.asarray(contexts if by_type else _symbol_counts(contexts, prob.z_alphabet_size), dtype=float)
+    return population_risks(prob)[None, :] - (counts @ prob.loss) / counts[0].sum()

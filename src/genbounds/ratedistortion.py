@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info import Channel, Joint, _probs
-from .learning import FiniteLearningProblem, gen_table
 
 __all__ = [
     "RdSolution",
@@ -311,15 +310,10 @@ def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSoluti
     return RdSolution(rate, dist, Channel(prob.channel(s, q_in)), found[0], iters, conv)
 
 
-def rd_gen(
-    joint: Joint,
-    prob: FiniteLearningProblem,
-    contexts: np.ndarray,
-    epsilon: float,
-    by_type: bool = False,
-) -> RdSolution:
+def rd_gen(joint: Joint, gtab: np.ndarray, epsilon: float) -> RdSolution:
     """Generalization-gap rate-distortion value at the given joint.
 
+    `gtab` is gen(s, w) on the joint's grid, as `learning.gen_table` builds it.
     The constraint E[gen(S,W) - gen(S,What)] <= epsilon depends on the test
     channel only through What, so with c = E_Q[gen(S,W)] fixed by the joint it
     reduces to a plain average-distortion constraint with per-pair distortion
@@ -327,7 +321,9 @@ def rd_gen(
     dataset marginal of the joint.
     """
     q = np.asarray(joint, dtype=float)
-    gtab = gen_table(prob, contexts, by_type=by_type)
+    gtab = np.asarray(gtab, dtype=float)
+    if gtab.shape != q.shape:
+        raise ValueError(f"the gen table has shape {gtab.shape}, the joint {q.shape}")
     c = float((q * gtab).sum())
     source = q.sum(axis=1)
     return rd_curve(source, DistortionSpec(-gtab, epsilon - c), epsilon - c)
@@ -344,6 +340,8 @@ def rd_dimension(source, rho: DistortionSpec | np.ndarray, eps_grid) -> tuple[li
         raise ValueError("need at least 3 grid points")
     if not all(map(math.isfinite, eps)):
         raise ValueError("epsilon grid points must be finite")
+    if min(eps) <= 0:
+        raise ValueError("epsilon grid points must be positive: the fit is against log(1/eps)")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon grid must be strictly decreasing")
     rates = [rd_curve(source, rho, e).rate_nats for e in eps]

@@ -305,8 +305,8 @@ def estimate_M(pi_S, P_S, delta: float, budget: int = 800, seed: int = 0) -> Cou
         return mutual_information(nu[:, None] * pi)
 
     plug_in = objective(ps)
+    # gdelta_sup evaluates ps itself first and keeps only improvements, so sup_val >= plug_in already
     sup_val, _ = gdelta_sup(ps, delta, objective, search_budget=budget, seed=seed)
-    sup_val = max(sup_val, plug_in)
     return CouplingEstimate(log_M=max(sup_val, 0.0), plug_in=max(plug_in, 0.0))
 
 
@@ -371,6 +371,10 @@ def lr_sweep(
         raise ValueError("learning rates must be finite")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if epsilon is not None and not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite (None picks 10% of the distortion range)")
     quant = model.default_quantizer(bins)
     rows: list[SweepRow] = []
     for li, lr in enumerate(lrs):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info import Pmf
+from .info import Pmf, _probs
 from .learning import (
     Algorithm,
     FiniteLearningProblem,
@@ -75,6 +75,13 @@ class ValidationReport:
         }
 
 
+def _check_mc(n: int, trials: int) -> None:
+    if trials < 100:
+        raise ValueError("need at least 100 trials")
+    if not n >= 1:
+        raise ValueError("n must be at least 1")
+
+
 def _draw_trial(prob, alg, n, gen):
     s = gen.choice(prob.z_alphabet_size, size=n, p=np.asarray(prob.mu))
     post = np.asarray(alg.posterior(prob, s))
@@ -97,15 +104,20 @@ def mc_tail_validate(
     `post` is the posterior array P_{W|S=s} that w was drawn from; a trial is
     a violation when the exact generalization error exceeds it. Per-trial
     seeds derive from (seed, trial), so the count is order-independent.
+    A NaN bound cannot be judged and raises ValueError.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
+    _check_mc(n, trials)
+    if not 0 < delta <= 1:
+        raise ValueError("delta must lie in (0, 1]")
     violations = 0
     for gen in rngs(seed, count=trials):
         s, w, post = _draw_trial(prob, alg, n, gen)
         ge = float(gen_errors(prob, s)[w])
-        if ge > bound_fn(s, w, post):
+        bound = bound_fn(s, w, post)
+        if ge > bound:
             violations += 1
+        elif math.isnan(bound):
+            raise ValueError("bound_fn returned NaN, which no generalization error can be judged against")
     return ValidationReport(trials=trials, violations=violations, target_delta=delta)
 
 
@@ -121,8 +133,9 @@ def mc_expectation_validate(
 
     Returns (mc_mean, ci_halfwidth, pass); pass iff mc_mean - 3*ci <= bound.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
+    _check_mc(n, trials)
+    if math.isnan(bound_value):
+        raise ValueError("bound_value is NaN")
     vals = np.empty(trials)
     for t, gen in enumerate(rngs(seed, count=trials)):
         s, w, _ = _draw_trial(prob, alg, n, gen)
@@ -176,19 +189,33 @@ def _book_size(m: int, rates: np.ndarray) -> int:
     return size
 
 
+def _check_book(q_hat, rates, w: int | None = None, types: int | None = None):
+    """The book law q_hat as a pmf over w reproductions and the rates as a finite,
+    non-negative (types, w) table; w defaults to len(q_hat), and types to any.
+    """
+    q = _probs(q_hat, 1)
+    r = np.asarray(rates, dtype=float)
+    w = q.size if w is None else w
+    if q.size != w or r.ndim != 2 or r.shape[1] != w or types not in (None, r.shape[0]):
+        shape = (types or "types", w)
+        raise ValueError(f"need {w} q_hat entries and rates of shape {shape}, got {q.size} and {r.shape}")
+    if not (np.isfinite(r).all() and (r >= 0).all()):
+        raise ValueError("rates must be finite and non-negative")
+    return q, r
+
+
 def build_hypothesis_book(q_hat, m: int, rates, seed: int) -> HypothesisBook:
     """Draw a book of iid reproduction sequences from q_hat^(x)m.
 
-    The book holds floor(exp(m * R_max)) entries so that every realized
-    effective size fits; exceeding BOOK_CAP raises BookCapError.
+    `rates` is a (types, len(q_hat)) table. The book holds
+    floor(exp(m * R_max)) entries so that every realized effective size
+    fits; exceeding BOOK_CAP raises BookCapError.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    r = np.asarray(rates, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("rates must be non-negative")
+    q, r = _check_book(q_hat, rates)
     size = _book_size(m, r)
-    cdf = np.cumsum(np.asarray(q_hat, dtype=float))
+    cdf = np.cumsum(q)
     gen = _rng(seed)
     entries = _inverse_cdf(cdf, gen.random(size=(size, m)))
     return HypothesisBook(entries=entries, rates=np.array(r, copy=True))
@@ -236,17 +263,16 @@ def covering_failure_estimate(
         raise ValueError("trials must be at least 1")
     if any(m < 1 for m in m_grid):
         raise ValueError("every m in m_grid must be at least 1")
-    types = enumerate_types(prob.z_alphabet_size, n)
-    r = np.asarray(rates, dtype=float)
-    if r.shape != (len(types), prob.w_alphabet_size):
-        raise ValueError(f"rates must have shape {(len(types), prob.w_alphabet_size)}")
-    joint, _ = induced_joint(prob, alg, n, by_type=True)
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
+    joint, types = induced_joint(prob, alg, n, by_type=True)
+    if q_hat is None:
+        q_hat = joint.marginal_w()
+    q_hat, r = _check_book(q_hat, rates, prob.w_alphabet_size, len(types))
     type_probs = np.asarray(joint.marginal_s())
     post_cdf = np.cumsum(alg.posteriors(prob, types), axis=1)
     g2 = gen_table(prob, types, by_type=True) ** 2  # (types, w); reproduction alphabet = W
-    if q_hat is None:
-        q_hat = np.asarray(joint.marginal_w())
-    q_cdf = np.cumsum(np.asarray(q_hat, dtype=float))
+    q_cdf = np.cumsum(q_hat)
     type_cdf = np.cumsum(type_probs)
     last_w = prob.w_alphabet_size - 1
 

@@ -45,6 +45,11 @@ def exact_instance(seed=70, z=2, w=3, n=3, beta=1.1):
     return prob, alg, joint, ctx
 
 
+def rd_tail(prob, alg, n, delta, epsilon, **kw):
+    joint, types = induced_joint(prob, alg, n, by_type=True)
+    return rd_tail_bound(joint, gen_table(prob, types, by_type=True), prob.sigma, n, delta, epsilon, **kw)
+
+
 class TestTFunctional:
     def test_zero_g_equal_channels(self):
         p = np.array([[0.2, 0.8], [0.6, 0.4]])
@@ -265,6 +270,28 @@ class TestProp5:
                 "i", P_S=ps, q_hat=q_rows, g=gt, delta=0.1, epsilon=0.0,
                 s_index=0, pi=pi, p_quant=pi, f=f,
             )
+
+
+    @pytest.mark.parametrize("s_index, w_index", [(-1, 0), (8, 0), (0, -1), (0, 3)])
+    def test_indices_in_range(self, s_index, w_index):
+        # a negative index used to pick the last row silently; one past the end raised IndexError
+        prob, alg, joint, ctx = exact_instance(77)
+        gt = gen_table(prob, ctx)
+        ps = np.asarray(joint).sum(axis=1)
+        pws = np.asarray(joint) / ps[:, None]
+        pi = np.asarray(alg.posterior(prob, ctx[0]))
+        name = "s_index" if s_index != 0 else "w_index"
+        with pytest.raises(ValueError, match=name):
+            prop5_bound(
+                "ii", P_S=ps, q_hat=alg.prior, g=gt, delta=0.1, epsilon=1.0,
+                s_index=s_index, kernel=np.eye(3), P_WgS=pws, w_index=w_index, f=gt,
+            )
+        if w_index == 0:
+            with pytest.raises(ValueError, match="s_index"):
+                prop5_bound(
+                    "i", P_S=ps, q_hat=alg.prior, g=gt, delta=0.1, epsilon=0.0,
+                    s_index=s_index, pi=pi, p_quant=pi, f=gt,
+                )
 
 
 class TestToyExample:
@@ -542,7 +569,7 @@ class TestRdTailBound:
         )
         alg = ConstantAlgorithm(Pmf(np.array([0.3, 0.4, 0.3])))
         n, delta, eps = 3, 0.1, 0.0
-        rep = rd_tail_bound(prob, alg, n, delta, eps, search_budget=200, seed=1)
+        rep = rd_tail(prob, alg, n, delta, eps, search_budget=200, seed=1)
         sigma = prob.sigma
         # at nu = P the data-ignoring joint is a product: rate 0 is feasible
         # (tilted ball members still couple W to S, so the sup stays positive)
@@ -554,15 +581,33 @@ class TestRdTailBound:
 
     def test_epsilon_above_bound_zero_rd(self):
         prob, alg, joint, ctx = exact_instance(92)
-        rep = rd_tail_bound(prob, alg, 3, 0.1, prob.bound, search_budget=150, seed=2)
+        rep = rd_tail(prob, alg, 3, 0.1, prob.bound, search_budget=150, seed=2)
         assert rep.extra["sup_rd"] == pytest.approx(0.0, abs=1e-8)
 
     def test_sup_dominates_baseline_and_reconstructs(self):
         prob, alg, joint, ctx = exact_instance(93, w=2)
-        rep = rd_tail_bound(prob, alg, 3, 0.2, 0.005, search_budget=300, seed=3)
+        rep = rd_tail(prob, alg, 3, 0.2, 0.005, search_budget=300, seed=3)
         assert rep.extra["sup_rd"] >= rep.extra["baseline_rd"] - 1e-12
         assert rep.bound_value >= rep.extra["baseline_bound"] - 1e-12
         assert reconstruct_bound(rep) == pytest.approx(rep.bound_value, abs=1e-12)
+
+
+    @pytest.mark.parametrize("n, delta, sigma", [(0, 0.1, 0.5), (3, 0.0, 0.5), (3, 1.5, 0.5), (3, 0.1, -1.0)])
+    def test_domain(self, n, delta, sigma):
+        prob, alg, joint, ctx = exact_instance(93, w=2)
+        with pytest.raises(ValueError, match="n must|delta|sigma"):
+            rd_tail_bound(joint, gen_table(prob, ctx), sigma, n, delta, 0.005, search_budget=10)
+
+    def test_joint_must_be_a_pmf(self):
+        prob, alg, joint, ctx = exact_instance(93, w=2)
+        with pytest.raises(ValueError, match="probabilit"):
+            rd_tail_bound(2 * np.asarray(joint), gen_table(prob, ctx), prob.sigma, 3, 1.0, 0.005)
+
+    def test_gen_table_must_fit_the_joint(self):
+        prob, alg, joint, ctx = exact_instance(93, w=2)
+        types_gt = gen_table(prob, induced_joint(prob, alg, 3, by_type=True)[1], by_type=True)
+        with pytest.raises(ValueError, match="shape"):
+            rd_tail_bound(joint, types_gt, prob.sigma, 3, 0.2, 0.005, search_budget=10)
 
 
 class TestEq21Construction:
@@ -575,7 +620,7 @@ class TestEq21Construction:
 
         prob, alg, joint, ctx = exact_instance(94, w=2)
         n, delta, eps = 3, 0.2, 0.005
-        rep = rd_tail_bound(prob, alg, n, delta, eps, search_budget=300, seed=5)
+        rep = rd_tail(prob, alg, n, delta, eps, search_budget=300, seed=5)
         big_delta = rep.bound_value
         sigma = prob.sigma
         lam = n * (big_delta - eps) / sigma**2
@@ -590,7 +635,7 @@ class TestEq21Construction:
                 candidates.append(t)
         assert len(candidates) >= 5
         for nu in candidates:
-            sol = rd_gen(Joint_like(nu), prob, ctx, eps)
+            sol = rd_gen(Joint_like(nu), gt, eps)
             p_hat = np.asarray(sol.channel)
             q_hat = np.tile(nu.sum(axis=1) @ p_hat, (P.shape[0], 1))
             delta_m = np.full(P.shape, big_delta)
@@ -603,7 +648,7 @@ class TestEq21Construction:
         # end-to-end: the assembled bound holds empirically at level delta
         prob, alg, joint, ctx = exact_instance(96, w=2)
         n, delta, eps = 3, 0.2, 0.005
-        rep = rd_tail_bound(prob, alg, n, delta, eps, search_budget=300, seed=6)
+        rep = rd_tail(prob, alg, n, delta, eps, search_budget=300, seed=6)
         from genbounds.validation import mc_tail_validate
 
         out = mc_tail_validate(
@@ -634,7 +679,7 @@ class TestReportInvariants:
         reports = [
             thm1_bound(1.2, 0.7, 30, 0.05, 0.02),
             fixed_size_bound(0.8, 0.5, 60, 0.1, 0.01),
-            rd_tail_bound(prob2, alg2, 3, 0.2, 0.005, search_budget=60, seed=3),
+            rd_tail(prob2, alg2, 3, 0.2, 0.005, search_budget=60, seed=3),
             seeger_fast_rate_bound(0.15, 0.4, 0.5, 80, 0.05),
             toy_example_bound(0.3, 1.2, 4, 0.6, 50, 0.1),
             pac_bayes_eq22(np.array([0.2, 0.8]), np.array([0.5, 0.5]), 0.7, 0.1),

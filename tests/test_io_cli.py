@@ -17,7 +17,7 @@ from genbounds.io import (
     write_csv,
     write_report,
 )
-from genbounds.learning import FiniteLearningProblem, GibbsAlgorithm, induced_joint
+from genbounds.learning import FiniteLearningProblem, GibbsAlgorithm, gen_table, induced_joint
 from genbounds.ratedistortion import rd_gen
 
 
@@ -187,9 +187,10 @@ class TestCli:
         prob = load_problem(problem_file)
         alg = GibbsAlgorithm(prior=Pmf.uniform(prob.w_alphabet_size), beta=1.0)
         joint, ctx = induced_joint(prob, alg, 3, by_type=True)
+        gtab = gen_table(prob, ctx, by_type=True)
         assert len(rows) == len(grid)
         for eps, row in zip(grid, rows):
-            sol = rd_gen(joint, prob, ctx, eps, by_type=True)
+            sol = rd_gen(joint, gtab, eps)
             got = [float(row[0]), float(row[1]), float(row[2]), int(row[3]), row[4]]
             assert got == [eps, sol.rate_nats, sol.lagrange_lambda, sol.iterations, str(sol.converged)]
         rates = [float(row[1]) for row in rows]  # the grid falls, so the rates must not
@@ -406,6 +407,35 @@ class TestCli:
         assert main(["bound", "--kind", "thm1", "--rate", "nan", "--out", str(out)]) == 1
         assert main(["bound", "--kind", "thm1", "--sigma", "nan", "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--kind", "thm5i", "--n", "3", "--lam", "nan"],
+            ["trajectory", "--epsilon", "nan", "--lr-grid", "0.1", "--trials", "2", "--steps", "10"],
+            ["sweep", "--n-grid", ""],
+            ["rd", "--epsilon-grid", ""],
+            ["covering", "--m-grid", ""],
+        ],
+        ids=["lam-nan", "trajectory-epsilon-nan", "sweep-empty", "rd-empty", "covering-empty"],
+    )
+    def test_nan_and_empty_grids_are_errors(self, tmp_path, problem_file, capsys, argv):
+        # NaN used to mean "unset" and an empty grid wrote a header-only table
+        if argv[0] == "bound":
+            argv = argv + ["--problem", str(problem_file)]
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["bound", "rd", "mc-validate", "covering", "trajectory", "counterexample", "sweep"]
+    )
+    def test_help_prints(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--out" in capsys.readouterr().out
 
     def test_book_cap_is_a_clean_error(self, tmp_path, capsys):
         out = tmp_path / "cov"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -322,3 +323,53 @@ class TestEnumeration:
             Dataset(np.array([], dtype=int))
         with pytest.raises(ValueError):
             Dataset(np.array([-1]))
+
+    @pytest.mark.parametrize("z, n", [(1, 5), (2, 1), (3, 4), (4, 25), (5, 12)])
+    def test_types_match_the_per_type_loop(self, z, n):
+        # the loop enumerate_types replaced: one bincount per composition
+        loop = np.asarray(
+            [np.bincount(c, minlength=z) for c in itertools.combinations_with_replacement(range(z), n)],
+            dtype=int,
+        )
+        got = enumerate_types(z, n)
+        assert got.dtype == loop.dtype and np.array_equal(got, loop)
+
+    def test_zero_samples_one_empty_type(self):
+        got = enumerate_types(3, 0)
+        assert got.dtype == np.dtype(int) and np.array_equal(got, np.zeros((1, 3), dtype=int))
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_types(2, -1)
+
+
+class TestDatasetModeTables:
+    """Dataset-mode tables equal the per-row formulas they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("zero_symbol", [False, True])
+    def test_match_per_row_formulas(self, zero_symbol):
+        gen = rng(34)
+        mu = gen.dirichlet(np.ones(3))
+        if zero_symbol:
+            mu[1] = 0.0
+            mu /= mu.sum()
+        prob = FiniteLearningProblem(loss=gen.uniform(0, 1, size=(3, 6)), mu=Pmf(mu))
+        alg = GibbsAlgorithm(Pmf.uniform(6), 1.7)
+        n = 5
+        joint, ctx = induced_joint(prob, alg, n)
+        assert np.array_equal(ctx, enumerate_datasets(3, n))
+
+        log_mu = np.where(mu > 0, np.log(np.clip(mu, 1e-300, None)), -np.inf)
+        weights = np.exp(np.asarray([float(log_mu[row].sum()) for row in ctx]))
+        table = weights[:, None] * np.stack([np.asarray(alg.posterior(prob, row)) for row in ctx])
+        assert np.array_equal(np.asarray(joint), table / table.sum())
+
+        counts = np.stack([np.bincount(row, minlength=3) for row in ctx]).astype(float)
+        expected = population_risks(prob)[None, :] - (counts @ prob.loss) / n
+        assert np.array_equal(gen_table(prob, ctx), expected)
+
+    @pytest.mark.parametrize("ctx", [[[0, 3], [1, 1]], [[0, -1], [2, 2]], [0, 1, 2]])
+    def test_bad_contexts_rejected(self, ctx):
+        # an out-of-range index would otherwise be counted in the next row
+        with pytest.raises(ValueError):
+            gen_table(small_problem(35, z=3, w=2), np.asarray(ctx))

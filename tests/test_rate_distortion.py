@@ -199,6 +199,12 @@ class TestInputContract:
         with pytest.raises(ValueError, match="finite"):
             rd_dimension(np.full(4, 0.25), DistortionSpec(self.abs4, 0), [0.3, np.nan, 0.1])
 
+    @pytest.mark.parametrize("grid", [[0.3, 0.1, 0.0], [0.3, 0.1, -0.1]])
+    def test_dimension_grid_must_be_positive(self, grid):
+        # a zero point divided by zero in log(1/eps), then the fit raised LinAlgError
+        with pytest.raises(ValueError, match="positive"):
+            rd_dimension(np.full(4, 0.25), DistortionSpec(self.abs4, 0), grid)
+
 
 class TestRdGen:
     @staticmethod
@@ -217,14 +223,19 @@ class TestRdGen:
         c = float((np.asarray(joint) * gt).sum())
         # one constant reproduction column already satisfies the constraint
         eps = c - float(np.min(np.asarray(joint).sum(axis=1) @ gt)) + 0.01
-        sol = rd_gen(joint, prob, ctx, eps)
+        sol = rd_gen(joint, gt, eps)
         assert sol.rate_nats == pytest.approx(0.0, abs=1e-9)
+
+    def test_gen_table_must_fit_the_joint(self):
+        prob, alg, joint, ctx = self.instance()
+        with pytest.raises(ValueError, match="shape"):
+            rd_gen(joint, gen_table(prob, ctx)[:-1], 0.0)
 
     def test_identity_channel_feasibility(self):
         # at epsilon = 0 the identity reproduction is feasible, so the rate
         # can never exceed I(S;W) of the inducing joint
         prob, alg, joint, ctx = self.instance()
-        sol = rd_gen(joint, prob, ctx, 0.0)
+        sol = rd_gen(joint, gen_table(prob, ctx), 0.0)
         assert sol.rate_nats <= mutual_information(joint) + 1e-9
 
     def test_matches_simplex_grid(self):

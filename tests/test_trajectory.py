@@ -321,6 +321,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             lr_sweep(QuadraticToy(), lrs, trials=trials, n=6, steps=10)
 
+    @pytest.mark.parametrize("n, epsilon", [(0, None), (-1, None), (6, math.nan), (6, math.inf)])
+    def test_sample_size_and_epsilon_checked(self, n, epsilon):
+        with pytest.raises(ValueError, match="n must|epsilon"):
+            lr_sweep(QuadraticToy(), [0.1], trials=2, n=n, steps=10, epsilon=epsilon)
+
     def test_logistic_overflow_flagged(self):
         # lr = 1e6 takes z * w far past the range of e^{zw} before the window
         res = lr_sweep(LogisticToy(), [0.1, 1e6], trials=2, n=6, steps=60, seed=1)

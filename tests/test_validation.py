@@ -68,6 +68,18 @@ class TestMcTail:
         with pytest.raises(ValueError):
             mc_tail_validate(prob, alg, lambda s, w, post: 1.0, 5, 0.1, 50, seed=1)
 
+    def test_nan_bound_rejected(self):
+        # a NaN bound used to count as no violation and pass
+        prob, alg = gibbs_instance(204)
+        with pytest.raises(ValueError, match="NaN"):
+            mc_tail_validate(prob, alg, lambda s, w, post: math.nan, 5, 0.1, 100, seed=1)
+
+    @pytest.mark.parametrize("n, delta", [(0, 0.1), (-2, 0.1), (5, math.nan), (5, 2.0), (5, 0.0)])
+    def test_domain(self, n, delta):
+        prob, alg = gibbs_instance(204)
+        with pytest.raises(ValueError, match="n must|delta"):
+            mc_tail_validate(prob, alg, lambda s, w, post: 1.0, n, delta, 100, seed=1)
+
     def test_thm1_gibbs_tail_guarantee(self):
         # reduced-size version of the acceptance experiment
         prob, alg = gibbs_instance(205, z=4, w=4, beta=1.0)
@@ -117,6 +129,13 @@ class TestMcExpectation:
         _, _, ok = mc_expectation_validate(prob, alg, math.inf, 4, 200, seed=2)
         assert ok
 
+    def test_nan_bound_and_empty_datasets_rejected(self):
+        prob, alg = gibbs_instance(206)
+        with pytest.raises(ValueError, match="NaN"):
+            mc_expectation_validate(prob, alg, math.nan, 4, 200, seed=2)
+        with pytest.raises(ValueError, match="n must"):
+            mc_expectation_validate(prob, alg, 1.0, 0, 200, seed=2)
+
     def test_constant_algorithm_unbiased(self):
         prob, _ = gibbs_instance(207)
         alg = ConstantAlgorithm(Pmf.uniform(3))
@@ -158,6 +177,18 @@ class TestHypothesisBook:
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):
             build_hypothesis_book([0.5, 0.5], 2, np.full((2, 2), -0.1), seed=9)
+
+    @pytest.mark.parametrize("q_hat", [[0.5, 0.7], [0.5, 0.2], [0.5, math.nan]])
+    def test_non_pmf_law_rejected(self, q_hat):
+        with pytest.raises(ValueError, match="probabilit"):
+            build_hypothesis_book(q_hat, 2, np.full((2, 2), 0.1), seed=9)
+
+    @pytest.mark.parametrize(
+        "rates", [np.full((2, 3), 0.1), np.full(2, 0.1), [[0.1, math.inf]], [[0.1, math.nan]]]
+    )
+    def test_rate_table_shape_and_entries(self, rates):
+        with pytest.raises(ValueError, match="rates"):
+            build_hypothesis_book([0.5, 0.5], 2, rates, seed=9)
 
 
 class TestCovering:
@@ -257,6 +288,28 @@ class TestCovering:
             covering_failure_estimate(
                 inst["prob"], inst["alg"], inst["n"], inst["rates"], inst["epsilon"],
                 m_grid, trials, seed=0, q_hat=inst["q_hat"],
+            )
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"rates": -1.0}, "rates"),  # all rates -1 at m = 2 drew 18 failures in 50 trials
+            ({"rates": math.nan}, "rates"),
+            ({"epsilon": math.nan}, "epsilon"),  # every row came back censored with 0 failures
+            ({"q_hat": [0.5, 0.2]}, "probabilit"),
+            ({"q_hat": [0.5, 0.3, 0.2]}, "q_hat"),  # an IndexError inside the trials
+        ],
+    )
+    def test_book_inputs_checked(self, change, match):
+        inst = covering_default_instance()
+        args = {"rates": inst["rates"], "epsilon": inst["epsilon"], "q_hat": inst["q_hat"]}
+        args.update(change)
+        if np.ndim(args["rates"]) == 0:
+            args["rates"] = np.full_like(inst["rates"], args["rates"])
+        with pytest.raises(ValueError, match=match):
+            covering_failure_estimate(
+                inst["prob"], inst["alg"], inst["n"], args["rates"], args["epsilon"],
+                [2], 50, seed=0, q_hat=args["q_hat"],
             )
 
     @pytest.mark.parametrize("j, size, m", [(1, 2963, 12), (37, 2963, 12), (5, 6, 3), (7, 7, 4)])
