@@ -11,6 +11,7 @@ wall time, output hashes) into the output directory. Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -216,9 +217,12 @@ def cmd_mc_validate(args) -> int:
     prior = np.asarray(alg.prior)
     bound = thm1_bound if args.kind == "thm1" else fixed_size_bound
 
-    def bound_fn(s, w, post):
-        rate = max(0.0, math.log(post[w] / prior[w])) if post[w] > 0 else 0.0
+    @functools.cache  # trials share few distinct rates, and each gives the same bound bits
+    def bound_at(rate):
         return bound(rate, sigma, args.n, args.delta, args.epsilon).bound_value
+
+    def bound_fn(s, w, post):
+        return bound_at(max(0.0, math.log(post[w] / prior[w])) if post[w] > 0 else 0.0)
 
     report = mc_tail_validate(prob, alg, bound_fn, args.n, args.delta, args.trials, args.seed)
     _emit(args, write_report, report, "validation.json")

@@ -90,9 +90,9 @@ class Dataset:
     samples: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=int)
-        if s.ndim != 1 or s.size == 0:
-            raise ValueError("a dataset needs at least one sample")
+        s = _indices(self.samples)
+        if s.ndim != 1:
+            raise ValueError("a dataset is a 1-D vector of sample indices")
         if np.any(s < 0):
             raise ValueError("negative sample index")
         s = np.array(s, copy=True)
@@ -104,8 +104,18 @@ class Dataset:
         return self.samples.size
 
 
+def _indices(x) -> np.ndarray:
+    """`x` as an int array of sample indices; ValueError if it is empty or holds a non-whole number."""
+    a = np.asarray(x)
+    if a.size == 0:
+        raise ValueError("a dataset needs at least one sample")
+    if a.dtype.kind not in "biu" and not (a.dtype.kind == "f" and np.isfinite(a).all() and (a == np.floor(a)).all()):
+        raise ValueError("sample indices must be whole numbers")
+    return a.astype(int, copy=False)
+
+
 def _samples(s) -> np.ndarray:
-    return s.samples if isinstance(s, Dataset) else np.asarray(s, dtype=int)
+    return s.samples if isinstance(s, Dataset) else _indices(s)
 
 
 def population_risks(prob: FiniteLearningProblem) -> np.ndarray:
@@ -241,11 +251,11 @@ def enumerate_datasets(z_size: int, n: int, cap: int = ENUMERATION_CAP) -> np.nd
 
 def _symbol_counts(rows, z: int) -> np.ndarray:
     """(N, z) symbol counts of the (N, n) index array `rows`, by one offset bincount."""
-    rows = np.asarray(rows, dtype=int)
+    rows = _indices(rows)
     if rows.ndim != 2:
         raise ValueError(f"expected an (N, n) array of symbol indices, got shape {rows.shape}")
     # row i counts into bins [i z, i z + z), so an index outside [0, z) would land in another row
-    if rows.size and not (rows.min() >= 0 and rows.max() < z):
+    if not (rows.min() >= 0 and rows.max() < z):
         raise ValueError(f"symbol index out of range for {z} symbols")
     flat = (rows + z * np.arange(len(rows))[:, None]).ravel()
     return np.bincount(flat, minlength=len(rows) * z).reshape(-1, z)
@@ -254,6 +264,8 @@ def _symbol_counts(rows, z: int) -> np.ndarray:
 def enumerate_types(z_size: int, n: int) -> np.ndarray:
     """All empirical-type count vectors (N, z_size) with entries summing to n (one zero row at n = 0)."""
     total = math.comb(n + z_size - 1, n)
+    if n == 0:
+        return np.zeros((1, z_size), dtype=int)
     combs = itertools.combinations_with_replacement(range(z_size), n)
     flat = np.fromiter(itertools.chain.from_iterable(combs), dtype=int, count=total * n)
     return _symbol_counts(flat.reshape(total, n), z_size)

@@ -109,6 +109,27 @@ class TestCli:
             outs.append(file_sha256(out / "validation.json"))
         assert outs[0] == outs[1]
 
+    def test_mc_validate_bytes_pinned(self, tmp_path, problem_file):
+        # recorded with one posterior and one bound per trial, drawn by Generator.choice
+        out = tmp_path / "mc"
+        code = main([
+            "mc-validate", "--problem", str(problem_file), "--n", "5", "--delta", "0.9",
+            "--trials", "1000", "--seed", "3", "--out", str(out),
+        ])
+        assert code == 0
+        assert json.loads((out / "validation.json").read_text())["violations"] == 2
+        assert file_sha256(out / "validation.json") == (
+            "a85ffedea8644042992ca556aae535c0009e7825c6666e85ee13ba0e1c56ca61"
+        )
+
+    def test_covering_bytes_pinned(self, tmp_path):
+        # recorded with one Philox stream drawn and searched per trial
+        out = tmp_path / "cov"
+        assert main(["covering", "--m-grid", "1,4,8", "--trials", "1500", "--seed", "3", "--out", str(out)]) == 0
+        assert file_sha256(out / "covering.csv") == (
+            "b7e3988e532a25ab392526e856572747149b8625f382c71da22cf61e5a45306a"
+        )
+
     def test_counterexample_byte_determinism(self, tmp_path):
         hashes = []
         for name in ("c1", "c2"):

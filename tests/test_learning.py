@@ -78,6 +78,40 @@ class TestRisks:
             gen_error(prob, [0], -1)
 
 
+class TestSampleIndices:
+    """Sample indices are whole numbers; a float used to be truncated and an empty dataset gave NaN."""
+
+    def test_gen_errors_rejects_fractional_indices(self):
+        with pytest.raises(ValueError, match="whole numbers"):
+            gen_errors(small_problem(), [0.9, 1.7])
+
+    def test_gen_errors_rejects_an_empty_dataset(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            gen_errors(small_problem(), [])
+
+    def test_dataset_rejects_fractional_indices(self):
+        with pytest.raises(ValueError, match="whole numbers"):
+            Dataset([0.9, 1.7])
+
+    def test_gen_table_rejects_fractional_contexts(self):
+        with pytest.raises(ValueError, match="whole numbers"):
+            gen_table(small_problem(), np.array([[0.9, 1.7], [0.0, 1.0]]))
+
+    def test_gen_table_rejects_empty_contexts(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            gen_table(small_problem(), np.zeros((0, 3), dtype=int))
+
+    @pytest.mark.parametrize("bad", [[0.0, math.nan], [math.inf], ["1"]])
+    def test_non_numbers_rejected(self, bad):
+        with pytest.raises(ValueError, match="whole numbers"):
+            gen_errors(small_problem(), bad)
+
+    def test_whole_floats_read_as_ints(self):
+        prob = small_problem()
+        assert np.array_equal(gen_errors(prob, [0.0, 2.0]), gen_errors(prob, [0, 2]))
+        assert Dataset([0.0, 2.0]).samples.dtype == np.dtype(int)
+
+
 class TestGenError:
     def test_matched_empirical_measure(self):
         prob = FiniteLearningProblem(

@@ -9,12 +9,16 @@ from genbounds.learning import (
     ConstantAlgorithm,
     FiniteLearningProblem,
     GibbsAlgorithm,
+    gen_errors,
     gen_table,
     induced_joint,
 )
 from genbounds.ratedistortion import DistortionSpec, InfeasibleDistortion, rd_curve
-from genbounds.seeding import rng
+from genbounds.seeding import rng, rngs
+from genbounds import validation
 from genbounds.validation import (
+    _BLOCK,
+    _FIRST_ENTRIES,
     BookCapError,
     ValidationReport,
     build_hypothesis_book,
@@ -320,3 +324,188 @@ class TestCovering:
         for gen in (a, b):
             gen.random(2 * m)  # the pair draws that precede the book
         assert np.array_equal(a.random((j, m)), b.random((size, m))[:j])
+
+
+# ---------------------------------------------------------------------------
+# the batched trial paths against the per-trial loops they replaced
+
+
+def per_trial_mc(prob, alg, n, trials, seed):
+    """The per-trial MC loop, kept as the oracle: (s, w, post, gen error) per trial."""
+    out = []
+    for gen in rngs(seed, count=trials):
+        s = gen.choice(prob.z_alphabet_size, size=n, p=np.asarray(prob.mu))
+        post = np.asarray(alg.posterior(prob, s))
+        w = int(gen.choice(post.size, p=post))
+        out.append((s, w, post, float(gen_errors(prob, s)[w])))
+    return out
+
+
+def per_trial_covering(prob, alg, n, rates, epsilon, m_grid, trials, seed, q_hat):
+    """The per-trial covering loop, kept as the oracle: failure flags per m."""
+    joint, types = induced_joint(prob, alg, n, by_type=True)
+    post_cdf = np.cumsum(alg.posteriors(prob, types), axis=1)
+    g2 = gen_table(prob, types, by_type=True) ** 2
+    q_cdf = np.cumsum(q_hat)
+    type_cdf = np.cumsum(np.asarray(joint.marginal_s()))
+    last_w = prob.w_alphabet_size - 1
+    flags = []
+    for mi, m in enumerate(m_grid):
+        size = validation._book_size(m, rates)
+        fails = []
+        for gen in rngs(seed, mi, count=trials):
+            t_seq = validation._inverse_cdf(type_cdf, gen.random(m))
+            w_seq = np.minimum((post_cdf[t_seq] < gen.random(m)[:, None]).sum(axis=1), last_w)
+            j_max = validation._searchable_prefix(float(rates[t_seq, w_seq].sum()), size)
+            entries = validation._inverse_cdf(q_cdf, gen.random((j_max, m)))
+            own = float(g2[t_seq, w_seq].mean())
+            repro = g2[t_seq[None, :], entries].mean(axis=1)
+            fails.append(own - float(repro.max()) > epsilon)
+        flags.append(np.array(fails))
+    return flags
+
+
+def mc_case(name):
+    if name == "zero-mass symbol and hypothesis":
+        prob = FiniteLearningProblem(
+            loss=rng(210).uniform(0, 1, size=(5, 3)), mu=Pmf(np.array([0.4, 0.0, 0.35, 0.25, 0.0])), bound=1.0
+        )
+        return prob, GibbsAlgorithm(prior=Pmf(np.array([0.5, 0.0, 0.5])), beta=2.0), 6, 300
+    if name == "n = 1":
+        return (*gibbs_instance(211, z=3, w=3), 1, 300)
+    return (*gibbs_instance(212, z=4, w=4), 25, 2 * _BLOCK + 37)
+
+
+MC_CASES = ["zero-mass symbol and hypothesis", "n = 1", "three blocks"]
+
+
+class CountingGibbs(GibbsAlgorithm):
+    def __init__(self, prior, beta):
+        super().__init__(prior, beta)
+        self.datasets = []
+
+    def posterior(self, prob, s):
+        self.datasets.append(np.array(s))
+        return super().posterior(prob, s)
+
+
+class TestBatchedMc:
+    @pytest.mark.parametrize("case", MC_CASES)
+    def test_trials_equal_the_per_trial_loop(self, case):
+        prob, alg, n, trials = mc_case(case)
+        want = per_trial_mc(prob, alg, n, trials, seed=21)
+        seen = []
+
+        def at_oracle(s, w, post):
+            seen.append((s.copy(), w, post))
+            return want[len(seen) - 1][3]
+
+        # the bound is the oracle's gen error: no trial may exceed it ...
+        assert mc_tail_validate(prob, alg, at_oracle, n, 0.5, trials, seed=21).violations == 0
+        assert len(seen) == trials
+        for (s, w, post), (s0, w0, post0, _) in zip(seen, want):
+            assert np.array_equal(s, s0) and type(w) is int and w == w0 and np.array_equal(post, post0)
+        # ... and every trial exceeds the next float below it, so the gen errors are equal bit for bit
+        below = iter([math.nextafter(x[3], -math.inf) for x in want])
+        assert mc_tail_validate(prob, alg, lambda s, w, post: next(below), n, 0.5, trials, seed=21).violations == trials
+
+    @pytest.mark.parametrize("case", MC_CASES)
+    def test_expectation_equals_the_per_trial_loop(self, case):
+        prob, alg, n, trials = mc_case(case)
+        vals = np.array([ge for _, _, _, ge in per_trial_mc(prob, alg, n, trials, seed=23)])
+        mean, ci, _ = mc_expectation_validate(prob, alg, 1.0, n, trials, seed=23)
+        assert mean == float(vals.mean()) and ci == float(vals.std(ddof=1) / math.sqrt(trials))
+
+    def test_one_posterior_per_dataset_type(self):
+        prob, _ = gibbs_instance(213, z=3, w=3)
+        alg = CountingGibbs(Pmf.uniform(3), 1.0)
+        trials, n = 2 * _BLOCK + 37, 4
+        drawn = [s for s, _, _, _ in per_trial_mc(prob, GibbsAlgorithm(Pmf.uniform(3), 1.0), n, trials, seed=24)]
+        types = {tuple(np.bincount(s, minlength=3)) for s in drawn}
+        for run in (
+            lambda: mc_tail_validate(prob, alg, lambda s, w, post: math.inf, n, 0.1, trials, seed=24),
+            lambda: mc_expectation_validate(prob, alg, 1.0, n, trials, seed=24),
+        ):
+            alg.datasets.clear()
+            run()
+            called = [tuple(np.bincount(s, minlength=3)) for s in alg.datasets]
+            assert len(called) == len(set(called)) == len(types) < trials
+            assert set(called) == types
+            # each on a dataset that a trial drew
+            assert all(any(np.array_equal(s, d) for d in drawn) for s in alg.datasets)
+
+    def test_full_type_cache_evaluates_again(self, monkeypatch):
+        # a table that would pass its room is emptied; its types are evaluated again, with the same draws
+        prob, alg, n, trials = mc_case("three blocks")
+        monkeypatch.setattr(validation, "_BLOCK", 32)
+        monkeypatch.setattr(validation, "_TYPE_CACHE_FLOATS", 3 * prob.w_alphabet_size * 40)
+        want = per_trial_mc(prob, alg, n, trials, seed=28)
+        counting = CountingGibbs(alg.prior, alg.beta)
+        seen = []
+        mc_tail_validate(prob, counting, lambda s, w, post: seen.append((w, post)) or math.inf, n, 0.1, trials, seed=28)
+        assert [w for w, _ in seen] == [w for _, w, _, _ in want]
+        assert all(np.array_equal(post, p) for (_, post), (_, _, p, _) in zip(seen, want))
+        distinct = {tuple(np.bincount(s, minlength=4)) for s, _, _, _ in want}
+        assert len(counting.datasets) > len(distinct)
+        mean, _, _ = mc_expectation_validate(prob, counting, 1.0, n, trials, seed=28)
+        assert mean == float(np.mean([ge for _, _, _, ge in want]))
+
+
+class TestBatchedCovering:
+    @pytest.mark.parametrize("epsilon", [None, 0.0])
+    def test_flags_equal_the_per_trial_loop(self, epsilon, monkeypatch):
+        inst = covering_default_instance()
+        eps = inst["epsilon"] if epsilon is None else epsilon
+        m_grid, trials = [1, 2, 4, 8, 12], 600
+        # m = 1 and 2 have books smaller than the entries drawn up front
+        assert [validation._book_size(m, inst["rates"]) < _FIRST_ENTRIES for m in m_grid] == [True] * 2 + [False] * 3
+        redrawn = []
+        monkeypatch.setattr(validation, "_rng", lambda *path: redrawn.append(path) or rng(*path))
+        got = validation._covering_flags(
+            inst["prob"], inst["alg"], inst["n"], inst["rates"], eps, m_grid, trials, 25, inst["q_hat"]
+        )
+        want = per_trial_covering(
+            inst["prob"], inst["alg"], inst["n"], inst["rates"], eps, m_grid, trials, 25, inst["q_hat"]
+        )
+        assert [m for m, _ in got] == m_grid
+        for (_, fails), want_fails in zip(got, want):
+            assert np.array_equal(fails, want_fails)
+        assert sum(f.sum() for f in want) > 0
+        # the rest of a long prefix was searched on some trials at m = 4, 8 and 12
+        assert {path[1] for path in redrawn} == {2, 3, 4}
+
+    @pytest.mark.parametrize("epsilon", [None, 0.0])
+    def test_prefix_one_past_the_first_entries(self, epsilon):
+        # every prefix is K + 1 entries long, so the last one settles each trial that the first K miss
+        inst = covering_default_instance()
+        eps = inst["epsilon"] if epsilon is None else epsilon
+        rates = np.full_like(inst["rates"], math.log(_FIRST_ENTRIES + 1.5) / 3)
+        args = (inst["prob"], inst["alg"], inst["n"], rates, eps, [3], 600, 27, inst["q_hat"])
+        [(_, got)], [want] = validation._covering_flags(*args), per_trial_covering(*args)
+        assert validation._book_size(3, rates) == _FIRST_ENTRIES + 1
+        assert np.array_equal(got, want) and 0 < got.sum() < 600
+
+
+class TestSizesAreWholeNumbers:
+    @pytest.mark.parametrize("n, trials, match", [(5, 150.5, "trials"), (5.5, 150, "n must"), (5.0, 150, "n must")])
+    def test_mc_sizes(self, n, trials, match):
+        prob, alg = gibbs_instance(214)
+        with pytest.raises(ValueError, match=match):
+            mc_tail_validate(prob, alg, lambda s, w, post: 1.0, n, 0.1, trials, seed=1)
+        with pytest.raises(ValueError, match=match):
+            mc_expectation_validate(prob, alg, 1.0, n, trials, seed=1)
+
+    @pytest.mark.parametrize("m_grid, trials, match", [([4.5], 50, "m_grid"), ([4], 50.5, "trials"), ([], 50, "m_grid")])
+    def test_covering_sizes(self, m_grid, trials, match):
+        inst = covering_default_instance()
+        with pytest.raises(ValueError, match=match):
+            covering_failure_estimate(
+                inst["prob"], inst["alg"], inst["n"], inst["rates"], inst["epsilon"],
+                m_grid, trials, seed=0, q_hat=inst["q_hat"],
+            )
+
+    @pytest.mark.parametrize("value", [None, np.array([0.5, 0.5]), np.array([0.5]), "high"])
+    def test_bound_fn_must_return_one_real_number(self, value):
+        prob, alg = gibbs_instance(215)
+        with pytest.raises(ValueError, match="bound_fn"):
+            mc_tail_validate(prob, alg, lambda s, w, post: value, 5, 0.1, 100, seed=1)
