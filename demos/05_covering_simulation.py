@@ -13,7 +13,7 @@ to at least log(1/delta).
 
 import math
 
-from genbounds import build_hypothesis_book, covering_failure_estimate
+from genbounds import covering_failure_estimate
 from genbounds.validation import covering_default_instance
 
 inst = covering_default_instance()
@@ -22,8 +22,8 @@ print("rate table (rows: dataset types):")
 for row in inst["rates"]:
     print("   ", [f"{x:.4f}" for x in row])
 
-book = build_hypothesis_book(inst["q_hat"], m=8, rates=inst["rates"], seed=1)
-print(f"\na random book at m=8 holds {book.entries.shape[0]} sequences")
+# a book holds floor(exp(m * R_max)) sequences, so that every searchable prefix fits
+print(f"\na random book at m=8 holds {math.floor(math.exp(8 * inst['rates'].max()))} sequences")
 
 rows = covering_failure_estimate(
     inst["prob"], inst["alg"], inst["n"], inst["rates"], inst["epsilon"],

@@ -79,7 +79,6 @@ from .trajectory import (
 )
 from .validation import (
     ValidationReport,
-    build_hypothesis_book,
     covering_failure_estimate,
     mc_expectation_validate,
     mc_tail_validate,

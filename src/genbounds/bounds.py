@@ -296,7 +296,7 @@ def fixed_size_bound(R: float, sigma: float, n: int, delta: float, epsilon: floa
 
 
 def _eq4_terms(R: float, sigma: float, n: int, delta: float, epsilon: float) -> dict:
-    """Terms of sqrt(2sigma^2 (R + log(1/delta)) / n) + eps, shared by eq4 and eq21."""
+    """Terms of sqrt(2sigma^2 (R + log(1/delta)) / n) + eps, shared by eq4, eq21 and thm7."""
     rate = 2.0 * sigma**2 * R / n
     conf = 2.0 * sigma**2 * math.log(1.0 / delta) / n
     return {"rate_term": rate, "confidence_term": conf, "epsilon_term": epsilon}
@@ -349,7 +349,7 @@ def seeger_fast_rate_bound(emp_risk: float, sup_mi: float, sigma: float, n: int,
     C = 4 sigma^2 (sup_mi + log(2 sqrt(n)/delta)); the bound follows from the
     KL-inverse cap a + sqrt(2ab) + 2b and is O(1/n) at zero empirical risk.
     """
-    _check_domain(n, delta, empirical_risk=emp_risk)
+    _check_domain(n, delta, empirical_risk=emp_risk, sup_mi=sup_mi)
     rate = 4.0 * sigma**2 * sup_mi
     conf = 4.0 * sigma**2 * math.log(2.0 * math.sqrt(n) / delta)
     terms = {"rate_term": rate, "confidence_term": conf, "c_term": rate + conf}

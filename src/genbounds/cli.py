@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    _conditional,
     fixed_size_bound,
     log_mgf,
     pac_bayes_eq22,
@@ -35,7 +36,7 @@ from .bounds import (
 from .counterexample import scaling_study
 from .info import Pmf
 from .io import file_sha256, load_problem, write_csv, write_report
-from .learning import GibbsAlgorithm, gen_table, induced_joint, sample_dataset
+from .learning import GibbsAlgorithm, _symbol_counts, gen_table, induced_joint, sample_dataset
 from .ratedistortion import DistortionSpec, rd_curve, rd_gen
 from .seeding import rng as _rng
 from .trajectory import LogisticToy, QuadraticToy, lr_sweep, thm7_bound, thm8_bound
@@ -74,17 +75,16 @@ def _apply_config(parser, args: argparse.Namespace, argv: list[str]) -> argparse
     if not getattr(args, "config", None):
         return args
     cfg = _strict_load_config(args.config)
-    known = set(vars(args))
-    unknown = set(cfg) - known
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    # a key names an optional flag of the subcommand; --help and --config themselves are not settable
+    actions = {a.dest: a for a in sub.choices[args.command]._actions if a.option_strings}
+    unknown = set(cfg) - (set(actions) - {"help", "config"})
     if unknown:
         raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     cli_tokens = {t.split("=")[0].lstrip("-").replace("-", "_") for t in argv if t.startswith("--")}
     for key, value in cfg.items():
-        if key in cli_tokens:
-            continue  # explicit flag wins
-        setattr(args, key, _config_value(actions[key], key, value) if key in actions else value)
+        if key not in cli_tokens:  # an explicit flag wins
+            setattr(args, key, _config_value(actions[key], key, value))
     return args
 
 
@@ -144,7 +144,7 @@ def cmd_bound(args) -> int:
             rep = rd_tail_bound(joint, gtab, prob.sigma, args.n, args.delta, args.epsilon, seed=args.seed)
         elif kind in ("thm5i", "thm5ii"):
             q = np.asarray(joint.marginal_w())
-            pws = np.asarray(joint) / np.asarray(joint).sum(axis=1, keepdims=True)
+            pws = _conditional(np.asarray(joint), np.asarray(joint.marginal_s()))
             if kind == "thm5i":
                 lam = None if args.lam <= 0 else args.lam  # a NaN lam reaches the bound, which rejects it
                 rep = thm5_expectation_bound("i", joint, pws, q, gtab, gtab, lam=lam, epsilon=args.epsilon)
@@ -155,7 +155,7 @@ def cmd_bound(args) -> int:
             f = args.lam * gtab
             p_s = np.asarray(joint.marginal_s())
             s = sample_dataset(prob, args.n, args.seed)
-            counts = np.bincount(s.samples, minlength=prob.z_alphabet_size)
+            counts = _symbol_counts(s.samples[None], prob.z_alphabet_size)
             s_idx = int(np.flatnonzero((contexts == counts).all(axis=1))[0])
             pi = np.asarray(alg.posterior(prob, s))
             if kind == "eq22":

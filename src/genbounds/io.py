@@ -51,12 +51,8 @@ def _render(obj, indent: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x):
-            return '"nan"'
-        if math.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
-        return format(x, ".17g")
+        # JSON has no literal for nan or +-inf, so those go out as strings
+        return _fmt_cell(obj) if math.isfinite(obj) else f'"{_fmt_cell(obj)}"'
     if obj is None:
         return "null"
     return json.dumps(obj)
@@ -77,14 +73,8 @@ def write_report(data, path) -> Path:
 
 
 def _fmt_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        x = float(v)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".17g")
-    return str(v)
+    """A float with 17 significant digits (nan, inf and -inf spelled so), anything else by str."""
+    return format(float(v), ".17g") if isinstance(v, (float, np.floating)) else str(v)
 
 
 def write_csv(rows, header, path) -> Path:

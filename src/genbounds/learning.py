@@ -114,8 +114,29 @@ def _indices(x) -> np.ndarray:
     return a.astype(int, copy=False)
 
 
-def _samples(s) -> np.ndarray:
-    return s.samples if isinstance(s, Dataset) else _indices(s)
+def _type_counts(counts) -> np.ndarray:
+    """`counts` as an (N, z) float table of dataset types, the type-table twin of `_indices`:
+    ValueError unless its entries are whole and non-negative and its rows share one positive sum n."""
+    c = np.asarray(counts)
+    if c.ndim != 2 or c.size == 0:
+        raise ValueError(f"expected a non-empty (N, z) table of symbol counts, got shape {c.shape}")
+    if c.dtype.kind not in "iu" and not (c.dtype.kind == "f" and np.isfinite(c).all() and (c == np.floor(c)).all()):
+        raise ValueError("symbol counts must be whole numbers")
+    n = np.einsum("ij->i", c)  # 4x faster than sum(axis=1) on the thm5 kinds' 5456 x 4 types
+    if not (c.min() >= 0 and n[0] > 0 and (n == n[0]).all()):
+        raise ValueError("symbol counts must be non-negative, and every row must have the same positive sum n")
+    return c.astype(float)
+
+
+def _dataset_counts(prob: FiniteLearningProblem, s) -> np.ndarray:
+    """(1, z) float symbol counts of the dataset s, the one-row table the row kernels take."""
+    samples = s.samples if isinstance(s, Dataset) else s
+    return _symbol_counts(np.asarray(samples)[None], prob.z_alphabet_size).astype(float)
+
+
+def _check_w(prob: FiniteLearningProblem, w: int) -> None:
+    if not 0 <= w < prob.w_alphabet_size:
+        raise ValueError(f"hypothesis index {w} out of range")
 
 
 def population_risks(prob: FiniteLearningProblem) -> np.ndarray:
@@ -124,37 +145,37 @@ def population_risks(prob: FiniteLearningProblem) -> np.ndarray:
 
 
 def population_risk(prob: FiniteLearningProblem, w: int) -> float:
-    if not 0 <= w < prob.w_alphabet_size:
-        raise ValueError(f"hypothesis index {w} out of range")
+    _check_w(prob, w)
     return float(np.asarray(prob.mu) @ prob.loss[:, w])
 
 
-def _counts(prob: FiniteLearningProblem, idx: np.ndarray) -> np.ndarray:
-    if np.any(idx >= prob.z_alphabet_size):
-        raise ValueError("sample index out of range for this problem")
-    return np.bincount(idx, minlength=prob.z_alphabet_size).astype(float)
+def _empirical_rows(prob: FiniteLearningProblem, counts: np.ndarray) -> np.ndarray:
+    """(N, W) empirical risks of an (N, z) count table whose rows share one sum n."""
+    return counts @ prob.loss / counts[0].sum()
+
+
+def _gen_rows(prob: FiniteLearningProblem, counts: np.ndarray) -> np.ndarray:
+    """(N, W) generalization errors (population minus empirical) of an (N, z) count table."""
+    return population_risks(prob)[None] - _empirical_rows(prob, counts)
 
 
 def empirical_risks(prob: FiniteLearningProblem, s) -> np.ndarray:
     """Vector of empirical risks on dataset s, one per hypothesis."""
-    idx = _samples(s)
-    return (_counts(prob, idx) @ prob.loss) / idx.size
+    return _empirical_rows(prob, _dataset_counts(prob, s))[0]
 
 
 def empirical_risk(prob: FiniteLearningProblem, s, w: int) -> float:
-    if not 0 <= w < prob.w_alphabet_size:
-        raise ValueError(f"hypothesis index {w} out of range")
+    _check_w(prob, w)
     return float(empirical_risks(prob, s)[w])
 
 
 def gen_errors(prob: FiniteLearningProblem, s) -> np.ndarray:
     """Vector of generalization errors (population minus empirical) on s."""
-    return population_risks(prob) - empirical_risks(prob, s)
+    return _gen_rows(prob, _dataset_counts(prob, s))[0]
 
 
 def gen_error(prob: FiniteLearningProblem, s, w: int) -> float:
-    if not 0 <= w < prob.w_alphabet_size:
-        raise ValueError(f"hypothesis index {w} out of range")
+    _check_w(prob, w)
     return float(gen_errors(prob, s)[w])
 
 
@@ -183,7 +204,7 @@ def gibbs_posterior(prob: FiniteLearningProblem, prior, beta: float, s) -> Pmf:
     pr = np.asarray(prior, dtype=float)
     if not pr.sum() > 0:
         raise ValueError("prior must have positive mass")
-    return Pmf(_gibbs_rows(prob, pr, beta, _counts(prob, _samples(s))))
+    return Pmf(_gibbs_rows(prob, pr, beta, _dataset_counts(prob, s)[0]))
 
 
 class Algorithm:
@@ -215,7 +236,7 @@ class GibbsAlgorithm(Algorithm):
         return gibbs_posterior(prob, self.prior, self.beta, s)
 
     def posteriors(self, prob, counts) -> np.ndarray:
-        return _gibbs_rows(prob, self.prior, self.beta, np.asarray(counts, dtype=float))
+        return _gibbs_rows(prob, self.prior, self.beta, _type_counts(counts))
 
 
 class ConstantAlgorithm(Algorithm):
@@ -250,14 +271,15 @@ def enumerate_datasets(z_size: int, n: int, cap: int = ENUMERATION_CAP) -> np.nd
 
 
 def _symbol_counts(rows, z: int) -> np.ndarray:
-    """(N, z) symbol counts of the (N, n) index array `rows`, by one offset bincount."""
+    """(N, z) symbol counts of the (N, n) index array `rows`, by one bincount (offset per row)."""
     rows = _indices(rows)
     if rows.ndim != 2:
         raise ValueError(f"expected an (N, n) array of symbol indices, got shape {rows.shape}")
-    # row i counts into bins [i z, i z + z), so an index outside [0, z) would land in another row
-    if not (rows.min() >= 0 and rows.max() < z):
+    # row i counts into bins [i z, i z + z), so an index outside [0, z) would land in another row;
+    # a lone row needs no lower check, as bincount rejects a negative index
+    if not (rows.max() < z and (len(rows) == 1 or rows.min() >= 0)):
         raise ValueError(f"symbol index out of range for {z} symbols")
-    flat = (rows + z * np.arange(len(rows))[:, None]).ravel()
+    flat = rows[0] if len(rows) == 1 else (rows + z * np.arange(len(rows))[:, None]).ravel()
     return np.bincount(flat, minlength=len(rows) * z).reshape(-1, z)
 
 
@@ -314,5 +336,5 @@ def induced_joint(
 def gen_table(prob: FiniteLearningProblem, contexts: np.ndarray, by_type: bool = False) -> np.ndarray:
     """gen(s, w) for every enumerated dataset (or type) and hypothesis."""
     # one product over the whole counts matrix: computing it in other batches moves last bits
-    counts = np.asarray(contexts if by_type else _symbol_counts(contexts, prob.z_alphabet_size), dtype=float)
-    return population_risks(prob)[None, :] - (counts @ prob.loss) / counts[0].sum()
+    counts = _type_counts(contexts) if by_type else _symbol_counts(contexts, prob.z_alphabet_size).astype(float)
+    return _gen_rows(prob, counts)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport, _check_domain, _finish
+from .bounds import BoundReport, _check_domain, _eq4_terms, _finish
 from .info import Pmf, gdelta_sup, mutual_information
 from .ratedistortion import DistortionSpec, rd_curve
 from .seeding import rng as _rng
@@ -238,12 +238,10 @@ def gen_trajectory(model: ToyModel, samples: np.ndarray, traj: TrajectoryProcess
 
 def thm7_bound(rd_sup: float, delta: float, n: int, epsilon: float) -> BoundReport:
     """Trajectory tail bound sqrt((rd_sup + log(1/delta)) / (2n)) + eps for losses in [0,1]."""
-    _check_domain(n, delta)
-    rate = rd_sup / (2 * n)
-    conf = math.log(1.0 / delta) / (2 * n)
-    terms = {"rate_term": rate, "confidence_term": conf, "epsilon_term": epsilon}
+    _check_domain(n, delta, rd_sup=rd_sup)
     params = {"n": n, "delta": delta, "epsilon": epsilon, "rd_sup": rd_sup}
-    return _finish("thm7", terms, params)
+    # eq4 at sigma = 1/2: 2 sigma^2 R / n rounds once, as R / (2n) does
+    return _finish("thm7", _eq4_terms(rd_sup, 0.5, n, delta, epsilon), params)
 
 
 def thm8_bound(
@@ -259,7 +257,7 @@ def thm8_bound(
     When log_M comes from estimate_M it is a certified lower estimate of the
     coupling supremum, and the bound value inherits that caveat.
     """
-    _check_domain(n, delta, log_M=log_M)
+    _check_domain(n, delta, rd_s=rd_s, log_M=log_M)
     rate = rd_s / (2 * n - 1)
     conf = (0.5 * math.log(2 * n) + log_M + math.log(1.0 / delta)) / (2 * n - 1)
     terms = {"rate_term": rate, "confidence_term": conf, "lipschitz_term": 4.0 * lipschitz_L * epsilon}

@@ -30,10 +30,8 @@ from .seeding import rng as _rng, rngs
 
 __all__ = [
     "ValidationReport",
-    "HypothesisBook",
     "mc_tail_validate",
     "mc_expectation_validate",
-    "build_hypothesis_book",
     "covering_failure_estimate",
     "CoveringRow",
     "covering_default_instance",
@@ -230,27 +228,6 @@ def mc_expectation_validate(
 # random-coding covering
 
 
-@dataclass(frozen=True)
-class HypothesisBook:
-    """A random hypothesis book: iid length-m reproduction sequences.
-
-    The searchable prefix for a realized block ((s_1,w_1),...,(s_m,w_m)) is
-    the first floor(exp(sum_i R[s_i, w_i])) entries; rates index dataset
-    types (rows) and hypotheses (columns).
-    """
-
-    entries: np.ndarray  # (book_size, m) reproduction indices
-    rates: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[1]
-
-    def effective_size(self, type_seq, w_seq) -> int:
-        total = float(np.asarray(self.rates)[np.asarray(type_seq), np.asarray(w_seq)].sum())
-        return _searchable_prefix(total, self.entries.shape[0])
-
-
 def _searchable_prefix(total_rate: float, size: int) -> int:
     """floor(exp(total_rate)) entries, clipped to [1, size]; exp is capped at e^700."""
     return max(1, min(int(math.floor(math.exp(min(total_rate, 700.0)))), size))
@@ -263,43 +240,21 @@ def _inverse_cdf(cdf: np.ndarray, u) -> np.ndarray:
 
 def _book_size(m: int, rates: np.ndarray) -> int:
     """floor(exp(m * R_max)) sequences; a book over BOOK_CAP raises BookCapError."""
-    r_max = float(np.asarray(rates).max()) if np.asarray(rates).size else 0.0
-    size = max(1, int(math.floor(math.exp(min(m * r_max, 700.0)))))
+    size = max(1, int(math.floor(math.exp(min(m * float(np.max(rates)), 700.0)))))
     if size > BOOK_CAP:
         raise BookCapError(f"book of {size} sequences exceeds the cap {BOOK_CAP}")
     return size
 
 
-def _check_book(q_hat, rates, w: int | None = None, types: int | None = None):
-    """The book law q_hat as a pmf over w reproductions and the rates as a finite,
-    non-negative (types, w) table; w defaults to len(q_hat), and types to any.
-    """
+def _check_book(q_hat, rates, w: int, types: int):
+    """The book law q_hat as a pmf over w reproductions and the rates as a finite, non-negative (types, w) table."""
     q = _probs(q_hat, 1)
     r = np.asarray(rates, dtype=float)
-    w = q.size if w is None else w
-    if q.size != w or r.ndim != 2 or r.shape[1] != w or types not in (None, r.shape[0]):
-        shape = (types or "types", w)
-        raise ValueError(f"need {w} q_hat entries and rates of shape {shape}, got {q.size} and {r.shape}")
+    if q.size != w or r.shape != (types, w):
+        raise ValueError(f"need {w} q_hat entries and rates of shape {(types, w)}, got {q.size} and {r.shape}")
     if not (np.isfinite(r).all() and (r >= 0).all()):
         raise ValueError("rates must be finite and non-negative")
     return q, r
-
-
-def build_hypothesis_book(q_hat, m: int, rates, seed: int) -> HypothesisBook:
-    """Draw a book of iid reproduction sequences from q_hat^(x)m.
-
-    `rates` is a (types, len(q_hat)) table. The book holds
-    floor(exp(m * R_max)) entries so that every realized effective size
-    fits; exceeding BOOK_CAP raises BookCapError.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    q, r = _check_book(q_hat, rates)
-    size = _book_size(m, r)
-    cdf = np.cumsum(q)
-    gen = _rng(seed)
-    entries = _inverse_cdf(cdf, gen.random(size=(size, m)))
-    return HypothesisBook(entries=entries, rates=np.array(r, copy=True))
 
 
 @dataclass(frozen=True)

@@ -740,6 +740,10 @@ class TestReportInvariants:
                 p_quant=np.array([0.5, 0.5]), f=np.zeros((2, 2)),
             ),
             lambda: toy_example_bound(0.3, 1.2, 4, 0.6, 50, 3.0),
+            # a negative rate or mutual information gave a bound below its value at 0
+            lambda: thm7_bound(-0.1, 0.5, 10, 0.0),
+            lambda: thm8_bound(-0.5, 0.0, 1.0, 0.5, 10, 0.0),
+            lambda: seeger_fast_rate_bound(0.0, -1.0, 0.5, 10, 0.05),
         ],
     )
     def test_nan_input_rejected(self, make):

@@ -301,11 +301,20 @@ class TestCli:
         code = main(["bound", "--kind", "eq21", "--out", str(tmp_path / "x.json")])
         assert code == 1
 
-    def test_unknown_config_key_errors(self, tmp_path):
+    def test_unknown_config_key_errors(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"not_a_key": 1}))
         code = main(["bound", "--kind", "thm1", "--config", str(cfg), "--out", str(tmp_path / "x.json")])
         assert code == 1
+        # names in the parsed namespace that are no flag: "func" raised a TypeError, and
+        # "command" ran sweep while the manifest recorded rd
+        for values in ({"func": 1}, {"command": "rd"}, {"config": "other.json"}):
+            capsys.readouterr()
+            cfg.write_text(json.dumps(values))
+            out = tmp_path / "sweep"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith("error: unknown config key(s)")
+            assert not out.exists()
 
     def test_config_values_converted_like_flags(self, tmp_path, problem_file, capsys):
         cfg = tmp_path / "cfg.json"
@@ -422,6 +431,19 @@ class TestCli:
             ])
             assert code == 0, kind
             assert math.isfinite(json.loads(out.read_text())["bound_value"])
+
+    @pytest.mark.parametrize("kind", ["thm5i", "thm5ii", "eq22", "prop5i", "prop5ii", "eq21"])
+    def test_zero_mass_symbol(self, tmp_path, kind):
+        # types that hold a zero-mass symbol have no conditional row: thm5i failed with
+        # "distortion violated: E[f-g]=nan" and thm5ii divided 0 by 0
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({
+            "z_alphabet": 3, "w_alphabet": 3, "loss": [[0.0, 0.5, 1.0], [0.5, 0.0, 0.7], [1.0, 0.7, 0.0]],
+            "mu": [0.5, 0.5, 0.0], "B": 1.0,
+        }))
+        out = tmp_path / "report.json"
+        assert main(["bound", "--kind", kind, "--problem", str(problem), "--n", "3", "--out", str(out)]) == 0
+        assert math.isfinite(json.loads(out.read_text())["bound_value"])
 
     def test_nan_bound_is_an_error(self, tmp_path):
         out = tmp_path / "nan"

@@ -13,6 +13,7 @@ from genbounds.learning import (
     FiniteLearningProblem,
     GibbsAlgorithm,
     empirical_risk,
+    empirical_risks,
     enumerate_datasets,
     enumerate_types,
     gen_error,
@@ -407,3 +408,68 @@ class TestDatasetModeTables:
         # an out-of-range index would otherwise be counted in the next row
         with pytest.raises(ValueError):
             gen_table(small_problem(35, z=3, w=2), np.asarray(ctx))
+
+
+class TestTypeCounts:
+    """A type-count table has whole, non-negative entries and one positive sum n in every row."""
+
+    BAD = [[[-1, 3]], [[0.5, 1.5]], [[1, 2], [2, 2]], [[0, 0]], [[math.nan, 2]], [1, 2], np.zeros((0, 2)),
+           [[True, True], [True, False]]]
+
+    @pytest.mark.parametrize("counts", BAD)
+    def test_gen_table_rejects(self, counts):
+        # [[-1, 3]] gave [[-0.5, 0.8]] and [[0.5, 1.5]] gave [[-0.125, 0.2]] on this problem
+        prob = FiniteLearningProblem(loss=np.array([[0.0, 1.0], [1.0, 0.2]]), mu=Pmf(np.array([0.5, 0.5])))
+        with pytest.raises(ValueError, match="symbol counts"):
+            gen_table(prob, np.asarray(counts), by_type=True)
+
+    @pytest.mark.parametrize("counts", BAD)
+    def test_gibbs_posteriors_reject(self, counts):
+        prob = FiniteLearningProblem(loss=np.array([[0.0, 1.0], [1.0, 0.2]]), mu=Pmf(np.array([0.5, 0.5])))
+        with pytest.raises(ValueError, match="symbol counts"):
+            GibbsAlgorithm(Pmf.uniform(2), 1.0).posteriors(prob, np.asarray(counts))
+
+    def test_whole_float_counts_accepted(self):
+        prob = small_problem(36, z=2, w=3)
+        types = enumerate_types(2, 4)
+        assert np.array_equal(gen_table(prob, types.astype(float), by_type=True), gen_table(prob, types, by_type=True))
+
+
+class TestOneRowKernels:
+    """gen_errors, empirical_risks and gibbs_posterior give the bits of the per-dataset
+    formulas they replaced: a bincount of the samples, a 1-D product and a 1-D Gibbs row."""
+
+    @staticmethod
+    def old_formulas(prob, prior, beta, s):
+        counts = np.bincount(np.asarray(s), minlength=prob.z_alphabet_size).astype(float)
+        emp = (counts @ prob.loss) / np.asarray(s).size
+        pr = np.asarray(prior, dtype=float)
+        logits = np.where(pr > 0, np.log(np.clip(pr, 1e-300, None)), -np.inf) - beta * (counts @ prob.loss)
+        logits -= logits.max(axis=-1, keepdims=True)
+        weights = np.exp(logits)
+        return emp, population_risks(prob) - emp, weights / weights.sum(axis=-1, keepdims=True)
+
+    def test_bits_equal_on_random_problems(self):
+        gen = rng(37)
+        for _ in range(600):
+            z, w, n = int(gen.integers(1, 7)), int(gen.integers(1, 9)), int(gen.integers(1, 40))
+            mu = gen.dirichlet(np.ones(z))
+            prob = FiniteLearningProblem(loss=gen.uniform(0, gen.uniform(0.1, 5), size=(z, w)), mu=Pmf(mu))
+            prior = gen.dirichlet(np.ones(w))
+            if w > 1 and gen.random() < 0.3:
+                prior[gen.integers(w)] = 0.0
+                prior /= prior.sum()
+            beta = float(gen.uniform(0, 10))
+            s = gen.integers(0, z, size=n)
+            emp, gerr, post = self.old_formulas(prob, prior, beta, s)
+            for data in (s, Dataset(s), s.astype(float)):
+                assert np.array_equal(empirical_risks(prob, data), emp)
+                assert np.array_equal(gen_errors(prob, data), gerr)
+                assert np.array_equal(np.asarray(gibbs_posterior(prob, prior, beta, data)), post)
+
+    def test_index_past_the_alphabet_rejected(self):
+        prob = small_problem(38, z=3, w=2)
+        for call in (lambda: gen_errors(prob, [0, 3]), lambda: empirical_risks(prob, [10**12]),
+                     lambda: gibbs_posterior(prob, Pmf.uniform(2), 1.0, [-1, 0])):
+            with pytest.raises(ValueError):
+                call()

@@ -157,6 +157,18 @@ class TestTrajectoryBoundFormulas:
         )
         assert rep.bound_value == pytest.approx(0.12240, abs=1e-4)
 
+    def test_thm7_terms_are_the_old_formula(self):
+        # thm7 builds its terms as eq4 at sigma = 1/2; R / (2n) was its own formula
+        gen = rng(41)
+        rd = np.concatenate([[0.0, 1e-300, 2.2250738585072014e-308, 1e300], gen.exponential(1.0, 20000),
+                             10.0 ** gen.uniform(-300, 300, 20000)])
+        for r in rd.tolist():
+            n, delta, eps = int(gen.integers(1, 10**6)), float(gen.uniform(1e-9, 1.0)), float(gen.normal())
+            rep = thm7_bound(r, delta, n, eps)
+            old = {"rate_term": r / (2 * n), "confidence_term": math.log(1.0 / delta) / (2 * n), "epsilon_term": eps}
+            assert rep.terms == old
+            assert rep.bound_value == math.sqrt(old["rate_term"] + old["confidence_term"]) + eps
+
     def test_thm8_trivial(self):
         n = 60
         rep = thm8_bound(0.0, 0.0, 1.0, 0.1, n, 0.0)

@@ -21,7 +21,6 @@ from genbounds.validation import (
     _FIRST_ENTRIES,
     BookCapError,
     ValidationReport,
-    build_hypothesis_book,
     covering_default_instance,
     covering_failure_estimate,
     mc_expectation_validate,
@@ -158,41 +157,60 @@ class TestMcExpectation:
         assert ok
 
 
-class TestHypothesisBook:
+class TestBook:
+    """The covering simulator's book: its size, its searchable prefix, its entries and its checks."""
+
+    @staticmethod
+    def covering(rates=None, q_hat=None, m_grid=(2,)):
+        inst = covering_default_instance()
+        return covering_failure_estimate(
+            inst["prob"], inst["alg"], inst["n"], inst["rates"] if rates is None else rates,
+            inst["epsilon"], list(m_grid), 50, 0, q_hat=inst["q_hat"] if q_hat is None else q_hat,
+        )
+
     def test_zero_rates_single_entry_prefix(self):
-        book = build_hypothesis_book([0.5, 0.5], 4, np.zeros((3, 2)), seed=5)
-        assert book.effective_size([0, 1, 2, 0], [0, 1, 0, 1]) == 1
+        rates = np.zeros((3, 2))
+        size = validation._book_size(4, rates)
+        assert size == 1
+        assert validation._searchable_prefix(float(rates[[0, 1, 2, 0], [0, 1, 0, 1]].sum()), size) == 1
+        assert validation._searchable_prefix(0.0, 50) == 1  # one entry even when the book holds more
 
     def test_uniform_entries_distribution(self):
-        book = build_hypothesis_book(np.full(4, 0.25), 1, np.full((2, 4), math.log(4000.0)), seed=6)
-        assert book.entries.shape[0] >= 3999
-        counts = np.bincount(book.entries.reshape(-1), minlength=4) / book.entries.size
+        size = validation._book_size(1, np.full((2, 4), math.log(4000.0)))
+        assert size >= 3999
+        entries = validation._inverse_cdf(np.cumsum(np.full(4, 0.25)), rng(6).random((size, 1)))
+        counts = np.bincount(entries.reshape(-1), minlength=4) / entries.size
         assert np.allclose(counts, 0.25, atol=0.05)
 
     def test_seed_determinism(self):
-        a = build_hypothesis_book([0.3, 0.7], 6, np.full((2, 2), 0.5), seed=7)
-        b = build_hypothesis_book([0.3, 0.7], 6, np.full((2, 2), 0.5), seed=7)
-        assert np.array_equal(a.entries, b.entries)
+        inst = covering_default_instance()
+        args = (inst["prob"], inst["alg"], inst["n"], np.full((3, 2), 0.2), 0.0, [6], 300, 7, [0.3, 0.7])
+        (m, a), = validation._covering_flags(*args)
+        (_, b), = validation._covering_flags(*args)
+        assert m == 6 and np.array_equal(a, b) and 0 < a.sum() < a.size
 
     def test_cap(self):
-        with pytest.raises(BookCapError):
-            build_hypothesis_book([0.5, 0.5], 10, np.full((2, 2), 3.0), seed=8)
+        # e^(10 * 3) sequences exceed BOOK_CAP before any trial is drawn
+        with pytest.raises(BookCapError, match="exceeds the cap"):
+            self.covering(rates=np.full((3, 2), 3.0), m_grid=[10])
 
     def test_negative_rates_rejected(self):
-        with pytest.raises(ValueError):
-            build_hypothesis_book([0.5, 0.5], 2, np.full((2, 2), -0.1), seed=9)
+        with pytest.raises(ValueError, match="rates"):
+            self.covering(rates=np.full((3, 2), -0.1))
 
     @pytest.mark.parametrize("q_hat", [[0.5, 0.7], [0.5, 0.2], [0.5, math.nan]])
     def test_non_pmf_law_rejected(self, q_hat):
         with pytest.raises(ValueError, match="probabilit"):
-            build_hypothesis_book(q_hat, 2, np.full((2, 2), 0.1), seed=9)
+            self.covering(q_hat=q_hat)
 
     @pytest.mark.parametrize(
-        "rates", [np.full((2, 3), 0.1), np.full(2, 0.1), [[0.1, math.inf]], [[0.1, math.nan]]]
+        "rates",
+        [np.full((3, 3), 0.1), np.full(3, 0.1), [[0.1, math.inf]] + [[0.1, 0.1]] * 2,
+         [[0.1, math.nan]] + [[0.1, 0.1]] * 2],
     )
     def test_rate_table_shape_and_entries(self, rates):
         with pytest.raises(ValueError, match="rates"):
-            build_hypothesis_book([0.5, 0.5], 2, rates, seed=9)
+            self.covering(rates=rates)
 
 
 class TestCovering:
