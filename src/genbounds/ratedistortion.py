@@ -11,8 +11,13 @@ dimension.
 
 from __future__ import annotations
 
+import copy
 import math
+import os
+from contextvars import copy_context
 from dataclasses import dataclass
+from threading import Lock, Thread
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +36,12 @@ __all__ = [
 RATE_TOL = 1e-10
 MAX_ITER = 10_000
 DIST_TOL = 1e-9
+# A grid's points are solved concurrently only on a distortion matrix of at
+# least this many cells: numpy holds the interpreter lock on small arrays. On
+# 2 CPUs the 4-point rd_dimension grid of 64 abs symbols (4096 cells) took
+# 0.264 s threaded against 0.246 s serial, 128 symbols broke even, and 256
+# symbols ran 1.7-2x faster.
+_CONCURRENT_CELLS = 1 << 14
 
 
 class InfeasibleDistortion(ValueError):
@@ -67,14 +78,15 @@ class RdSolution:
 class _BaProblem:
     """One source and distortion matrix, validated and prepared for BA solves.
 
-    `rd_curve` and `blahut_arimoto` build one per call; every solve of the
-    call shares it. It holds what depends only on (source, distortion): the
-    row minima and the distortion shifted by them, the rate's base term, the
-    source support, and the work buffers that each step overwrites (two of
-    the distortion's shape, one with an entry per source symbol). Raises
-    ValueError for a source that is not a pmf (`info._probs`) or a
-    distortion that is not a finite, non-empty 2-D array with one row per
-    source symbol.
+    `rd_curve` and `blahut_arimoto` build one per call, and a grid of
+    epsilons one per grid; every solve on it shares it. It holds what
+    depends only on (source, distortion): the row minima and the distortion
+    shifted by them, the rate's base term, the source support, and the work
+    buffers that each solve overwrites before it reads them (two of the
+    distortion's shape, one with an entry per source symbol), so a solve
+    carries no state to the next. Raises ValueError for a source that is not
+    a pmf (`info._probs`) or a distortion that is not a finite, non-empty
+    2-D array with one row per source symbol.
     """
 
     def __init__(self, source, d: DistortionSpec | np.ndarray):
@@ -88,9 +100,18 @@ class _BaProblem:
         self.shifted = dm - dmin
         self.base = float((p * dmin[:, 0]).sum())  # the distortion floor
         self.support = None if p.min() > 0 else p > 0
-        self.weighted = np.empty(dm.shape)
-        self.product = np.empty(dm.shape)
-        self.denom = np.empty(p.size)
+        self._buffers()
+
+    def _buffers(self):
+        self.weighted = np.empty(self.d.shape)
+        self.a = np.empty(self.d.shape)
+        self.denom = np.empty(self.p.size)
+
+    def twin(self) -> _BaProblem:
+        """The same prepared problem with its own work buffers, for a concurrent solve."""
+        twin = copy.copy(self)
+        twin._buffers()
+        return twin
 
     def channel(self, s: float, q_in: np.ndarray) -> np.ndarray:
         """The test channel that one BA step from marginal q_in makes at multiplier s.
@@ -119,9 +140,9 @@ def _ba_fixed_multiplier(prob: _BaProblem, s: float, tol: float, q0: np.ndarray 
     exceed the plain two-step value, so the objective is non-increasing
     across accepted iterations (checked). `q0` warm-starts the marginal.
 
-    A step writes its channel, its row normalizers and the distortion
-    products into the buffers of `prob` and keeps only marginals, so the
-    loop carries no channel. It returns (rate, distortion, q_in, q_out,
+    A step writes its channel, then the distortion products over it, and its
+    row normalizers into the buffers of `prob` and keeps only marginals, so
+    the loop carries no channel. It returns (rate, distortion, q_in, q_out,
     evaluations, converged): q_in is the input marginal of the accepted
     step and q_out its output, the next solve's warm start.
     `prob.channel(s, q_in)` rebuilds the accepted channel with the step's
@@ -130,11 +151,12 @@ def _ba_fixed_multiplier(prob: _BaProblem, s: float, tol: float, q0: np.ndarray 
     of being taken again.
     """
     p, p_col, d, support = prob.p, prob.p_col, prob.d, prob.support
-    weighted, product, denom = prob.weighted, prob.product, prob.denom
+    weighted, a, denom = prob.weighted, prob.a, prob.denom
     denom_col = denom[:, None]
     # the ufunc reductions are what ndarray.sum and .min call, minus a Python wrapper
     add, minimum = np.add.reduce, np.minimum.reduce
-    a = np.exp(-s * prob.shifted)
+    np.multiply(prob.shifted, -s, out=a)
+    np.exp(a, out=a)
     base = prob.base
     nw = d.shape[1]
     if q0 is None:
@@ -152,9 +174,9 @@ def _ba_fixed_multiplier(prob: _BaProblem, s: float, tol: float, q0: np.ndarray 
         np.maximum(denom, 1e-300, out=denom)
         np.divide(weighted, denom_col, out=weighted)  # the channel
         q_out = p @ weighted
-        np.multiply(p_col, weighted, out=product)
-        np.multiply(product, d, out=product)
-        dist = float(add(product, axis=None))
+        np.multiply(p_col, weighted, out=weighted)  # the channel is not read again
+        np.multiply(weighted, d, out=weighted)
+        dist = float(add(weighted, axis=None))
         if minimum(q_out) > 0:
             log_out = np.log(q_out)
             if log_in is None:
@@ -231,19 +253,25 @@ def blahut_arimoto(source, d: DistortionSpec | np.ndarray, lagrange: float) -> R
     return RdSolution(rate, dist, Channel(prob.channel(lagrange, q_in)), float(lagrange), iters, converged)
 
 
-def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSolution:
-    """Epsilon-constrained rate-distortion value R(epsilon).
+class _Point(NamedTuple):
+    """One solved point of the rate-distortion curve, without its channel.
 
-    Outer bisection on the Lagrange multiplier drives the achieved distortion
-    into [epsilon - DIST_TOL, epsilon]; at the lossless floor the multiplier
-    is grown until the rate stabilizes instead. The inputs are validated and
-    prepared once (`_BaProblem`), so every BA solve of the call shares the
-    set-up and the step buffers; each solve warm-starts from the previous
-    solve's output marginal, and only the returned solve's channel is built.
-    Raises ValueError for invalid inputs and a non-finite epsilon, before
-    any solve, and InfeasibleDistortion below the distortion floor.
+    The channel is `_BaProblem.channel(s, q_in)`: the step's channel of the
+    returned solve, or at the zero-rate point, the multiplier 0 with a
+    point-mass marginal, whose step gives every row that point mass.
     """
-    prob = _BaProblem(source, d)
+
+    rate: float
+    distortion: float
+    lagrange: float
+    iterations: int
+    converged: bool
+    s: float
+    q_in: np.ndarray
+
+
+def _solve(prob: _BaProblem, epsilon: float) -> _Point:
+    """R(epsilon) on a prepared problem; see `rd_curve`."""
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
     p, dm = prob.p, prob.d
@@ -255,9 +283,9 @@ def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSoluti
     best_col = int(np.argmin(col))
     zero_rate_d = float(col[best_col])
     if epsilon >= zero_rate_d - 1e-15:
-        rows = np.zeros((p.size, dm.shape[1]))
-        rows[:, best_col] = 1.0
-        return RdSolution(0.0, zero_rate_d, Channel(rows), 0.0, 0, True)
+        point_mass = np.zeros(dm.shape[1])
+        point_mass[best_col] = 1.0
+        return _Point(0.0, zero_rate_d, 0.0, 0, True, 0.0, point_mass)
 
     scale = max(float(dm.max() - dm.min()), 1e-30)
     coarse = max(RATE_TOL, 1e-6)  # bracketing precision; the accepted point is re-polished at RATE_TOL
@@ -276,7 +304,7 @@ def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSoluti
             s *= 2.0
         s = best[0]
         rate, dist, q_in, _, iters, conv = _ba_fixed_multiplier(prob, s, RATE_TOL, best[1])
-        return RdSolution(rate, dist, Channel(prob.channel(s, q_in)), s, iters, conv)
+        return _Point(rate, dist, s, iters, conv, s, q_in)
 
     lo = 0.0
     hi = 8.0 / scale
@@ -307,7 +335,83 @@ def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSoluti
         # polishing drifted past the target; nudge the multiplier upward
         s = found[0] * (1 + 1e-6) + 1e-12
         rate, dist, q_in, _, iters, conv = _ba_fixed_multiplier(prob, s, RATE_TOL, q_warm)
-    return RdSolution(rate, dist, Channel(prob.channel(s, q_in)), found[0], iters, conv)
+    return _Point(rate, dist, found[0], iters, conv, s, q_in)
+
+
+def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSolution:
+    """Epsilon-constrained rate-distortion value R(epsilon).
+
+    Outer bisection on the Lagrange multiplier drives the achieved distortion
+    into [epsilon - DIST_TOL, epsilon]; at the lossless floor the multiplier
+    is grown until the rate stabilizes instead. The inputs are validated and
+    prepared once (`_BaProblem`), so every BA solve of the call shares the
+    set-up and the step buffers; each solve warm-starts from the previous
+    solve's output marginal, and only the returned solve's channel is built.
+    Raises ValueError for invalid inputs and a non-finite epsilon, before
+    any solve, and InfeasibleDistortion below the distortion floor.
+    """
+    prob = _BaProblem(source, d)
+    pt = _solve(prob, epsilon)
+    channel = Channel(prob.channel(pt.s, pt.q_in))
+    return RdSolution(pt.rate, pt.distortion, channel, pt.lagrange, pt.iterations, pt.converged)
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _rd_grid(source, d: DistortionSpec | np.ndarray, eps: list[float]) -> list[_Point]:
+    """R(epsilon) at every grid point, in grid order, on one prepared problem.
+
+    Each point is the point that `rd_curve` solves, to the bit. On a matrix
+    of at least `_CONCURRENT_CELLS` cells the points are solved concurrently,
+    one thread per available CPU, the calling thread among them; each thread
+    has its own twin of the problem. A failure raises the error of the first
+    failing point in grid order, as a serial loop would, and no thread
+    outlives the call.
+    """
+    prob = _BaProblem(source, d)
+    workers = min(len(eps), _cpus())
+    if workers < 2 or prob.d.size < _CONCURRENT_CELLS:
+        return [_solve(prob, e) for e in eps]
+    # The twins are allocated here: a helper thread's allocations would land
+    # in a malloc arena of its own and stay resident.
+    twins = [prob.twin() for _ in range(workers - 1)]
+    points: list = [None] * len(eps)
+    errors: list = [None] * len(eps)
+    todo = iter(range(len(eps)))
+    lock = Lock()
+
+    def work(problem: _BaProblem):
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                points[i] = _solve(problem, eps[i])
+            except Exception as exc:  # raised below, in grid order
+                errors[i] = exc
+
+    # each helper runs in a copy of the caller's context, which holds numpy's error state
+    helpers = [Thread(target=copy_context().run, args=(work, twin)) for twin in twins]
+    try:
+        for h in helpers:
+            h.start()
+        work(prob)
+    finally:
+        with lock:
+            for _ in todo:  # an interrupted caller leaves the helpers no new point
+                pass
+        for h in helpers:
+            if h.ident is not None:
+                h.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return points
 
 
 def rd_gen(joint: Joint, gtab: np.ndarray, epsilon: float) -> RdSolution:
@@ -330,23 +434,25 @@ def rd_gen(joint: Joint, gtab: np.ndarray, epsilon: float) -> RdSolution:
 
 
 def rd_dimension(source, rho: DistortionSpec | np.ndarray, eps_grid) -> tuple[list[float], float]:
-    """Rate-distortion dimension estimate from a decreasing epsilon grid.
+    """Rate-distortion dimension estimate from a decreasing epsilon grid in (0, 1).
 
     Computes R(eps)/log(1/eps) per grid point and fits R(eps) against
     log(1/eps) by least squares; the fitted slope is the dimension estimate.
+    Raises ValueError for fewer than 3 points, a point outside (0, 1), where
+    log(1/eps) is not positive, and a grid that does not strictly decrease.
     """
     eps = [float(e) for e in eps_grid]
     if len(eps) < 3:
         raise ValueError("need at least 3 grid points")
     if not all(map(math.isfinite, eps)):
         raise ValueError("epsilon grid points must be finite")
-    if min(eps) <= 0:
-        raise ValueError("epsilon grid points must be positive: the fit is against log(1/eps)")
+    if not all(0 < e < 1 for e in eps):
+        raise ValueError("epsilon grid points must lie in (0, 1), where log(1/eps) is positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon grid must be strictly decreasing")
-    rates = [rd_curve(source, rho, e).rate_nats for e in eps]
+    rates = [pt.rate for pt in _rd_grid(source, rho, eps)]
     logs = np.log(1.0 / np.asarray(eps))
-    slopes = [r / l if l != 0 else 0.0 for r, l in zip(rates, logs)]
+    slopes = [r / l for r, l in zip(rates, logs.tolist())]
     a = np.vstack([logs, np.ones_like(logs)]).T
     coef, *_ = np.linalg.lstsq(a, np.asarray(rates), rcond=None)
     return slopes, float(coef[0])

@@ -1,10 +1,14 @@
 import hashlib
 import itertools
+import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import genbounds.ratedistortion as rdm
+from genbounds.cli import main
 from genbounds.info import Pmf, entropy, mutual_information
 from genbounds.learning import FiniteLearningProblem, GibbsAlgorithm, gen_table, induced_joint
 from genbounds.ratedistortion import (
@@ -199,9 +203,11 @@ class TestInputContract:
         with pytest.raises(ValueError, match="finite"):
             rd_dimension(np.full(4, 0.25), DistortionSpec(self.abs4, 0), [0.3, np.nan, 0.1])
 
-    @pytest.mark.parametrize("grid", [[0.3, 0.1, 0.0], [0.3, 0.1, -0.1]])
+    @pytest.mark.parametrize("grid", [[0.3, 0.1, 0.0], [0.3, 0.1, -0.1], [1.0, 0.5, 0.25], [2.0, 0.5, 0.25]])
     def test_dimension_grid_must_be_positive(self, grid):
-        # a zero point divided by zero in log(1/eps), then the fit raised LinAlgError
+        # a zero point divided by zero in log(1/eps), then the fit raised
+        # LinAlgError; at eps = 1 the slope R/log(1/eps) was reported as 0, and
+        # above 1 it turned negative
         with pytest.raises(ValueError, match="positive"):
             rd_dimension(np.full(4, 0.25), DistortionSpec(self.abs4, 0), grid)
 
@@ -292,6 +298,7 @@ class TestRdDimension:
         grid = np.arange(16) / 16.0
         rho = np.abs(grid[:, None] - grid[None, :])
         slopes, dim = rd_dimension(p, DistortionSpec(rho, 0), [0.25, 0.125, 0.0625])
+        assert all(type(s) is float for s in slopes)
         assert all(s == pytest.approx(0.0, abs=1e-9) for s in slopes)
         assert dim == pytest.approx(0.0, abs=1e-9)
 
@@ -319,3 +326,90 @@ class TestRdDimension:
             rd_dimension(np.full(4, 0.25), DistortionSpec(rho, 0), [0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
             rd_dimension(np.full(4, 0.25), DistortionSpec(rho, 0), [0.2, 0.1])
+
+
+class TestRdGrid:
+    """`_rd_grid`, the one grid solver of rd_dimension and `rd --source`."""
+
+    @staticmethod
+    def force_threads(monkeypatch):
+        # any matrix is large enough, and three CPUs are available
+        monkeypatch.setattr(rdm, "_CONCURRENT_CELLS", 0)
+        monkeypatch.setattr(rdm, "_cpus", lambda: 3)
+
+    @staticmethod
+    def bits(rate, distortion, lagrange, iterations, converged, *channel):
+        return (float(rate).hex(), float(distortion).hex(), float(lagrange).hex(), iterations, converged)
+
+    def test_concurrent_points_match_serial_rd_curve(self, monkeypatch):
+        p, d = abs_problem(16)
+        # bisection, lossless edge and zero-rate points
+        grid = [0.2, 0.1, 0.0, 0.4, 0.03]
+        want = []
+        for e in grid:
+            sol = rd_curve(p, d, e)
+            want.append(self.bits(sol.rate_nats, sol.achieved_distortion, sol.lagrange_lambda,
+                                  sol.iterations, sol.converged))
+        self.force_threads(monkeypatch)
+        assert [self.bits(*pt) for pt in rdm._rd_grid(p, d, grid)] == want
+        # a shared prepared problem carries nothing from one solve to the next
+        assert [self.bits(*pt) for pt in rdm._rd_grid(p, d, grid[::-1])] == want[::-1]
+
+    def test_helpers_keep_the_callers_numpy_error_state(self, monkeypatch):
+        self.force_threads(monkeypatch)
+        seen = []
+        solve = rdm._solve
+
+        def spy(prob, epsilon):
+            seen.append(np.geterr()["over"])
+            return solve(prob, epsilon)
+
+        monkeypatch.setattr(rdm, "_solve", spy)
+        with np.errstate(over="raise"):
+            rdm._rd_grid(*abs_problem(8), [0.3, 0.2, 0.1, 0.05])
+        assert seen == ["raise"] * 4
+
+    def test_cli_rd_source_bytes(self, tmp_path, monkeypatch):
+        argv = ["rd", "--source", ",".join(["0.0625"] * 16), "--distortion", "abs",
+                "--epsilon-grid", "0.3,0.1,0.05,0.0,0.02"]
+        assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+        self.force_threads(monkeypatch)
+        assert main(argv + ["--out", str(tmp_path / "threads")]) == 0
+        serial = (tmp_path / "serial" / "rd_curve.csv").read_bytes()
+        assert (tmp_path / "threads" / "rd_curve.csv").read_bytes() == serial
+
+    def test_first_error_in_grid_order_and_no_thread_left(self, tmp_path, monkeypatch, capsys):
+        d = hamming(3) + 0.2  # floor 0.2
+        p = [0.25, 0.25, 0.5]
+        grid = [0.5, 0.1, 0.6, 0.15, 0.3]  # the 2nd and 4th points lie below the floor
+        with pytest.raises(InfeasibleDistortion) as serial:
+            for e in grid:
+                rd_curve(p, d, e)
+        self.force_threads(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(InfeasibleDistortion) as threaded:
+            rdm._rd_grid(p, DistortionSpec(d), grid)
+        assert str(threaded.value) == str(serial.value) == "epsilon=0.1 below the achievable floor 0.2"
+        assert threading.active_count() == before
+        assert len(rdm._rd_grid(p, DistortionSpec(d), [0.5, 0.3, 0.6])) == 3
+        assert threading.active_count() == before
+        matrix = tmp_path / "d.json"
+        matrix.write_text(json.dumps(d.tolist()))
+        argv = ["rd", "--source", "0.25,0.25,0.5", "--distortion", str(matrix),
+                "--epsilon-grid", ",".join(map(str, grid)), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {serial.value}\n"
+
+    def test_small_matrices_start_no_thread(self, tmp_path, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started below the cutoff")
+
+        monkeypatch.setattr(rdm, "Thread", no_thread)
+        monkeypatch.setattr(rdm, "_cpus", lambda: 4)
+        # the shape of the benchmark's `rd` op: 64 symbols, 4096 cells
+        argv = ["rd", "--source", ",".join([repr(1 / 64)] * 64), "--distortion", "abs",
+                "--epsilon-grid", "0.1,0.05,0.0", "--out", str(tmp_path / "rd")]
+        assert main(argv) == 0
+        p, d = abs_problem(16)
+        slopes, _ = rd_dimension(p, d, [0.25, 0.125, 0.0625])
+        assert len(slopes) == 3
