@@ -24,10 +24,10 @@ w_iter, ok = run_gd(inst, s, "iterative")
 w_closed, _ = run_gd(inst, s, "closed_form")
 print(f"bad-count event holds: {ok}; max |iterative - closed form| = {np.max(np.abs(w_iter - w_closed)):.2e}")
 
-stats = bad_coord_stats(inst, trials=4000, seed=7)
+stats = bad_coord_stats(inst)
 print(
-    f"P(T/2 <= #bad <= T) ~= {stats['estimate']:.3f} "
-    f"(floor {stats['floor']:.3f}); E[#bad] = {stats['mean']:.1f} vs (3/4)T = {stats['expected_mean']:.1f}"
+    f"P(T/2 <= #bad <= T) = {stats['probability']:.6f} "
+    f"(floor {stats['floor']:.6f}); E[#bad] = {stats['mean']:.1f} = (3/4)T = {0.75 * inst.T:.1f}"
 )
 
 v0, v1 = quantizer_levels(inst)

@@ -41,7 +41,6 @@ from .info import (
     binary_kl,
     binary_kl_inverse,
     binary_kl_inverse_cap,
-    empirical_joint,
     entropy,
     gdelta_sup,
     kl_divergence,

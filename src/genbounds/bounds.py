@@ -44,7 +44,6 @@ __all__ = [
     "check_thm4_condition",
     "thm5_expectation_bound",
     "distortion_ok_fg",
-    "lipschitz_distortion_budget",
     "minimize_unimodal",
 ]
 
@@ -156,6 +155,14 @@ def _check_domain(n=None, delta=None, lam=None, **nonneg) -> None:
     for name, x in nonneg.items():
         if not x >= 0:
             raise ValueError(f"{name} is NaN" if math.isnan(x) else f"{name} must be non-negative")
+
+
+def _square(sigma: float) -> float:
+    """sigma**2, or ValueError where the square overflows a float."""
+    try:
+        return sigma**2
+    except OverflowError:
+        raise ValueError(f"sigma = {sigma} is too large: its square overflows") from None
 
 
 def _check_index(i: int, size: int, name: str) -> None:
@@ -281,8 +288,9 @@ def minimize_unimodal(h, lo: float, hi: float):
 def thm1_bound(R_sw: float, sigma: float, n: int, delta: float, epsilon: float = 0.0) -> BoundReport:
     """Variable-size tail bound sqrt(4sigma^2 (R + log(sqrt(2n)/delta)) / (2n-1) + eps)."""
     _check_domain(n, delta, rate=R_sw, sigma=sigma)
-    rate = 4.0 * sigma**2 * R_sw / (2 * n - 1)
-    conf = 4.0 * sigma**2 * math.log(math.sqrt(2 * n) / delta) / (2 * n - 1)
+    s2 = _square(sigma)
+    rate = 4.0 * s2 * R_sw / (2 * n - 1)
+    conf = 4.0 * s2 * math.log(math.sqrt(2 * n) / delta) / (2 * n - 1)
     terms = {"rate_term": rate, "confidence_term": conf, "epsilon_term": epsilon}
     params = {"n": n, "sigma": sigma, "delta": delta, "epsilon": epsilon, "rate": R_sw}
     return _finish("thm1", terms, params)
@@ -297,8 +305,9 @@ def fixed_size_bound(R: float, sigma: float, n: int, delta: float, epsilon: floa
 
 def _eq4_terms(R: float, sigma: float, n: int, delta: float, epsilon: float) -> dict:
     """Terms of sqrt(2sigma^2 (R + log(1/delta)) / n) + eps, shared by eq4, eq21 and thm7."""
-    rate = 2.0 * sigma**2 * R / n
-    conf = 2.0 * sigma**2 * math.log(1.0 / delta) / n
+    s2 = _square(sigma)
+    rate = 2.0 * s2 * R / n
+    conf = 2.0 * s2 * math.log(1.0 / delta) / n
     return {"rate_term": rate, "confidence_term": conf, "epsilon_term": epsilon}
 
 
@@ -349,9 +358,10 @@ def seeger_fast_rate_bound(emp_risk: float, sup_mi: float, sigma: float, n: int,
     C = 4 sigma^2 (sup_mi + log(2 sqrt(n)/delta)); the bound follows from the
     KL-inverse cap a + sqrt(2ab) + 2b and is O(1/n) at zero empirical risk.
     """
-    _check_domain(n, delta, empirical_risk=emp_risk, sup_mi=sup_mi)
-    rate = 4.0 * sigma**2 * sup_mi
-    conf = 4.0 * sigma**2 * math.log(2.0 * math.sqrt(n) / delta)
+    _check_domain(n, delta, empirical_risk=emp_risk, sup_mi=sup_mi, sigma=sigma)
+    s2 = _square(sigma)
+    rate = 4.0 * s2 * sup_mi
+    conf = 4.0 * s2 * math.log(2.0 * math.sqrt(n) / delta)
     terms = {"rate_term": rate, "confidence_term": conf, "c_term": rate + conf}
     params = {"n": n, "sigma": sigma, "delta": delta, "emp_risk": emp_risk, "sup_mi": sup_mi}
     return _finish("seeger", terms, params)
@@ -468,8 +478,9 @@ def toy_example_bound(
         n, delta, sample_means_sq_sum=sample_means_sq_sum, lipschitz_L=lipschitz_L, d=d, sigma=sigma
     )
     inner = 2.0 * math.sqrt(lipschitz_L * d * sample_means_sq_sum)
-    rate = 2.0 * sigma**2 * inner / n
-    conf = 2.0 * sigma**2 * math.log(1.0 / delta) / n
+    s2 = _square(sigma)
+    rate = 2.0 * s2 * inner / n
+    conf = 2.0 * s2 * math.log(1.0 / delta) / n
     terms = {"rate_term": rate, "confidence_term": conf}
     params = {
         "n": n,
@@ -496,13 +507,6 @@ def distortion_ok_fg(nu_joint, p_hat, f, g, epsilon: float) -> bool:
     e_f = float((nu * fm).sum())
     e_g = float((nu_s[:, None] * p * gm).sum())
     return e_f - e_g <= epsilon + DISTORTION_SLACK
-
-
-def lipschitz_distortion_budget(epsilon: float, lipschitz_L: float) -> float:
-    """Reproduction-distance budget eps/(2L) sufficient for the f-g criterion."""
-    if lipschitz_L <= 0:
-        raise ValueError("the Lipschitz constant must be positive")
-    return epsilon / (2.0 * lipschitz_L)
 
 
 def _condition(variant, nu, div, q_hat, lam, f, g, Delta, epsilon, P_S, delta, alpha, kl_to_mixed=0.0):
@@ -649,6 +653,8 @@ def thm5_expectation_bound(
     The exact E[f] is attached and the exact-MGF bound is checked against it.
     """
     _check_domain(lam=lam)
+    if mgf not in ("exact", "surrogate"):
+        raise ValueError(f"mgf must be 'exact' or 'surrogate', got {mgf!r}")
     P_t = _probs(P, 2)
     ps = P_t.sum(axis=1)
     fm = np.asarray(f, dtype=float)

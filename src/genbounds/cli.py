@@ -37,7 +37,7 @@ from .counterexample import scaling_study
 from .info import Pmf
 from .io import file_sha256, load_problem, write_csv, write_report
 from .learning import GibbsAlgorithm, _symbol_counts, gen_table, induced_joint, sample_dataset
-from .ratedistortion import DistortionSpec, _rd_grid, rd_gen
+from .ratedistortion import _gen_problem, _rd_grid
 from .seeding import rng as _rng
 from .trajectory import LogisticToy, QuadraticToy, lr_sweep, thm7_bound, thm8_bound
 from .validation import BookCapError, covering_default_instance, covering_failure_estimate, mc_tail_validate
@@ -184,14 +184,10 @@ def cmd_bound(args) -> int:
 
 
 def cmd_rd(args) -> int:
-    rows = []
     if args.problem:
         prob, alg = _gibbs_setup(args)
         joint, contexts = induced_joint(prob, alg, args.n, by_type=True)
-        gtab = gen_table(prob, contexts, by_type=True)
-        for eps in _numbers(args.epsilon_grid):
-            sol = rd_gen(joint, gtab, eps)
-            rows.append((eps, sol.rate_nats, sol.lagrange_lambda, sol.iterations, sol.converged))
+        source, d, shift = _gen_problem(joint, gen_table(prob, contexts, by_type=True))
     else:
         source = Pmf(np.asarray(_numbers(args.source)))
         k = source.alphabet_size
@@ -202,9 +198,10 @@ def cmd_rd(args) -> int:
             d = np.abs(grid[:, None] - grid[None, :])
         else:
             d = np.asarray(json.loads(Path(args.distortion).read_text()), dtype=float)
-        eps_grid = _numbers(args.epsilon_grid)
-        for eps, pt in zip(eps_grid, _rd_grid(source, DistortionSpec(d), eps_grid)):
-            rows.append((eps, pt.rate, pt.lagrange, pt.iterations, pt.converged))
+        shift = 0.0
+    eps_grid = _numbers(args.epsilon_grid)
+    points = _rd_grid(source, d, [eps - shift for eps in eps_grid])
+    rows = [(eps, pt.rate, pt.lagrange, pt.iterations, pt.converged) for eps, pt in zip(eps_grid, points)]
     header = ["epsilon", "rate_nats", "lagrange", "iterations", "converged"]
     path = _emit(args, write_csv, rows, "rd_curve.csv", header)
     print(f"rd: {len(rows)} points -> {path}")

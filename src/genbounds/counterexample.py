@@ -185,11 +185,11 @@ class ScoInstance:
     """All constants derived from n, bit-reproducibly."""
 
     n: int
-    d_override: int | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        if not (1 <= self.n <= MAX_N and float(self.n).is_integer()):
+            raise ValueError(f"n must be a whole number in [1, {MAX_N}], got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
 
     @cached_property
     def T(self) -> int:
@@ -201,13 +201,11 @@ class ScoInstance:
 
     @cached_property
     def d(self) -> int:
-        if self.d_override is not None:
-            return self.d_override
         return (3 * self.T * 2**self.n) // 4
 
     @cached_property
     def lam(self) -> float:
-        return 1.0 / (self.n * math.sqrt(self.d)) if self.d > 0 else 0.0
+        return 1.0 / (self.n * math.sqrt(self.d))
 
     @cached_property
     def bad_count_pmf(self) -> np.ndarray:
@@ -278,13 +276,12 @@ def bad_coords(inst: ScoInstance, s: np.ndarray) -> BadCoords:
     return BadCoords(mask=mask, count=count, event_ok=bool(inst.T // 2 <= count <= inst.T))
 
 
-def good_value(inst: ScoInstance, mu_hat, eta: float | None = None):
+def good_value(inst: ScoInstance, mu_hat):
     """Closed-form terminal value (lam/2)(-1 + (1 - 2 eta muhat)^T) of a good coordinate, elementwise."""
-    eta = inst.eta if eta is None else eta
-    return inst.lam / 2.0 * (-1.0 + (1.0 - 2.0 * eta * mu_hat) ** inst.T)
+    return inst.lam / 2.0 * (-1.0 + (1.0 - 2.0 * inst.eta * mu_hat) ** inst.T)
 
 
-def run_gd(inst: ScoInstance, s: np.ndarray, mode: str = "iterative", eta: float | None = None):
+def run_gd(inst: ScoInstance, s: np.ndarray, mode: str = "iterative"):
     """T steps of projected GD from 0, or the closed form, on dataset s.
 
     Returns (w_T, event_ok). The closed form is the per-coordinate law that
@@ -294,12 +291,12 @@ def run_gd(inst: ScoInstance, s: np.ndarray, mode: str = "iterative", eta: float
     s = np.asarray(s)
     if s.ndim != 2 or s.shape[1] != inst.d:
         raise ValueError(f"s must be an (n, d) bit matrix with d = {inst.d}")
-    eta = inst.eta if eta is None else float(eta)
+    eta = inst.eta
     mu_hat = s.mean(axis=0)
     bc = bad_coords(inst, s)
 
     if mode == "closed_form":
-        w = good_value(inst, mu_hat, eta)
+        w = good_value(inst, mu_hat)
         w[bc.mask] = -eta
         return w, bc.event_ok
     if mode != "iterative":
@@ -323,33 +320,22 @@ def run_gd(inst: ScoInstance, s: np.ndarray, mode: str = "iterative", eta: float
     return w, bc.event_ok
 
 
-def bad_coord_stats(inst: ScoInstance, trials: int, seed: int) -> dict:
-    """MC estimate of P(T/2 <= #bad <= T) against the floor 1 - 2 e^{-T/36}.
+def bad_coord_stats(inst: ScoInstance) -> dict:
+    """Exact P(T/2 <= #bad <= T) against the floor 1 - 2 e^{-T/36}.
 
-    #bad is Binomial(d, 2^-n) exactly, so trials sample it directly. The
-    returned dict carries the estimate, the floor, the 3-sigma check, and the
-    mean check E[#bad] = (3/4) T.
+    #bad is Binomial(d, 2^-n), whose pmf the instance holds, so the
+    probability is a sum over its cells. The returned dict carries the
+    probability, the floor, whether the probability reaches it, and the
+    mean E[#bad] = d 2^-n, which is (3/4) T.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
-    gen = _rng(seed)
-    p = 2.0 ** (-inst.n)
-    counts = gen.binomial(inst.d, p, size=trials) if inst.d > 0 else np.zeros(trials, dtype=int)
-    hits = (counts >= inst.T // 2) & (counts <= inst.T)
-    est = float(hits.mean())
-    floor = 1.0 - 2.0 * math.exp(-inst.T / 36.0)
-    se = math.sqrt(max(est * (1 - est), 1e-12) / trials)
-    mean = float(counts.mean())
-    expected_mean = inst.d * p
-    mean_se = math.sqrt(inst.d * p * (1 - p) / trials) if inst.d > 0 else 0.0
+    T = inst.T
+    probability = float(inst.bad_count_pmf[T // 2 : T + 1].sum())
+    floor = 1.0 - 2.0 * math.exp(-T / 36.0)
     return {
-        "estimate": est,
+        "probability": probability,
         "floor": floor,
-        "se": se,
-        "passed": est >= floor - 3 * se,
-        "mean": mean,
-        "expected_mean": expected_mean,
-        "mean_ok": abs(mean - expected_mean) <= 3 * mean_se + 1e-12,
+        "passed": probability >= floor,
+        "mean": inst.d * 2.0 ** (-inst.n),
     }
 
 

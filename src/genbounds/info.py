@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "binary_kl",
     "binary_kl_inverse",
     "binary_kl_inverse_cap",
-    "empirical_joint",
     "gdelta_radius",
     "in_gdelta",
     "gdelta_sup",
@@ -207,7 +206,12 @@ def mutual_information(j) -> float:
 
 
 def binary_kl(a: float, b: float) -> float:
-    """Two-point KL D(a || b) in nats for a in [0,1], with boundary rules."""
+    """Two-point KL D(a || b) in nats for a in [0,1], with boundary rules.
+
+    Each term takes log1p of its relative difference unless its ratio is
+    below 1/2, so the terms keep their relative accuracy where a is close
+    to b and they nearly cancel.
+    """
     if not 0.0 <= a <= 1.0:
         raise ValueError("a must lie in [0, 1]")
     if not 0.0 <= b <= 1.0:
@@ -218,17 +222,21 @@ def binary_kl(a: float, b: float) -> float:
         return math.inf
     out = 0.0
     if a > 0:
-        out += a * math.log(a / b)
+        t = (a - b) / b
+        out += a * (math.log1p(t) if t > -0.5 else math.log(a / b))
     if a < 1:
-        out += (1 - a) * math.log((1 - a) / (1 - b))
+        t = (b - a) / (1 - b)
+        out += (1 - a) * (math.log1p(t) if t > -0.5 else math.log((1 - a) / (1 - b)))
     return out
 
 
 def binary_kl_inverse(a: float, b: float) -> float:
-    """sup{p in [0,1] : D(p || a) <= b}, by at most 200 bisection steps on [a, 1].
+    """sup{p in [0,1] : D(p || a) <= b}, by bisection on [a, 1].
 
-    The result always satisfies binary_kl(p*, a) = b to within 1e-12 unless
-    the sup is attained at p* = 1, and never exceeds a + sqrt(2ab) + 2b.
+    The bracket [lo, hi] keeps D(lo || a) <= b < D(hi || a) and is halved
+    until it stops shrinking; the result is lo, so binary_kl(p*, a) <= b
+    holds for the result p* itself, and p* never exceeds the sup or
+    a + sqrt(2ab) + 2b. The sup is 1 when D(1 || a) <= b.
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError("a must lie in [0, 1]")
@@ -244,38 +252,19 @@ def binary_kl_inverse(a: float, b: float) -> float:
     if binary_kl(1.0, a) <= b:
         return 1.0
     lo, hi = a, 1.0
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
-        v = binary_kl(mid, a)
-        if abs(v - b) <= 1e-12:
-            return mid
-        if v < b:
+        if not lo < mid < hi:
+            return lo
+        if binary_kl(mid, a) <= b:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def binary_kl_inverse_cap(a: float, b: float) -> float:
     """Closed-form upper bound a + sqrt(2ab) + 2b on the binary KL inverse."""
     return a + math.sqrt(2.0 * a * b) + 2.0 * b
-
-
-def empirical_joint(samples: Sequence[tuple[int, int]], shape: tuple[int, int] | None = None) -> Joint:
-    """Normalized count table (the type) of a sequence of (s, w) index pairs."""
-    pairs = list(samples)
-    if not pairs:
-        raise ValueError("empirical_joint requires at least one sample")
-    arr = np.asarray(pairs, dtype=int)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("samples must be (s, w) pairs")
-    if shape is None:
-        shape = (int(arr[:, 0].max()) + 1, int(arr[:, 1].max()) + 1)
-    if np.any(arr < 0) or np.any(arr[:, 0] >= shape[0]) or np.any(arr[:, 1] >= shape[1]):
-        raise ValueError("sample index out of range")
-    table = np.zeros(shape)
-    np.add.at(table, (arr[:, 0], arr[:, 1]), 1.0)
-    return Joint(table / len(pairs))
 
 
 def gdelta_radius(delta: float) -> float:
@@ -285,9 +274,9 @@ def gdelta_radius(delta: float) -> float:
     return math.log(1.0 / delta)
 
 
-def in_gdelta(nu, p_ref, delta: float, slack: float = GDELTA_SLACK) -> bool:
-    """Membership check D_KL(nu || p_ref) <= log(1/delta) + slack."""
-    return kl_divergence(nu, p_ref) <= gdelta_radius(delta) + slack
+def in_gdelta(nu, p_ref, delta: float) -> bool:
+    """Membership check D_KL(nu || p_ref) <= log(1/delta) + GDELTA_SLACK."""
+    return kl_divergence(nu, p_ref) <= gdelta_radius(delta) + GDELTA_SLACK
 
 
 def _tilt(p: np.ndarray, direction: np.ndarray, t: float) -> np.ndarray:

@@ -23,7 +23,6 @@ __all__ = [
     "write_csv",
     "file_sha256",
     "load_problem",
-    "problem_to_dict",
 ]
 
 
@@ -107,14 +106,3 @@ def load_problem(path) -> FiniteLearningProblem:
     loss = np.asarray(data["loss"], dtype=float).reshape(z, w)
     return FiniteLearningProblem(loss=loss, mu=Pmf(np.asarray(data["mu"], dtype=float)), bound=data.get("B"))
 
-
-def problem_to_dict(prob: FiniteLearningProblem) -> dict:
-    out = {
-        "z_alphabet": prob.z_alphabet_size,
-        "w_alphabet": prob.w_alphabet_size,
-        "loss": prob.loss.tolist(),
-        "mu": np.asarray(prob.mu).tolist(),
-    }
-    if prob.bound is not None:
-        out["B"] = prob.bound
-    return out

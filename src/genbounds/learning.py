@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .info import Joint, Pmf
+from .info import Joint, Pmf, _probs
 from .seeding import rng as _rng
 
 __all__ = [
@@ -199,11 +199,12 @@ def _gibbs_rows(prob: FiniteLearningProblem, prior, beta: float, counts: np.ndar
 
 
 def gibbs_posterior(prob: FiniteLearningProblem, prior, beta: float, s) -> Pmf:
-    """Posterior(w) proportional to prior(w) * exp(-beta * n * emp_risk(s, w))."""
+    """Posterior(w) proportional to prior(w) * exp(-beta * n * emp_risk(s, w)).
+
+    A prior that is not a `Pmf` must be a pmf (`info._probs`).
+    """
     beta = _check_beta(beta)
-    pr = np.asarray(prior, dtype=float)
-    if not pr.sum() > 0:
-        raise ValueError("prior must have positive mass")
+    pr = prior.probs if isinstance(prior, Pmf) else _probs(prior, 1)
     return Pmf(_gibbs_rows(prob, pr, beta, _dataset_counts(prob, s)[0]))
 
 
@@ -261,11 +262,11 @@ def sample_dataset(prob: FiniteLearningProblem, n: int, seed: int, *path: int) -
     return Dataset(idx)
 
 
-def enumerate_datasets(z_size: int, n: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
-    """All z_size^n datasets as an (N, n) index array, subject to the cap."""
+def enumerate_datasets(z_size: int, n: int) -> np.ndarray:
+    """All z_size^n datasets as an (N, n) index array, subject to ENUMERATION_CAP."""
     total = z_size**n
-    if total > cap:
-        raise EnumerationCapError(f"{z_size}^{n} = {total} datasets exceeds the cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise EnumerationCapError(f"{z_size}^{n} = {total} datasets exceeds the cap {ENUMERATION_CAP}")
     grids = np.indices((z_size,) * n).reshape(n, -1).T
     return np.ascontiguousarray(grids)
 
@@ -297,7 +298,6 @@ def induced_joint(
     prob: FiniteLearningProblem,
     alg: Algorithm,
     n: int,
-    cap: int = ENUMERATION_CAP,
     by_type: bool = False,
 ):
     """Exact joint P_{S,W} induced by the algorithm on n-sample datasets.
@@ -313,8 +313,8 @@ def induced_joint(
     if by_type:
         # compositions of n into z parts, counted before any is built
         n_types = math.comb(n + prob.z_alphabet_size - 1, prob.z_alphabet_size - 1)
-        if n_types > cap:
-            raise EnumerationCapError(f"{n_types} types exceed the cap {cap}")
+        if n_types > ENUMERATION_CAP:
+            raise EnumerationCapError(f"{n_types} types exceed the cap {ENUMERATION_CAP}")
         contexts = enumerate_types(prob.z_alphabet_size, n)
         log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
         mass = (contexts * np.where(contexts > 0, log_mu, 0.0)).sum(axis=1)
@@ -323,7 +323,7 @@ def induced_joint(
         weights = np.array([math.exp(x) for x in log_fact[n] - log_fact[contexts].sum(axis=1) + mass])
         rows = alg.posteriors(prob, contexts)
     else:
-        contexts = enumerate_datasets(prob.z_alphabet_size, n, cap=cap)
+        contexts = enumerate_datasets(prob.z_alphabet_size, n)
         weights = np.exp(log_mu[contexts].sum(axis=1))
         rows = np.stack([np.asarray(alg.posterior(prob, row)) for row in contexts])
     table = weights[:, None] * rows

@@ -16,7 +16,6 @@ import math
 import os
 from contextvars import copy_context
 from dataclasses import dataclass
-from threading import Lock, Thread
 from typing import NamedTuple
 
 import numpy as np
@@ -367,55 +366,42 @@ def _rd_grid(source, d: DistortionSpec | np.ndarray, eps: list[float]) -> list[_
 
     Each point is the point that `rd_curve` solves, to the bit. On a matrix
     of at least `_CONCURRENT_CELLS` cells the points are solved concurrently,
-    one thread per available CPU, the calling thread among them; each thread
-    has its own twin of the problem. A failure raises the error of the first
-    failing point in grid order, as a serial loop would, and no thread
-    outlives the call.
+    one worker thread per available CPU, each with its own twin of the
+    problem. A failure raises the error of the first failing point in grid
+    order, as a serial loop would, and no thread outlives the call.
     """
     prob = _BaProblem(source, d)
     workers = min(len(eps), _cpus())
     if workers < 2 or prob.d.size < _CONCURRENT_CELLS:
         return [_solve(prob, e) for e in eps]
-    # The twins are allocated here: a helper thread's allocations would land
-    # in a malloc arena of its own and stay resident.
-    twins = [prob.twin() for _ in range(workers - 1)]
-    points: list = [None] * len(eps)
-    errors: list = [None] * len(eps)
-    todo = iter(range(len(eps)))
-    lock = Lock()
+    # imported here, so that importing the library loads no thread pool
+    from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
 
-    def work(problem: _BaProblem):
-        while True:
-            with lock:
-                i = next(todo, None)
-            if i is None:
-                return
-            try:
-                points[i] = _solve(problem, eps[i])
-            except Exception as exc:  # raised below, in grid order
-                errors[i] = exc
+    # The twins are allocated here: a worker thread's allocations would land
+    # in a malloc arena of its own and stay resident. No more than `workers`
+    # points run at once, so a starting point always finds a free problem.
+    problems = SimpleQueue()
+    problems.put(prob)
+    for _ in range(workers - 1):
+        problems.put(prob.twin())
+    context = copy_context()  # holds numpy's error state
 
-    # each helper runs in a copy of the caller's context, which holds numpy's error state
-    helpers = [Thread(target=copy_context().run, args=(work, twin)) for twin in twins]
-    try:
-        for h in helpers:
-            h.start()
-        work(prob)
-    finally:
-        with lock:
-            for _ in todo:  # an interrupted caller leaves the helpers no new point
-                pass
-        for h in helpers:
-            if h.ident is not None:
-                h.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return points
+    def solve(e: float) -> _Point:
+        problem = problems.get()
+        try:
+            return _solve(problem, e)
+        finally:
+            problems.put(problem)
+
+    # map yields in grid order and raises the first error in it, cancelling
+    # the points not yet started; leaving the block joins every worker
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda e: context.copy().run(solve, e), eps))
 
 
-def rd_gen(joint: Joint, gtab: np.ndarray, epsilon: float) -> RdSolution:
-    """Generalization-gap rate-distortion value at the given joint.
+def _gen_problem(joint: Joint, gtab: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(source, distortion, c) of the generalization-gap rate-distortion problem.
 
     `gtab` is gen(s, w) on the joint's grid, as `learning.gen_table` builds it.
     The constraint E[gen(S,W) - gen(S,What)] <= epsilon depends on the test
@@ -428,9 +414,13 @@ def rd_gen(joint: Joint, gtab: np.ndarray, epsilon: float) -> RdSolution:
     gtab = np.asarray(gtab, dtype=float)
     if gtab.shape != q.shape:
         raise ValueError(f"the gen table has shape {gtab.shape}, the joint {q.shape}")
-    c = float((q * gtab).sum())
-    source = q.sum(axis=1)
-    return rd_curve(source, DistortionSpec(-gtab, epsilon - c), epsilon - c)
+    return q.sum(axis=1), -gtab, float((q * gtab).sum())
+
+
+def rd_gen(joint: Joint, gtab: np.ndarray, epsilon: float) -> RdSolution:
+    """Generalization-gap rate-distortion value R(epsilon - c) at the given joint (`_gen_problem`)."""
+    source, d, c = _gen_problem(joint, gtab)
+    return rd_curve(source, d, epsilon - c)
 
 
 def rd_dimension(source, rho: DistortionSpec | np.ndarray, eps_grid) -> tuple[list[float], float]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import BoundReport, _check_domain, _eq4_terms, _finish
 from .info import Pmf, gdelta_sup, mutual_information
-from .ratedistortion import DistortionSpec, rd_curve
+from .ratedistortion import rd_curve
 from .seeding import rng as _rng
 
 __all__ = [
@@ -55,8 +55,11 @@ class Quantizer:
     bins: int = 8
 
     def __post_init__(self):
-        if not (self.hi > self.lo and self.bins >= 2):
-            raise ValueError("need hi > lo and at least 2 bins")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
+            raise ValueError("need finite lo < hi")
+        if not (self.bins >= 2 and float(self.bins).is_integer()):
+            raise ValueError("need a whole number of bins, at least 2")
+        object.__setattr__(self, "bins", int(self.bins))
 
     @property
     def step(self) -> float:
@@ -352,7 +355,6 @@ def lr_sweep(
     epsilon: float | None = None,
     seed: int = 0,
     bins: int = 8,
-    stochastic: bool = True,
 ) -> SweepResult:
     """Learning-rate sweep: mean windowed gen error vs trajectory compressibility.
 
@@ -382,10 +384,7 @@ def lr_sweep(
         for t in range(trials):
             samples = model.sample_dataset(n, seed, li, t, 0)
             try:
-                tr = simulate_trajectory(
-                    model, samples, lr, steps, seed=_child(seed, li, t), quantizer=quant,
-                    stochastic=stochastic,
-                )
+                tr = simulate_trajectory(model, samples, lr, steps, seed=_child(seed, li, t), quantizer=quant)
             except TrajectoryDivergence:
                 diverged = True
                 break
@@ -399,7 +398,7 @@ def lr_sweep(
         if eps is None:
             span = float(rho.max())
             eps = 0.1 * span if span > 0 else 0.0
-        sol = rd_curve(dist, DistortionSpec(rho, eps), eps)
+        sol = rd_curve(dist, rho, eps)
         rows.append(SweepRow(lr=lr, mean_gen=float(np.mean(gens)), rd_nats=sol.rate_nats, flag="ok"))
     ok = [(r.mean_gen, r.rd_nats) for r in rows if r.flag == "ok"]
     if len(ok) >= 2 and len({g for g, _ in ok}) > 1 and len({r for _, r in ok}) > 1:

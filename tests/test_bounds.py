@@ -10,7 +10,6 @@ from genbounds.bounds import (
     channel_kl,
     distortion_ok_fg,
     fixed_size_bound,
-    lipschitz_distortion_budget,
     log_mgf,
     minimize_unimodal,
     pac_bayes_eq22,
@@ -509,6 +508,12 @@ class TestThm5:
                 np.zeros(P.shape), np.zeros(P.shape), 2.0, alpha=2.0,
             )
 
+    def test_unknown_mgf_rejected(self):
+        P = np.full((2, 2), 0.25)
+        g = np.array([[0.1, 0.2], [0.3, 0.0]])
+        with pytest.raises(ValueError, match="mgf"):
+            thm5_expectation_bound("i", P, np.full((2, 2), 0.5), [0.5, 0.5], g, g, 2.0, mgf="exakt")
+
     def test_distortion_checked(self):
         prob, alg, joint, ctx = exact_instance(90)
         gt = gen_table(prob, ctx)
@@ -744,6 +749,12 @@ class TestReportInvariants:
             lambda: thm7_bound(-0.1, 0.5, 10, 0.0),
             lambda: thm8_bound(-0.5, 0.0, 1.0, 0.5, 10, 0.0),
             lambda: seeger_fast_rate_bound(0.0, -1.0, 0.5, 10, 0.05),
+            # a negative sigma, and sigmas whose square overflows a float
+            lambda: seeger_fast_rate_bound(0.1, 0.2, -1.0, 10, 0.1),
+            lambda: thm1_bound(-0.0, 1e300, 2, 0.3, 1.0),
+            lambda: fixed_size_bound(0.5, 1e300, 2, 0.3, 0.0),
+            lambda: seeger_fast_rate_bound(0.1, 0.2, 1e300, 10, 0.1),
+            lambda: toy_example_bound(0.3, 1.2, 4, 1e300, 50, 0.1),
         ],
     )
     def test_nan_input_rejected(self, make):
@@ -864,11 +875,6 @@ class TestHelpers:
             thm5_expectation_bound("i", P, p, p[0], g, g, None)
         with pytest.raises(ValueError, match="sum to 1"):
             distortion_ok_fg(np.full((2, 2), 5.0), p, g, g, 0.0)
-
-    def test_lipschitz_budget(self):
-        assert lipschitz_distortion_budget(0.4, 2.0) == pytest.approx(0.1)
-        with pytest.raises(ValueError):
-            lipschitz_distortion_budget(0.1, 0.0)
 
     def test_minimize_unimodal(self):
         x, v = minimize_unimodal(lambda t: (t - 3.7) ** 2 + 1.0, 1e-3, 1e3)

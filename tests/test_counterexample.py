@@ -156,12 +156,6 @@ class TestGdDynamics:
                     assert np.max(np.abs(w_it - w_cf)) <= 1e-9
             assert hits >= 8
 
-    def test_eta_zero_override(self):
-        inst = ScoInstance(4)
-        s = sample_bits(inst, 4)
-        w, _ = run_gd(inst, s, "iterative", eta=0.0)
-        assert np.all(w == 0.0)
-
     def test_projection_never_active_norm_bound(self):
         inst = ScoInstance(4)
         s = sample_bits(inst, 5)
@@ -189,16 +183,24 @@ class TestBadCoords:
 
     def test_stats_floor_and_mean(self):
         inst = ScoInstance(4)
-        out = bad_coord_stats(inst, trials=4000, seed=7)
+        out = bad_coord_stats(inst)
         assert out["floor"] == pytest.approx(1 - 2 * math.exp(-32 / 36), abs=1e-12)
+        assert out["floor"] == pytest.approx(0.177775, abs=1e-6)
+        # sum over k = 16..32 of Binomial(384, 1/16), exact in rationals
+        exact = sum(math.comb(inst.d, k) * 15 ** (inst.d - k) for k in range(16, 33)) / 16**inst.d
+        assert out["probability"] == pytest.approx(exact, rel=1e-12)
+        assert out["probability"] == pytest.approx(0.928265, abs=1e-6)
         assert out["passed"]
-        assert out["mean_ok"]
-        assert out["expected_mean"] == pytest.approx(0.75 * inst.T, abs=1e-12)
+        assert out["mean"] == 0.75 * inst.T == 24.0
 
-    def test_d_override_zero(self):
-        inst = ScoInstance(4, d_override=0)
-        out = bad_coord_stats(inst, trials=500, seed=8)
-        assert out["mean"] == 0.0
+    @pytest.mark.parametrize("n", [0, 13, 2.5, math.nan, math.inf])
+    def test_instance_needs_whole_n_up_to_the_cap(self, n):
+        with pytest.raises(ValueError, match="whole number"):
+            ScoInstance(n)
+
+    def test_whole_float_n_is_an_int(self):
+        inst = ScoInstance(4.0)
+        assert inst.n == 4 and isinstance(inst.n, int) and inst == ScoInstance(4)
 
 
 class TestQuantizer:
@@ -356,10 +358,10 @@ class TestScaling:
     def test_good_value_array_and_eta(self):
         inst = ScoInstance(5)
         mu = np.arange(inst.n + 1) / inst.n
-        vals = good_value(inst, mu, eta=0.01)
+        vals = good_value(inst, mu)
         assert vals.shape == mu.shape
         for m, v in zip(mu, vals):
-            expected = inst.lam / 2 * (-1 + (1 - 0.02 * m) ** inst.T)
+            expected = inst.lam / 2 * (-1 + (1 - 2 * inst.eta * m) ** inst.T)
             assert v == pytest.approx(expected, rel=1e-14, abs=1e-300)
         assert good_value(inst, 0.5) == quantizer_levels(inst)[0]
 

@@ -13,7 +13,6 @@ from genbounds.io import (
     canonical_json,
     file_sha256,
     load_problem,
-    problem_to_dict,
     write_csv,
     write_report,
 )
@@ -73,8 +72,7 @@ class TestIo:
     def test_problem_round_trip(self, problem_file):
         prob = load_problem(problem_file)
         assert prob.z_alphabet_size == 4 and prob.w_alphabet_size == 4
-        d = problem_to_dict(prob)
-        assert d["mu"] == pytest.approx([0.4, 0.3, 0.2, 0.1])
+        assert np.asarray(prob.mu).tolist() == pytest.approx([0.4, 0.3, 0.2, 0.1])
 
     def test_problem_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

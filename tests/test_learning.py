@@ -181,6 +181,13 @@ class TestGibbs:
         with pytest.raises(ValueError):
             gibbs_posterior(prob, np.zeros(3), 1.0, [0])
 
+    @pytest.mark.parametrize("prior", [[-0.5, 1.5], [0.5, 0.6], [math.nan, 1.0]])
+    def test_prior_must_be_a_pmf(self, prior):
+        # unchecked, [-0.5, 1.5] would come back as the posterior Pmf([0, 1])
+        prob = small_problem(21, w=2)
+        with pytest.raises(ValueError):
+            gibbs_posterior(prob, prior, 1.0, [0, 1])
+
     @pytest.mark.parametrize("beta", [math.inf, math.nan, -1.0])
     def test_bad_beta_rejected(self, beta):
         prob = small_problem(21)
@@ -316,9 +323,10 @@ class TestInducedJoint:
             induced_joint(prob, NanRows(Pmf.uniform(2)), 3, by_type=True)
 
     def test_cap_enforced(self):
+        # 4^12 datasets exceed the cap; the check raises before any is built
         prob = small_problem(27, z=4, w=2)
         with pytest.raises(EnumerationCapError):
-            induced_joint(prob, ConstantAlgorithm(Pmf.uniform(2)), 12, cap=1000)
+            induced_joint(prob, ConstantAlgorithm(Pmf.uniform(2)), 12)
 
     def test_type_cap_checked_before_enumeration(self, monkeypatch):
         # C(303, 3) = 4,590,551 types exceed the default cap; none may be built

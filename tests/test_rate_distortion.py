@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -404,7 +405,7 @@ class TestRdGrid:
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started below the cutoff")
 
-        monkeypatch.setattr(rdm, "Thread", no_thread)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_thread)
         monkeypatch.setattr(rdm, "_cpus", lambda: 4)
         # the shape of the benchmark's `rd` op: 64 symbols, 4096 cells
         argv = ["rd", "--source", ",".join([repr(1 / 64)] * 64), "--distortion", "abs",

@@ -107,6 +107,22 @@ class TestSimulate:
                 g = model.grad(z, w)
                 assert math.isfinite(g) and abs(g) <= model.lipschitz_L
 
+    @pytest.mark.parametrize("lo, hi, bins", [
+        (-1.0, 1.0, 2.5),  # its grid would never reach hi
+        (-math.inf, 1.0, 4),  # its step would be inf
+        (-1.0, math.nan, 4),
+        (1.0, 1.0, 4),
+        (-1.0, 1.0, 1),
+        (-1.0, 1.0, math.inf),
+    ])
+    def test_quantizer_rejects_degenerate_grids(self, lo, hi, bins):
+        with pytest.raises(ValueError):
+            Quantizer(lo, hi, bins)
+
+    def test_quantizer_bins_are_an_int(self):
+        q = Quantizer(-1.0, 1.0, 4.0)
+        assert q.bins == 4 and isinstance(q.bins, int) and q.value(4) == 1.0
+
     def test_states_on_grid(self):
         model = LogisticToy()
         s = model.sample_dataset(10, 12)
@@ -307,7 +323,7 @@ class TestSweep:
 
     def test_divergent_rate_flagged(self):
         model = QuadraticToy()
-        res = lr_sweep(model, [0.05, 50.0], trials=4, n=8, steps=25, seed=6, stochastic=False)
+        res = lr_sweep(model, [0.05, 50.0], trials=4, n=8, steps=25, seed=6)
         flags = {r.lr: r.flag for r in res.rows}
         assert flags[0.05] == "ok" and flags[50.0] == "diverged"
         assert math.isnan([r for r in res.rows if r.flag == "diverged"][0].rd_nats)
