@@ -668,13 +668,16 @@ def thm5_expectation_bound(
             e_g = float((ps[:, None] * p * gm).sum())
             raise ValueError(f"distortion violated: E[f-g]={true_ef - e_g} > epsilon={epsilon}")
         kl = channel_kl(ps, p, q, 1.0)
-        if mgf == "surrogate" and sigma_g is None:
-            raise ValueError("surrogate path needs sigma_g")
+        if mgf == "surrogate":
+            if sigma_g is None:
+                raise ValueError("surrogate path needs sigma_g")
+            _check_domain(sigma_g=sigma_g)
+            sigma_g2 = _square(sigma_g)
         logw, g_live = _mgf_cells(ps, q, gm)
 
         def mgf_term(lmb: float) -> float:
             if mgf == "surrogate":
-                return lmb**2 * sigma_g**2 / 2.0
+                return lmb**2 * sigma_g2 / 2.0
             return _log_mgf_cells(logw, lmb * g_live)
 
         if lam is None:

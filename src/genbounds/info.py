@@ -210,7 +210,8 @@ def binary_kl(a: float, b: float) -> float:
 
     Each term takes log1p of its relative difference unless its ratio is
     below 1/2, so the terms keep their relative accuracy where a is close
-    to b and they nearly cancel.
+    to b and they nearly cancel; where a / b overflows, the first term takes
+    log a - log b.
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError("a must lie in [0, 1]")
@@ -223,7 +224,7 @@ def binary_kl(a: float, b: float) -> float:
     out = 0.0
     if a > 0:
         t = (a - b) / b
-        out += a * (math.log1p(t) if t > -0.5 else math.log(a / b))
+        out += a * (math.log(a) - math.log(b) if t == math.inf else math.log1p(t) if t > -0.5 else math.log(a / b))
     if a < 1:
         t = (b - a) / (1 - b)
         out += (1 - a) * (math.log1p(t) if t > -0.5 else math.log((1 - a) / (1 - b)))

@@ -5,15 +5,16 @@ child streams by path, child = (root, i, j, ...), so trial results do not
 depend on execution order or thread count. Streams are backed by the Philox
 counter-based generator.
 
-`rng(root, *path)` defines a stream. Per-trial loops use
-`rngs(root, *prefix, count=...)`, which yields the streams
-`rng(root, *prefix, t)` for t = 0, 1, ..., count - 1 from one shared
-generator: a stream's whole state is its 128-bit Philox key, a pure integer
-function of (root, *prefix, t) through numpy's SeedSequence hash (O'Neill's
-seed_seq_fe), so all keys are hashed in one vectorised pass and the shared
-generator is re-keyed before each trial. Each yielded generator draws exactly
-what `rng(root, *prefix, t)` draws. Because it is shared, a caller must not
-keep it past its own iteration.
+`rng(root, *path)` defines a stream. Its whole state is its 128-bit Philox
+key, a pure integer function of (root, *path) through numpy's SeedSequence
+hash (O'Neill's seed_seq_fe). `streams(root, *path)` takes an integer array
+as the root or as any path word and hashes the keys of all the streams they
+address in one vectorised pass, then yields one shared generator re-keyed
+for each in turn, which draws exactly what `rng` draws on that path; a caller
+must not keep it past its own iteration. `rngs(root, *prefix, count=...)`
+is the per-trial case t = 0 .. count - 1. The trajectory sweep keys a
+learning rate's datasets on (seed, li, t, 0), child seeds on (seed, li, t,
+313) and SGD picks on (child_t, 17), a family whose root is an array.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["child_sequence", "rng", "rngs"]
+__all__ = ["child_sequence", "rng", "rngs", "streams"]
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -85,7 +86,6 @@ def _philox_keys(entropy: list[np.ndarray]) -> np.ndarray:
     between streams need arrays longer than one.
     """
     hashmix = _hasher(_INIT_A, _MULT_A)
-    # the entropy always fills the pool here: a spawn key pads the root to 4 words
     pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
@@ -101,26 +101,40 @@ def _philox_keys(entropy: list[np.ndarray]) -> np.ndarray:
 
 
 def rngs(root: int, *prefix: int, count: int) -> Iterator[np.random.Generator]:
-    """The streams rng(root, *prefix, t) for t = 0 .. count - 1, in order, from one generator.
+    """The streams rng(root, *prefix, t) for t = 0 .. count - 1, in order: `streams` with t an array.
 
-    All Philox keys are hashed at once; before each yield the one shared
-    generator is re-keyed (zero counter, empty buffer), so it then draws
-    exactly what `rng(root, *prefix, t)` draws. The generator is the same
-    object on every iteration: a caller must not keep it past its iteration.
-    Raises ValueError for count outside [0, 2**32] or a negative path word,
-    and RuntimeError if the keys stop matching numpy's SeedSequence.
+    Raises ValueError for count outside [0, 2**32] or a negative path word.
     """
     count = operator.index(count)
     if not 0 <= count <= 2**32:
         raise ValueError(f"count must lie in [0, 2**32], got {count}")
-    root_words = _words(int(root) & (2**64 - 1))
-    path_words = [w for p in prefix for w in _words(int(p))]
-    if count == 0:
+    return streams(root, *prefix, np.arange(count, dtype=np.uint32))
+
+
+def streams(root, *path) -> Iterator[np.random.Generator]:
+    """The streams rng(r, *p) for each (r, *p) of the broadcast of root and path, in C order.
+
+    Any entry may be an integer array: a root is reduced mod 2**64, a path
+    word must lie in [0, 2**32). Each yield is the one shared generator,
+    re-keyed (zero counter, empty buffer) to draw exactly what `rng` draws on
+    that path, so a caller must not keep it past its iteration. Raises
+    RuntimeError if the keys stop matching numpy's SeedSequence.
+    """
+    r = root.astype(np.uint64) if isinstance(root, np.ndarray) else np.array([int(root) & (2**64 - 1)], np.uint64)
+    # the root as four words: numpy pads it with zero words, or hashes zeros in their place
+    entropy = [(r & np.uint64(_MASK32)).astype(np.uint32), (r >> np.uint64(32)).astype(np.uint32)]
+    entropy += [np.zeros(1, dtype=np.uint32)] * 2
+    for p in path:
+        if not isinstance(p, np.ndarray):
+            entropy += [np.array([w], dtype=np.uint32) for w in _words(int(p))]
+        elif p.size and not 0 <= p.min() <= p.max() <= _MASK32:
+            raise ValueError("an array path word must lie in [0, 2**32)")
+        else:
+            entropy.append(p.astype(np.uint32))
+    keys = _philox_keys(entropy).reshape(-1, 2)
+    if not keys.size:
         return iter(())
-    root_words += [0] * (_POOL_SIZE - len(root_words))
-    shared = [np.array([w], dtype=np.uint32) for w in root_words + path_words]
-    keys = _philox_keys(shared + [np.arange(count, dtype=np.uint32)])
-    first = child_sequence(root, *prefix, 0)
+    first = child_sequence(*(int(x.flat[0]) if isinstance(x, np.ndarray) else x for x in (root, *path)))
     if not np.array_equal(keys[0], first.generate_state(2, np.uint64)):
         raise RuntimeError("vectorised Philox keys no longer match numpy's SeedSequence")
     return _rekeyed(np.random.Generator(np.random.Philox(first)), keys)

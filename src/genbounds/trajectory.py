@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import BoundReport, _check_domain, _eq4_terms, _finish
 from .info import Pmf, gdelta_sup, mutual_information
 from .ratedistortion import rd_curve
-from .seeding import rng as _rng
+from .seeding import rng as _rng, streams
 
 __all__ = [
     "Quantizer",
@@ -65,11 +65,15 @@ class Quantizer:
     def step(self) -> float:
         return (self.hi - self.lo) / self.bins
 
-    def index(self, w: float, step_no: int) -> int:
+    def cells(self, window, t1: int) -> np.ndarray:
+        """Cell indices of the iterates of steps t1, t1 + 1, ...; np.rint rounds half to even, as round() does."""
+        w = np.asarray(window, dtype=float)
         half = 0.5 * self.step
-        if not self.lo - half <= w <= self.hi + half:  # written so that a NaN iterate fails it
-            raise TrajectoryDivergence(f"iterate {w} left the grid range at step {step_no}")
-        return min(max(round((w - self.lo) / self.step), 0), self.bins)
+        inside = (self.lo - half <= w) & (w <= self.hi + half)  # written so that a NaN iterate fails it
+        if not inside.all():
+            i = int(np.argmin(inside))
+            raise TrajectoryDivergence(f"iterate {float(w[i])} left the grid range at step {t1 + i}")
+        return np.clip(np.rint((w - self.lo) / self.step), 0, self.bins).astype(int)
 
     def value(self, idx: int) -> float:
         return self.lo + idx * self.step
@@ -127,11 +131,10 @@ class ToyModel:
         zs = self.z_values[np.asarray(samples, dtype=int)]
         return float(np.mean([self.loss(z, w) for z in zs]))
 
-    def gen_error(self, samples: np.ndarray, w) -> float:
-        return self.population_risk(w) - self.empirical_risk(samples, w)
-
     def sample_dataset(self, n: int, seed: int, *path: int) -> np.ndarray:
-        gen = _rng(seed, *path)
+        return self._draw(_rng(seed, *path), n)
+
+    def _draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.choice(self.z_values.size, size=n, p=np.asarray(self.mu))
 
     def default_quantizer(self, bins: int = 8) -> Quantizer:
@@ -175,67 +178,73 @@ class LogisticToy(ToyModel):
         return -z / (1.0 + math.exp(z * w)) / self._scale
 
 
-def simulate_trajectory(
-    model: ToyModel,
-    samples: np.ndarray,
-    lr: float,
-    steps: int,
-    seed: int,
-    quantizer: Quantizer | None = None,
-    t1: int | None = None,
-    t2: int | None = None,
-    stochastic: bool = True,
-    w0: float | None = None,
-) -> TrajectoryProcess:
+def simulate_trajectory(model: ToyModel, samples: np.ndarray, lr: float, steps: int, seed: int,
+                        quantizer: Quantizer | None = None, t1: int | None = None, t2: int | None = None,
+                        stochastic: bool = True, w0: float | None = None) -> TrajectoryProcess:
     """Run (stochastic) gradient descent and record the quantized window.
 
     The default window is the last half of training (t1 = steps // 2,
-    t2 = steps); iterates outside the grid raise TrajectoryDivergence with
-    the offending step. Deterministic given (seed, samples): the stochastic
-    picks are drawn in one call from the (seed, 17) stream, which yields the
-    same values as one scalar draw per step.
+    t2 = steps). Deterministic given (seed, samples): the stochastic picks
+    are drawn in one call from the (seed, 17) stream, which yields the same
+    values as one scalar draw per step. The recurrence runs all `steps`
+    steps; the window is then range-checked and quantized as one array, and
+    an iterate outside the grid raises TrajectoryDivergence with its step.
+    """
+    gen = _rng(seed, 17) if stochastic else None
+    return _descend(model, np.asarray(samples, dtype=int), lr, steps, gen, quantizer or model.default_quantizer(),
+                    w0, t1, t2)
+
+
+def _descend(model, samples, lr, steps, gen, quantizer, w0=None, t1=None, t2=None) -> TrajectoryProcess:
+    """The (S)GD recurrence on Python floats from w0: full-batch when gen is None, else SGD on picks drawn from gen.
+
+    No toy model's grad raises on an inf or NaN iterate: a diverging run ends, then fails the range check.
     """
     if steps < 2:
         raise ValueError("need at least 2 steps")
-    quantizer = quantizer or model.default_quantizer()
     t1 = steps // 2 if t1 is None else t1
     t2 = steps if t2 is None else t2
     if not 0 <= t1 < t2 <= steps:
         raise ValueError("window must satisfy 0 <= t1 < t2 <= steps")
-    samples = np.asarray(samples, dtype=int)
-    gen = _rng(seed, 17)
     w = 0.5 * (quantizer.lo + quantizer.hi) if w0 is None else float(w0)
-    zs = model.z_values[samples].tolist()
-    picks = gen.integers(samples.size, size=steps).tolist() if stochastic else None
+    zs = model.z_values[samples]
     raw = []
-    idx = []
-    for t in range(steps):
-        if stochastic:
-            g = model.grad(zs[picks[t]], w)
-        else:
-            g = float(np.mean([model.grad(z, w) for z in zs]))
-        w = w - lr * g
-        if t1 <= t < t2:
-            idx.append(quantizer.index(w, t))
+    if gen is None:
+        zs = zs.tolist()
+        for _ in range(steps):
+            w = w - lr * float(np.mean([model.grad(z, w) for z in zs]))
             raw.append(w)
-    return TrajectoryProcess(
-        t1=t1,
-        t2=t2,
-        state_indices=np.asarray(idx, dtype=int),
-        quantizer=quantizer,
-        raw_states=np.asarray(raw),
-    )
+    else:
+        grad = model.grad
+        for z in zs[gen.integers(samples.size, size=steps)].tolist():
+            w = w - lr * grad(z, w)
+            raw.append(w)
+    window = np.asarray(raw[t1:t2])
+    return TrajectoryProcess(t1, t2, quantizer.cells(window, t1), quantizer, window)
 
 
 def gen_trajectory(model: ToyModel, samples: np.ndarray, traj: TrajectoryProcess) -> float:
-    """Windowed generalization error (1/Delta_t) sum_t gen(s, w_t), exact risks.
+    """Windowed generalization error (1/Delta_t) sum_t gen(s, w_t), exact risks."""
+    table = _risk_table(model, traj.quantizer, np.unique(traj.state_indices).tolist())
+    return _window_gen(table, np.asarray(samples, dtype=int), traj.state_indices)
 
-    The risks are evaluated once per distinct quantizer cell of the window
-    and gathered back to the steps, so every per-step gap is the same float
-    as a per-step evaluation.
+
+def _risk_table(model: ToyModel, quantizer: Quantizer, cells) -> dict:
+    """cell -> (population risk, loss at each of z_values) at the cell's grid value."""
+    table = {}
+    for c in cells:
+        w = quantizer.value(c)
+        table[c] = (model.population_risk(w), np.array([model.loss(z, w) for z in model.z_values]))
+    return table
+
+
+def _window_gen(table: dict, samples: np.ndarray, cells: np.ndarray) -> float:
+    """The windowed gen error from a risk table, one gap per distinct cell, gathered back to the steps.
+
+    A gap takes the 1-D mean of the sample losses, as `empirical_risk` does; a 2-D row mean moves last bits.
     """
-    cells, inverse = np.unique(traj.state_indices, return_inverse=True)
-    gaps = np.array([model.gen_error(samples, traj.quantizer.value(c)) for c in cells.tolist()])
+    distinct, inverse = np.unique(cells, return_inverse=True)
+    gaps = np.array([table[c][0] - np.mean(table[c][1][samples]) for c in distinct.tolist()])
     return float(np.mean(gaps[inverse]))
 
 
@@ -247,14 +256,7 @@ def thm7_bound(rd_sup: float, delta: float, n: int, epsilon: float) -> BoundRepo
     return _finish("thm7", _eq4_terms(rd_sup, 0.5, n, delta, epsilon), params)
 
 
-def thm8_bound(
-    rd_s: float,
-    log_M: float,
-    lipschitz_L: float,
-    delta: float,
-    n: int,
-    epsilon: float,
-) -> BoundReport:
+def thm8_bound(rd_s: float, log_M: float, lipschitz_L: float, delta: float, n: int, epsilon: float) -> BoundReport:
     """Data-dependent trajectory bound sqrt((rd_s + log(sqrt(2n) M / delta))/(2n-1) + 4 L eps).
 
     When log_M comes from estimate_M it is a certified lower estimate of the
@@ -264,14 +266,7 @@ def thm8_bound(
     rate = rd_s / (2 * n - 1)
     conf = (0.5 * math.log(2 * n) + log_M + math.log(1.0 / delta)) / (2 * n - 1)
     terms = {"rate_term": rate, "confidence_term": conf, "lipschitz_term": 4.0 * lipschitz_L * epsilon}
-    params = {
-        "n": n,
-        "delta": delta,
-        "epsilon": epsilon,
-        "rd_s": rd_s,
-        "log_M": log_M,
-        "lipschitz_L": lipschitz_L,
-    }
+    params = {"n": n, "delta": delta, "epsilon": epsilon, "rd_s": rd_s, "log_M": log_M, "lipschitz_L": lipschitz_L}
     return _finish("thm8", terms, params)
 
 
@@ -346,16 +341,8 @@ class SweepResult:
         return [(r.lr, r.mean_gen, r.rd_nats, r.flag) for r in self.rows]
 
 
-def lr_sweep(
-    model: ToyModel,
-    lr_grid,
-    trials: int,
-    n: int = 24,
-    steps: int = 120,
-    epsilon: float | None = None,
-    seed: int = 0,
-    bins: int = 8,
-) -> SweepResult:
+def lr_sweep(model: ToyModel, lr_grid, trials: int, n: int = 24, steps: int = 120,
+             epsilon: float | None = None, seed: int = 0, bins: int = 8) -> SweepResult:
     """Learning-rate sweep: mean windowed gen error vs trajectory compressibility.
 
     Per learning rate: `trials` independent (dataset, trajectory) draws with
@@ -363,6 +350,12 @@ def lr_sweep(
     epsilon-constrained rate-distortion of the empirical trajectory law
     (epsilon defaults to 10% of the observed distortion range). Diverged
     rates are flagged and excluded from the rank correlation.
+    Trial t at rate index li draws its dataset from stream (seed, li, t, 0), a
+    child seed from (seed, li, t, 313) and its SGD picks from (child, 17),
+    each family keyed in one pass by `seeding.streams`. A trial runs
+    `simulate_trajectory`'s recurrence, whose window is range-checked and
+    quantized as one array after the last step; its gen error comes from
+    one risk table over the bins + 1 quantizer cells, built once per sweep.
     """
     lrs = [float(x) for x in lr_grid]
     if not lrs:
@@ -376,35 +369,26 @@ def lr_sweep(
     if epsilon is not None and not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite (None picks 10% of the distortion range)")
     quant = model.default_quantizer(bins)
+    risks = _risk_table(model, quant, range(quant.bins + 1))
     rows: list[SweepRow] = []
     for li, lr in enumerate(lrs):
-        gens = []
-        trajs = []
-        diverged = False
-        for t in range(trials):
-            samples = model.sample_dataset(n, seed, li, t, 0)
-            try:
-                tr = simulate_trajectory(model, samples, lr, steps, seed=_child(seed, li, t), quantizer=quant)
-            except TrajectoryDivergence:
-                diverged = True
-                break
-            trajs.append(tr)
-            gens.append(gen_trajectory(model, samples, tr))
-        if diverged:
+        datasets = [model._draw(gen, n) for gen in streams(seed, li, np.arange(trials), 0)]
+        children = np.array([gen.integers(2**63) for gen in streams(seed, li, np.arange(trials), 313)], np.uint64)
+        try:
+            trajs = [
+                _descend(model, s, lr, steps, gen, quant)
+                for s, gen in zip(datasets, streams(children, 17))
+            ]
+        except TrajectoryDivergence:
             rows.append(SweepRow(lr=lr, mean_gen=math.nan, rd_nats=math.nan, flag="diverged"))
             continue
+        gens = [_window_gen(risks, s, tr.state_indices) for s, tr in zip(datasets, trajs)]
         dist, rho, _ = trajectory_distribution(trajs)
-        eps = epsilon
-        if eps is None:
-            span = float(rho.max())
-            eps = 0.1 * span if span > 0 else 0.0
+        eps = 0.1 * float(rho.max()) if epsilon is None else epsilon  # rho >= 0, so a zero span gives 0.0
         sol = rd_curve(dist, rho, eps)
         rows.append(SweepRow(lr=lr, mean_gen=float(np.mean(gens)), rd_nats=sol.rate_nats, flag="ok"))
-    ok = [(r.mean_gen, r.rd_nats) for r in rows if r.flag == "ok"]
-    if len(ok) >= 2 and len({g for g, _ in ok}) > 1 and len({r for _, r in ok}) > 1:
-        rho_val = _spearman([g for g, _ in ok], [r for _, r in ok])
-    else:
-        rho_val = math.nan
+    ok_gen, ok_rd = [r.mean_gen for r in rows if r.flag == "ok"], [r.rd_nats for r in rows if r.flag == "ok"]
+    rho_val = _spearman(ok_gen, ok_rd) if len(set(ok_gen)) > 1 and len(set(ok_rd)) > 1 else math.nan
     return SweepResult(rows=rows, spearman_rho=rho_val)
 
 
@@ -427,7 +411,3 @@ def _spearman(x, y) -> float:
     """
     ranks = np.column_stack([_average_ranks(x), _average_ranks(y)])
     return float(np.corrcoef(ranks, rowvar=False)[1, 0])
-
-
-def _child(seed: int, *path: int) -> int:
-    return int(_rng(seed, *path, 313).integers(2**63))

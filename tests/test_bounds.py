@@ -514,6 +514,19 @@ class TestThm5:
         with pytest.raises(ValueError, match="mgf"):
             thm5_expectation_bound("i", P, np.full((2, 2), 0.5), [0.5, 0.5], g, g, 2.0, mgf="exakt")
 
+    @pytest.mark.parametrize("sigma_g, match", [
+        (-1.0, "sigma_g must be non-negative"),  # was the bound at +1.0
+        (math.nan, "sigma_g is NaN"),
+        (1e300, "too large"),  # was an OverflowError at sigma_g**2
+    ])
+    def test_surrogate_sigma_g_checked(self, sigma_g, match):
+        P = np.full((2, 2), 0.25)
+        g = np.zeros((2, 2))
+        with pytest.raises(ValueError, match=match):
+            thm5_expectation_bound("i", P, np.full((2, 2), 0.5), [0.5, 0.5], g, g, 2.0, mgf="surrogate", sigma_g=sigma_g)
+        rep = thm5_expectation_bound("i", P, np.full((2, 2), 0.5), [0.5, 0.5], g, g, 2.0, mgf="surrogate", sigma_g=1.0)
+        assert rep.bound_value == 1.0
+
     def test_distortion_checked(self):
         prob, alg, joint, ctx = exact_instance(90)
         gt = gen_table(prob, ctx)

@@ -196,7 +196,7 @@ class TestToleranceClosed:
         j = Joint(np.full((4, 4), 1 / 16) * (1 + 8e-12))
         assert j.marginal_s().alphabet_size == 4 and j.marginal_w().alphabet_size == 4
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
                elements=st.floats(0.0, 1.0, allow_subnormal=False)),
@@ -245,6 +245,47 @@ class TestBinaryKl:
             x, y = mp.mpf(p), mp.mpf(a)
             exact = x * mp.log(x / y) + (1 - x) * mp.log((1 - x) / (1 - y))
             assert abs(binary_kl(p, a) / exact - 1) < 1e-6
+
+
+    @pytest.mark.parametrize("a, b", [(1.0, 5e-324), (0.5, 1e-320), (1e-10, 1e-320), (0.999, 2e-308 / 3e10)])
+    def test_finite_where_the_ratio_overflows(self, a, b):
+        # (a - b) / b overflows; D(a || b) is finite all the same
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            x, y = mp.mpf(a), mp.mpf(b)
+            exact = x * mp.log(x / y) + ((1 - x) * mp.log((1 - x) / (1 - y)) if a < 1 else 0)
+        got = binary_kl(a, b)
+        assert math.isfinite(got) and abs(got / exact - 1) < 1e-14
+        if a == 1.0:
+            assert got == pytest.approx(-math.log(b), rel=1e-15)  # log(1 / b), whose 1 / b overflows
+
+    def test_finite_values_keep_their_bits(self):
+        # the first term before the overflow branch, with every finite result pinned to it
+        def before(a, b):
+            out = 0.0
+            if a > 0:
+                t = (a - b) / b
+                out += a * (math.log1p(t) if t > -0.5 else math.log(a / b))
+            if a < 1:
+                t = (b - a) / (1 - b)
+                out += (1 - a) * (math.log1p(t) if t > -0.5 else math.log((1 - a) / (1 - b)))
+            return out
+
+        grid = sorted({0.0, 5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-200, 1e-100, 1e-30,
+                       1e-10, 1e-5, 0.001, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1 - 1e-10, 1 - 2**-53, 1.0}
+                      | set(np.linspace(0.0, 1.0, 41).tolist()))
+        checked = 0
+        for a in grid:
+            for b in grid:
+                if a == b or b in (0.0, 1.0):
+                    continue
+                old = before(a, b)
+                if math.isfinite(old):
+                    assert binary_kl(a, b) == old, (a, b)
+                    checked += 1
+                else:
+                    assert math.isfinite(binary_kl(a, b)), (a, b)
+        assert checked > 2900
 
 
 class TestBinaryKlInverse:

@@ -1,6 +1,6 @@
 """Properties that hold on every input: fuzzed bound constructors, the binary-KL
-inverse and canonical JSON. Hypothesis runs derandomized, so each run draws
-the same examples."""
+inverse and canonical JSON. Hypothesis runs under the suite's derandomized
+profile (tests/conftest.py), so each run draws the same examples."""
 
 import json
 import math
@@ -21,7 +21,7 @@ from genbounds.info import binary_kl, binary_kl_inverse, binary_kl_inverse_cap
 from genbounds.io import canonical_json
 from genbounds.trajectory import thm7_bound, thm8_bound
 
-fixed = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+fixed = settings(max_examples=40)
 
 # the float edge cases, then ordinary values of either sign
 edge = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genbounds.seeding as seeding
-from genbounds.seeding import child_sequence, rng, rngs
+from genbounds.seeding import child_sequence, rng, rngs, streams
 
 # roots at the word boundaries of numpy's entropy split, and a negative root
 # (reduced mod 2**64); prefixes with no, one and several words, some wider
@@ -37,7 +37,7 @@ class TestKeys:
             if t % 97 == 0 or t >= 2990:
                 assert np.array_equal(_key(gen), _expected_key(2**64 - 1, 3, t)), t
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         root=st.integers(-(2**70), 2**70),
         prefix=st.lists(st.integers(0, 2**80), max_size=3),
@@ -50,6 +50,61 @@ class TestKeys:
     def test_one_shared_generator(self):
         gens = {id(gen) for gen in rngs(5, 1, count=4)}
         assert len(gens) == 1
+
+
+# the roots the trajectory sweep keys from: 63-bit child seeds, with the
+# word boundaries of numpy's entropy split
+FAMILY_ROOTS = [0, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+class TestStreams:
+    @pytest.mark.parametrize("root", FAMILY_ROOTS)
+    def test_varying_word_in_the_middle(self, root):
+        t = np.arange(50)
+        for tail in (0, 313):
+            keys = [_key(gen).copy() for gen in streams(root, 3, t, tail)]
+            assert len(keys) == t.size
+            for i, key in enumerate(keys):
+                assert np.array_equal(key, _expected_key(root, 3, i, tail)), (tail, i)
+
+    def test_array_root(self):
+        roots = np.array(FAMILY_ROOTS + [1, 2**33 + 7, 2**64 - 1, 2**62 + 12345], dtype=np.uint64)
+        keys = [_key(gen).copy() for gen in streams(roots, 17)]
+        assert len(keys) == roots.size
+        for r, key in zip(roots.tolist(), keys):
+            assert np.array_equal(key, _expected_key(r, 17)), r
+
+    def test_draws_equal_rng(self):
+        # the sweep's three families: dataset, child seed, then SGD picks keyed by the child
+        t = np.arange(30)
+        p = [0.35, 0.65]
+        assert [gen.choice(2, size=9, p=p).tolist() for gen in streams(7, 2, t, 0)] == [
+            rng(7, 2, i, 0).choice(2, size=9, p=p).tolist() for i in range(30)
+        ]
+        children = [int(gen.integers(2**63)) for gen in streams(7, 2, t, 313)]
+        assert children == [int(rng(7, 2, i, 313).integers(2**63)) for i in range(30)]
+        assert [gen.integers(9, size=40).tolist() for gen in streams(np.array(children, dtype=np.uint64), 17)] == [
+            rng(c, 17).integers(9, size=40).tolist() for c in children
+        ]
+
+    def test_rngs_is_streams_over_the_trial_number(self):
+        a = [_key(gen).copy() for gen in rngs(11, 4, count=20)]
+        b = [_key(gen).copy() for gen in streams(11, 4, np.arange(20))]
+        assert np.array_equal(a, b)
+
+    def test_empty_array_yields_nothing(self):
+        assert list(streams(np.array([], dtype=np.uint64), 17)) == []
+        assert list(streams(3, np.array([], dtype=int), 0)) == []
+
+    @pytest.mark.parametrize("word", [[0, 2**32], [-1, 0]])
+    def test_array_word_must_be_one_word(self, word):
+        with pytest.raises(ValueError, match="array path word"):
+            streams(0, np.array(word), 0)
+
+    def test_changed_hash_trips_the_check_on_an_array_root(self, monkeypatch):
+        monkeypatch.setattr(seeding, "_MULT_B", seeding._MULT_B ^ 2)
+        with pytest.raises(RuntimeError, match="SeedSequence"):
+            streams(np.array([5, 6], dtype=np.uint64), 17)
 
 
 def _draws(gen, t):
