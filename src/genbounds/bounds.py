@@ -213,30 +213,34 @@ def _mgf_cells(P_S, q_hat, g) -> tuple[np.ndarray, np.ndarray]:
     return logw[live], gm[live]
 
 
-def _logsumexp(a: np.ndarray) -> float:
+def _logsumexp(a: np.ndarray, work: np.ndarray | None = None) -> float:
     """log sum exp(a) of a 1-D array: -inf when it is empty or all -inf, +inf if any term is.
 
-    The steps are scipy.special.logsumexp's, and so are the result's bits:
-    the m cells at the maximum are counted and left out of the shifted sum
-    s, which is then divided by m unless it is 0, and the result is
+    The steps are scipy.special.logsumexp's, and so are the result's bits: the m cells at the
+    maximum are counted and left out of the shifted sum s (its terms go into `work`, shaped like
+    `a` or `a` itself, if given), which is then divided by m unless it is 0, and the result is
     log1p(s) + log(m) + max, each on a 1-element array.
     """
     if a.size == 0:
         return -math.inf
     top = a.max(keepdims=True)
-    if top[0] == -math.inf:
-        return -math.inf
+    if math.isinf(top[0]):
+        return float(top[0])
     at_top = a == top
-    m = at_top.sum(keepdims=True, dtype=float)
-    s = np.exp(np.where(at_top, -np.inf, a) - top).sum(keepdims=True)
+    m = np.full(1, np.count_nonzero(at_top), dtype=float)
+    shifted = np.subtract(a, top, out=work)
+    np.copyto(shifted, -np.inf, where=at_top)
+    s = np.exp(shifted, out=shifted).sum(keepdims=True)
     s = np.where(s == 0, s, s / m)
     return float((np.log1p(s) + np.log(m) + top)[0])
 
 
 def _log_mgf_cells(logw: np.ndarray, g: np.ndarray) -> float:
-    """logsumexp(logw + g) over the cells from `_mgf_cells`; +inf if any term is."""
-    terms = logw + g
-    return _logsumexp(terms[terms > -np.inf])
+    """logsumexp(logw + g) over the cells from `_mgf_cells`, +inf if any term is; the terms overwrite g."""
+    terms = np.add(logw, g, out=g)
+    if not terms.min() > -np.inf:
+        terms = terms[terms > -np.inf]
+    return _logsumexp(terms, terms)
 
 
 def log_mgf(P_S, q_hat, g) -> float:
@@ -259,26 +263,31 @@ def t_functional(nu_s, p_hat, q_hat, g, alpha: float, P_S) -> float:
 
 
 def minimize_unimodal(h, lo: float, hi: float):
-    """Minimize a unimodal function over [lo, hi] by a 64-point log-grid plus 80 golden-section steps."""
+    """Minimize unimodal h over [lo, hi]: a 64-point log-grid, 80 golden-section steps; a NaN h raises ValueError."""
+    def value(x: float) -> float:
+        if math.isnan(v := h(x)):
+            raise ValueError(f"the objective is NaN at the multiplier {x}")
+        return v
+
     xs = np.geomspace(max(lo, 1e-12), hi, 64)
-    vals = [h(x) for x in xs]
+    vals = [value(x) for x in xs]
     i = int(np.argmin(vals))
     a = xs[max(i - 1, 0)]
     b = xs[min(i + 1, xs.size - 1)]
     phi = (math.sqrt(5) - 1) / 2
     c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = h(c), h(d)
+    fc, fd = value(c), value(d)
     for _ in range(80):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = h(c)
+            fc = value(c)
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = h(d)
+            fd = value(d)
     x = 0.5 * (a + b)
-    return x, h(x)
+    return x, value(x)
 
 
 # ---------------------------------------------------------------------------
@@ -674,11 +683,12 @@ def thm5_expectation_bound(
             _check_domain(sigma_g=sigma_g)
             sigma_g2 = _square(sigma_g)
         logw, g_live = _mgf_cells(ps, q, gm)
+        work = np.empty_like(g_live)
 
         def mgf_term(lmb: float) -> float:
             if mgf == "surrogate":
                 return lmb**2 * sigma_g2 / 2.0
-            return _log_mgf_cells(logw, lmb * g_live)
+            return _log_mgf_cells(logw, np.multiply(lmb, g_live, out=work))
 
         if lam is None:
             lam, _ = minimize_unimodal(lambda lmb: (kl + mgf_term(lmb)) / lmb + epsilon, 1e-6, 1e8)
@@ -704,11 +714,12 @@ def thm5_expectation_bound(
         dalpha = renyi_divergence(P_t.reshape(-1), q_joint.reshape(-1), alpha)
         lam_min = alpha / (alpha - 1)
         logw, logf = _mgf_cells(ps, q, np.log(fm))
+        work = np.empty_like(logf)
 
         def value_log(lmb: float) -> float:
             if lmb < lam_min - 1e-12:
                 return math.inf
-            return (dalpha + _log_mgf_cells(logw, lmb * logf)) / lmb
+            return (dalpha + _log_mgf_cells(logw, np.multiply(lmb, logf, out=work))) / lmb
 
         if lam is None:
             lam, _ = minimize_unimodal(value_log, lam_min, 1e8)

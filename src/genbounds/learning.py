@@ -8,8 +8,8 @@ enumerated exhaustively whenever the state space fits under a cap.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 import numpy as np
 
@@ -102,6 +102,17 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.samples.size
+
+
+def _whole(value, name: str, least: int = 0) -> int:
+    """`value` as an int of at least `least`; ValueError otherwise, and for a bool or a float, even a whole one."""
+    try:
+        whole = operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+    if whole < least:
+        raise ValueError(f"{name} must be at least {least}, got {whole}")
+    return whole
 
 
 def _indices(x) -> np.ndarray:
@@ -255,8 +266,7 @@ class ConstantAlgorithm(Algorithm):
 
 def sample_dataset(prob: FiniteLearningProblem, n: int, seed: int, *path: int) -> Dataset:
     """n iid draws from mu; deterministic given (seed, path)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _whole(n, "n", 1)
     gen = _rng(seed, *path)
     idx = gen.choice(prob.z_alphabet_size, size=n, p=np.asarray(prob.mu))
     return Dataset(idx)
@@ -264,11 +274,11 @@ def sample_dataset(prob: FiniteLearningProblem, n: int, seed: int, *path: int) -
 
 def enumerate_datasets(z_size: int, n: int) -> np.ndarray:
     """All z_size^n datasets as an (N, n) index array, subject to ENUMERATION_CAP."""
+    z_size, n = _whole(z_size, "z_size", 1), _whole(n, "n")
     total = z_size**n
     if total > ENUMERATION_CAP:
         raise EnumerationCapError(f"{z_size}^{n} = {total} datasets exceeds the cap {ENUMERATION_CAP}")
-    grids = np.indices((z_size,) * n).reshape(n, -1).T
-    return np.ascontiguousarray(grids)
+    return np.ascontiguousarray(np.indices((z_size,) * n).reshape(n, total).T)
 
 
 def _symbol_counts(rows, z: int) -> np.ndarray:
@@ -285,13 +295,21 @@ def _symbol_counts(rows, z: int) -> np.ndarray:
 
 
 def enumerate_types(z_size: int, n: int) -> np.ndarray:
-    """All empirical-type count vectors (N, z_size) with entries summing to n (one zero row at n = 0)."""
-    total = math.comb(n + z_size - 1, n)
-    if n == 0:
-        return np.zeros((1, z_size), dtype=int)
-    combs = itertools.combinations_with_replacement(range(z_size), n)
-    flat = np.fromiter(itertools.chain.from_iterable(combs), dtype=int, count=total * n)
-    return _symbol_counts(flat.reshape(total, n), z_size)
+    """All empirical-type count vectors (N, z_size) with entries summing to n (one zero row at n = 0).
+
+    Every type-indexed table (such as covering's `rates`) relies on the row order of
+    `itertools.combinations_with_replacement(range(z_size), n)`: the count of symbol 0 descending,
+    then that of symbol 1, and so on. Built one symbol at a time, in O(N z) time and memory for n >= z.
+    """
+    z_size, n = _whole(z_size, "z_size", 1), _whole(n, "n")
+    rows = np.full((1, 1), n)
+    for _ in range(z_size - 1):
+        # a row with r left of n becomes r + 1 rows: its last column counts r down to 0, a new one holds the rest
+        sizes = rows[:, -1] + 1
+        rest = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rows = np.repeat(rows, sizes, axis=0)
+        rows = np.column_stack([rows[:, :-1], rows[:, -1] - rest, rest])
+    return rows
 
 
 def induced_joint(
@@ -307,8 +325,7 @@ def induced_joint(
     (exact for exchangeable algorithms, with rows weighted by the multinomial
     law of the type).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _whole(n, "n", 1)
     log_mu = np.where(np.asarray(prob.mu) > 0, np.log(np.clip(np.asarray(prob.mu), 1e-300, None)), -np.inf)
     if by_type:
         # compositions of n into z parts, counted before any is built

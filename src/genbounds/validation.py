@@ -10,7 +10,6 @@ covering at finite block lengths m.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .learning import (
     FiniteLearningProblem,
     GibbsAlgorithm,
     _symbol_counts,
+    _whole,
     enumerate_types,
     gen_errors,
     gen_table,
@@ -85,19 +85,9 @@ class ValidationReport:
         }
 
 
-def _whole(value, name: str) -> int:
-    """`value` as an int; a float, even a whole one, raises ValueError like any non-integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
-
-
 def _check_mc(n: int, trials: int) -> None:
-    if _whole(trials, "trials") < 100:
-        raise ValueError("need at least 100 trials")
-    if _whole(n, "n") < 1:
-        raise ValueError("n must be at least 1")
+    _whole(trials, "trials", 100)
+    _whole(n, "n", 1)
 
 
 def _draw_trials(seed: int, prefix: tuple, trials: int, width: int):
@@ -314,13 +304,10 @@ def covering_failure_estimate(
 
 def _covering_flags(prob, alg, n, rates, epsilon, m_grid, trials, seed, q_hat) -> list[tuple[int, np.ndarray]]:
     """(m, per-trial failure flags) for each m of the grid, drawn as `covering_failure_estimate` describes."""
-    m_grid = [_whole(m, "every m in m_grid") for m in m_grid]
-    if _whole(trials, "trials") < 1:
-        raise ValueError("trials must be at least 1")
+    m_grid = [_whole(m, "every m in m_grid", 1) for m in m_grid]
+    _whole(trials, "trials", 1)
     if not m_grid:
         raise ValueError("m_grid must hold at least one m")
-    if any(m < 1 for m in m_grid):
-        raise ValueError("every m in m_grid must be at least 1")
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
     joint, types = induced_joint(prob, alg, n, by_type=True)

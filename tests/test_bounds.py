@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from genbounds.bounds import (
+    _log_mgf_cells,
     _logsumexp,
+    _mgf_cells,
     check_thm3_condition,
     check_thm4_condition,
     channel_kl,
@@ -871,6 +873,34 @@ class TestLogsumexpOracle:
         assert _logsumexp(np.array(a, dtype=float)) == float(logsumexp(np.array(a, dtype=float)))
 
 
+class TestBufferedLogMgf:
+    """One buffer reused across a multiplier grid gives the bits of a fresh array per multiplier."""
+
+    @pytest.mark.parametrize("edit", ["finite", "-inf cells", "+inf cell", "all -inf"])
+    def test_bits_match_fresh_arrays(self, edit):
+        gen = rng(92)
+        ps = gen.dirichlet(np.ones(40))
+        ps[::9] = 0.0  # cells of weight 0 are dropped
+        ps /= ps.sum()
+        q = gen.dirichlet(np.ones(6), size=40)
+        g = gen.normal(size=(40, 6)) * 3
+        if edit == "-inf cells":
+            g[gen.random(g.shape) < 0.3] = -np.inf
+        elif edit == "+inf cell":
+            g[5, 2] = np.inf
+        elif edit == "all -inf":
+            g[:] = -np.inf
+        logw, g_live = _mgf_cells(ps, q, g)
+        work = np.empty_like(g_live)
+        for lam in np.geomspace(1e-6, 1e8, 200):
+            fresh = _log_mgf_cells(logw, lam * g_live)
+            assert _log_mgf_cells(logw, np.multiply(lam, g_live, out=work)) == fresh, lam
+            terms = logw + lam * g_live
+            assert _logsumexp(terms[terms > -np.inf]) == fresh, lam
+        if edit == "all -inf":
+            assert fresh == -np.inf
+
+
 class TestHelpers:
     def test_distortion_fg(self):
         nu = np.full((2, 2), 0.25)
@@ -893,3 +923,8 @@ class TestHelpers:
         x, v = minimize_unimodal(lambda t: (t - 3.7) ** 2 + 1.0, 1e-3, 1e3)
         assert x == pytest.approx(3.7, rel=1e-3)
         assert v == pytest.approx(1.0, abs=1e-6)
+
+    def test_minimize_unimodal_rejects_nan(self):
+        # np.argmin took the first NaN on the grid as the minimum: (2.2346, nan)
+        with pytest.raises(ValueError, match=r"NaN at the multiplier 2\.077"):
+            minimize_unimodal(lambda x: math.nan if 2 < x < 3 else (x - 10) ** 2, 1.0, 100.0)

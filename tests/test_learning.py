@@ -1,9 +1,12 @@
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from genbounds.cli import main
 from genbounds.info import Pmf, mutual_information
 from genbounds.learning import (
     Algorithm,
@@ -26,6 +29,12 @@ from genbounds.learning import (
     sample_dataset,
 )
 from genbounds.seeding import rng
+
+
+def types_by_loop(z, n):
+    """The type table by one bincount per composition, in combinations_with_replacement order."""
+    combs = itertools.combinations_with_replacement(range(z), n)
+    return np.asarray([np.bincount(c, minlength=z) for c in combs], dtype=int)
 
 
 def small_problem(seed=11, z=4, w=3, bound=None):
@@ -367,23 +376,75 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             Dataset(np.array([-1]))
 
-    @pytest.mark.parametrize("z, n", [(1, 5), (2, 1), (3, 4), (4, 25), (5, 12)])
+    @pytest.mark.parametrize(
+        "z, n", [(1, 5), (2, 1), (3, 4), (4, 25), (5, 12), (1, 0), (2, 0), (4, 30), (3, 60), (6, 8)]
+    )
     def test_types_match_the_per_type_loop(self, z, n):
-        # the loop enumerate_types replaced: one bincount per composition
-        loop = np.asarray(
-            [np.bincount(c, minlength=z) for c in itertools.combinations_with_replacement(range(z), n)],
-            dtype=int,
-        )
+        loop = types_by_loop(z, n)
         got = enumerate_types(z, n)
         assert got.dtype == loop.dtype and np.array_equal(got, loop)
 
     def test_zero_samples_one_empty_type(self):
         got = enumerate_types(3, 0)
         assert got.dtype == np.dtype(int) and np.array_equal(got, np.zeros((1, 3), dtype=int))
+        assert enumerate_datasets(3, 0).shape == (1, 0)
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             enumerate_types(2, -1)
+
+    def test_type_table_memory(self):
+        # a build that expanded every composition into its n sample indices peaked at 62 MB here
+        tracemalloc.start()
+        try:
+            enumerate_types(3, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda prob, alg: induced_joint(prob, alg, 2.5, by_type=True), "n must be a whole number"),
+            (lambda prob, alg: induced_joint(prob, alg, 3.0), "n must be a whole number"),
+            (lambda prob, alg: induced_joint(prob, alg, True), "n must be a whole number"),
+            (lambda prob, alg: induced_joint(prob, alg, 0, by_type=True), "n must be at least 1"),
+            (lambda prob, alg: enumerate_types(2.0, 3), "z_size must be a whole number"),
+            (lambda prob, alg: enumerate_datasets(2, 2.5), "n must be a whole number"),
+            (lambda prob, alg: enumerate_types(0, 3), "z_size must be at least 1"),
+            (lambda prob, alg: enumerate_types(0, 0), "z_size must be at least 1"),
+            (lambda prob, alg: enumerate_datasets(0, 2), "z_size must be at least 1"),
+            (lambda prob, alg: enumerate_datasets(2, -1), "n must be at least 0"),
+            (lambda prob, alg: sample_dataset(prob, 2.0, 0), "n must be a whole number"),
+        ],
+    )
+    def test_sizes_are_whole_numbers(self, call, match):
+        # these raised TypeError, or an error that named the wrong thing
+        prob = small_problem(37, z=2, w=2)
+        with pytest.raises(ValueError, match=match):
+            call(prob, GibbsAlgorithm(Pmf.uniform(2), 1.0))
+
+    def test_exact_kind_bytes_match_the_loop_table(self, tmp_path, monkeypatch):
+        # a tripwire on the row-order contract: every exact kind writes the same bytes
+        # on the table built by the per-composition loop
+        problem = tmp_path / "problem.json"
+        loss = [[0.0, 0.4, 0.8, 1.0], [0.4, 0.0, 0.6, 0.9], [0.8, 0.6, 0.0, 0.3], [1.0, 0.9, 0.3, 0.0]]
+        spec = {"z_alphabet": 4, "w_alphabet": 4, "loss": loss, "mu": [0.4, 0.3, 0.2, 0.1], "B": 1.0}
+        problem.write_text(json.dumps(spec))
+
+        def reports(tag):
+            out = {}
+            for kind in ("thm5i", "thm5ii", "eq22", "prop5i", "prop5ii"):
+                path = tmp_path / tag / kind / "report.json"
+                argv = ["bound", "--kind", kind, "--problem", str(problem), "--n", "30", "--out", str(path)]
+                assert main(argv) == 0
+                out[kind] = path.read_bytes()
+            return out
+
+        fast = reports("counts")
+        monkeypatch.setattr("genbounds.learning.enumerate_types", types_by_loop)
+        assert reports("loop") == fast
 
 
 class TestDatasetModeTables:
