@@ -2,9 +2,8 @@
 
 Every bound returns a BoundReport built by `_finish`, which computes the
 value from the named terms with the kind's one formula in `_VALUE`; the same
-table backs `reconstruct_bound` (the thm5 parts alone report their minimised
-objective, which their terms match to rounding). Infinite bounds are legal
-values (flagged), never exceptions; a NaN bound raises ValueError.
+table backs `reconstruct_bound`. Infinite bounds are legal values (flagged),
+never exceptions; a NaN bound raises ValueError.
 Log-MGF terms are exact finite-alphabet sums unless the caller explicitly
 selects the subgaussian surrogate lambda^2 sigma^2 / 2 path; both appear in
 the source material and both are exposed.
@@ -23,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .info import Joint, _kl_rows, _pair, _probs, gdelta_sup, kl_divergence, renyi_divergence
+from .info import Joint, _increasing_root, _kl_rows, _pair, _probs, gdelta_sup, kl_divergence, renyi_divergence
 from .ratedistortion import rd_gen
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "check_thm4_condition",
     "thm5_expectation_bound",
     "distortion_ok_fg",
-    "minimize_unimodal",
 ]
 
 DISTORTION_SLACK = 1e-9
@@ -121,14 +119,10 @@ def reconstruct_bound(report: BoundReport) -> float:
     return _VALUE[report.kind](report.terms, report.params)
 
 
-def _finish(kind, terms, params, extra=None, value=None) -> BoundReport:
-    """Assemble a report whose value is `_VALUE[kind]` of its terms.
-
-    `value` overrides the formula only for the thm5 parts, which report the
-    minimised objective itself; its terms agree with it to rounding.
-    """
+def _finish(kind, terms, params, extra=None) -> BoundReport:
+    """Assemble a report whose value is `_VALUE[kind]` of its terms."""
     terms = {k: float(v) for k, v in terms.items()}
-    value = float(_VALUE[kind](terms, params) if value is None else value)
+    value = float(_VALUE[kind](terms, params))
     if math.isnan(value):
         raise ValueError(f"{kind} bound is NaN (terms={terms})")
     return BoundReport(
@@ -199,8 +193,8 @@ def _mgf_cells(P_S, q_hat, g) -> tuple[np.ndarray, np.ndarray]:
     """log P_S + log q and g on the cells of positive weight, checked once.
 
     A cell of weight 0 adds nothing to the MGF even where g is +-inf
-    (0 e^{+inf} counts as 0), so it is dropped here; a multiplier search
-    scales the returned g and calls `_log_mgf_cells` without checking again.
+    (0 e^{+inf} counts as 0), so it is dropped here; thm5 scales the
+    returned g and calls `_log_mgf_cells` without checking again.
     """
     ps = _probs(np.reshape(P_S, -1), 1)
     q = _probs(_q_rows(q_hat, ps.size), 2, rows=True)
@@ -262,32 +256,39 @@ def t_functional(nu_s, p_hat, q_hat, g, alpha: float, P_S) -> float:
     return d + log_mgf(P_S, q_hat, g)
 
 
-def minimize_unimodal(h, lo: float, hi: float):
-    """Minimize unimodal h over [lo, hi]: a 64-point log-grid, 80 golden-section steps; a NaN h raises ValueError."""
-    def value(x: float) -> float:
-        if math.isnan(v := h(x)):
-            raise ValueError(f"the objective is NaN at the multiplier {x}")
-        return v
+def _fo_condition(logw: np.ndarray, g: np.ndarray, K: float, lam: float) -> tuple[float, float]:
+    """h(lam) = lam L'(lam) - L(lam) - K and its slope lam L''(lam), L(lam) = log sum e^(logw + lam g), g finite.
 
-    xs = np.geomspace(max(lo, 1e-12), hi, 64)
-    vals = [value(x) for x in xs]
-    i = int(np.argmin(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, xs.size - 1)]
-    phi = (math.sqrt(5) - 1) / 2
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = value(c), value(d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = value(d)
-    x = 0.5 * (a + b)
-    return x, value(x)
+    L' and L'' are the mean and variance of g under the weights e^(logw + lam g). g is taken relative
+    to its maximum, which leaves h unchanged, and then to the heaviest cell: no term grows with lam.
+    """
+    d = g - g.max()
+    t = lam * d + logw
+    j = int(t.argmax())
+    e = np.exp(t - t[j])
+    s = e.sum()
+    d -= d[j]
+    mean = e @ d / s
+    d -= mean
+    return float(lam * mean - logw[j] - math.log(s) - K), float(lam * (e @ (d * d)) / s)
+
+
+def _multiplier_terms(logw: np.ndarray, g: np.ndarray, K: float, lo: float, lam: float | None) -> tuple:
+    """(lam, K / lam, L(lam) / lam); lam=None takes the lam >= lo that minimises their sum.
+
+    Its slope is h(lam) / lam^2 (`_fo_condition`), h rising from -K at 0+ to -log P(g = max g) - K:
+    the minimiser is lo if h(lo) >= 0, inf (terms 0 and max g) if that limit is <= 0, else h's root.
+    """
+    top = float(g.max())
+    if lam is None and (K == math.inf or top == math.inf):  # every lam gives +inf
+        lam = lo
+    elif lam is None and K + _logsumexp(logw[g == top]) >= 0:
+        lam = math.inf
+    elif lam is None:
+        lam = _increasing_root(lambda x: _fo_condition(logw, g, K, x), lo)[1]
+    if lam == math.inf:
+        return lam, 0.0, top
+    return lam, K / lam, _log_mgf_cells(logw, lam * g) / lam
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +658,9 @@ def thm5_expectation_bound(
     quantizers satisfying E[f - g] <= eps; mgf="surrogate" replaces the exact
     log-MGF with lam^2 sigma_g^2 / 2. Part ii: exp((1/lam)(D_alpha(P||q P_S)
     + log E_{P_S q}[f^lam])) with lam >= alpha/(alpha-1), f > 0. With lam=None
-    the multiplier is optimized on a log grid plus golden-section refinement;
-    a given lam outside (0, inf) raises ValueError.
+    lam minimises the bound (`_multiplier_terms`; at least 1e-6 in part i),
+    and is inf where only the limit reaches the infimum. A given lam outside
+    (0, inf), or below alpha/(alpha-1) in part ii, raises ValueError.
     The exact E[f] is attached and the exact-MGF bound is checked against it.
     """
     _check_domain(lam=lam)
@@ -683,53 +685,31 @@ def thm5_expectation_bound(
             _check_domain(sigma_g=sigma_g)
             sigma_g2 = _square(sigma_g)
         logw, g_live = _mgf_cells(ps, q, gm)
-        work = np.empty_like(g_live)
-
-        def mgf_term(lmb: float) -> float:
-            if mgf == "surrogate":
-                return lmb**2 * sigma_g2 / 2.0
-            return _log_mgf_cells(logw, np.multiply(lmb, g_live, out=work))
-
-        if lam is None:
-            lam, _ = minimize_unimodal(lambda lmb: (kl + mgf_term(lmb)) / lmb + epsilon, 1e-6, 1e8)
-        exact_mgf = _log_mgf_cells(logw, lam * g_live)
-        used_mgf = mgf_term(lam) if mgf == "surrogate" else exact_mgf
-        value = (kl + used_mgf) / lam + epsilon
-        terms = {"rate_term": kl / lam, "mgf_term": used_mgf / lam, "epsilon_term": epsilon}
-        params = {"lambda": lam, "epsilon": epsilon, "mgf": mgf}
-        exact_value = (kl + exact_mgf) / lam + epsilon
+        if lam is None and mgf == "surrogate":  # the root of h(lam) = lam^2 sigma_g^2 / 2 - kl; none at sigma_g = 0
+            lam = 1e-6 if kl == math.inf else max(math.sqrt(2 * kl / sigma_g2), 1e-6) if sigma_g2 > 0 else math.inf
+        lam, rate, exact_mgf = _multiplier_terms(logw, g_live, kl, 1e-6, lam)
+        used_mgf = (lam * sigma_g2 / 2.0 if sigma_g2 else 0.0) if mgf == "surrogate" else exact_mgf
+        terms = {"rate_term": rate, "mgf_term": used_mgf, "epsilon_term": epsilon}
+        exact_value = rate + exact_mgf + epsilon
         if exact_value < true_ef - 1e-9:
-            raise AssertionError(
-                f"in-expectation bound {exact_value} fell below the exact E[f] {true_ef}"
-            )
-        extra = {"true_e_f": true_ef, "exact_mgf_value": exact_value}
-        return _finish("thm5i", terms, params, extra, value=value)
+            raise AssertionError(f"in-expectation bound {exact_value} fell below the exact E[f] {true_ef}")
+        params = {"lambda": lam, "epsilon": epsilon, "mgf": mgf}
+        return _finish("thm5i", terms, params, {"true_e_f": true_ef, "exact_mgf_value": exact_value})
 
     if part == "ii":
         if alpha is None or alpha <= 1:
             raise ValueError("part ii needs alpha > 1")
         if np.any(fm <= 0):
             raise ValueError("part ii needs strictly positive f")
-        q_joint = ps[:, None] * q
-        dalpha = renyi_divergence(P_t.reshape(-1), q_joint.reshape(-1), alpha)
+        dalpha = renyi_divergence(P_t.reshape(-1), (ps[:, None] * q).reshape(-1), alpha)
         lam_min = alpha / (alpha - 1)
-        logw, logf = _mgf_cells(ps, q, np.log(fm))
-        work = np.empty_like(logf)
-
-        def value_log(lmb: float) -> float:
-            if lmb < lam_min - 1e-12:
-                return math.inf
-            return (dalpha + _log_mgf_cells(logw, np.multiply(lmb, logf, out=work))) / lmb
-
-        if lam is None:
-            lam, _ = minimize_unimodal(value_log, lam_min, 1e8)
-            lam = max(lam, lam_min)
-        mgf_f = _log_mgf_cells(logw, lam * logf)
-        value = math.exp((dalpha + mgf_f) / lam) if lam >= lam_min - 1e-12 else math.inf
-        terms = {"rate_term": dalpha / lam, "mgf_term": mgf_f / lam}
-        params = {"lambda": lam, "alpha": alpha}
-        if value < true_ef - 1e-9:
-            raise AssertionError(f"part-ii bound {value} fell below the exact E[f] {true_ef}")
-        return _finish("thm5ii", terms, params, {"true_e_f": true_ef}, value=value)
+        if lam is not None and lam < lam_min - 1e-12:
+            raise ValueError(f"part ii needs lam >= alpha/(alpha-1) = {lam_min}")
+        lam, rate, mgf_f = _multiplier_terms(*_mgf_cells(ps, q, np.log(fm)), dalpha, lam_min, lam)
+        terms, params = {"rate_term": rate, "mgf_term": mgf_f}, {"lambda": lam, "alpha": alpha}
+        rep = _finish("thm5ii", terms, params, {"true_e_f": true_ef})
+        if rep.bound_value < true_ef - 1e-9:
+            raise AssertionError(f"part-ii bound {rep.bound_value} fell below the exact E[f] {true_ef}")
+        return rep
 
     raise ValueError("part must be 'i' or 'ii'")

@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=1.0, help="multiplier; <= 0 optimises lambda for thm5i")
+    p.add_argument("--lam", type=float, default=1.0, help="multiplier; <= 0 minimises the thm5i bound over it")
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--emp-risk", dest="emp_risk", type=float, default=0.0)
     p.add_argument("--sup-mi", dest="sup_mi", type=float, default=0.0)

@@ -61,8 +61,7 @@ def _probs(a, ndim: int, rows: bool = False) -> np.ndarray:
             raise ValueError("probability entries must be finite")
         raise ValueError("probability entries must be non-negative")
     a = np.maximum(a, 0.0)
-    # einsum sums short rows about twice as fast as sum(axis=-1) (5456 x 4 q rows
-    # of thm5, checked in each log_mgf call of its lambda search)
+    # einsum sums short rows about twice as fast as sum(axis=-1) (5456 x 4 q rows of thm5)
     if rows:
         off = np.abs(np.einsum("ij->i", a) - 1.0).max()
     elif ndim == 2:
@@ -266,6 +265,28 @@ def binary_kl_inverse(a: float, b: float) -> float:
 def binary_kl_inverse_cap(a: float, b: float) -> float:
     """Closed-form upper bound a + sqrt(2ab) + 2b on the binary KL inverse."""
     return a + math.sqrt(2.0 * a * b) + 2.0 * b
+
+
+def _increasing_root(h: Callable[[float], tuple[float, float]], lo: float) -> tuple[float, float]:
+    """Adjacent floats a < b with h(a) < 0 <= h(b), for a non-decreasing h on [lo, inf) and lo > 0.
+
+    `h(x)` returns h and its slope. Each point is a Newton step from the last; one that leaves the
+    bracket doubles a while b is unknown, else halves [a, b] (in log scale while b > 4a), and one below
+    an ulp takes the neighbouring float. (lo, lo) means h(lo) >= 0, (a, inf) that the doubling overflowed.
+    """
+    a, b, x = lo, math.inf, lo
+    while x < math.inf:
+        hx, slope = h(x)
+        if math.isnan(hx):
+            raise ValueError(f"h is NaN at lambda = {x!r}")
+        a, b = (x, b) if hx < 0 else (a, x)
+        if b <= math.nextafter(a, math.inf):
+            break
+        step = x - hx / slope if slope > 0 else math.nan
+        x = math.nextafter(x, b if x == a else a) if step == x else step
+        if not a < x < b:
+            x = 2 * a if b == math.inf else math.sqrt(a) * math.sqrt(b) if b > 4 * a else a + (b - a) / 2
+    return a, b
 
 
 def gdelta_radius(delta: float) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .bounds import BoundReport, _check_domain, _eq4_terms, _finish
 from .info import Pmf, gdelta_sup, mutual_information
+from .learning import _whole
 from .ratedistortion import rd_curve
 from .seeding import rng as _rng, streams
 
@@ -202,6 +203,7 @@ def _descend(model, samples, lr, steps, gen, quantizer, w0=None, t1=None, t2=Non
     """
     if steps < 2:
         raise ValueError("need at least 2 steps")
+    steps = _whole(steps, "steps")
     t1 = steps // 2 if t1 is None else t1
     t2 = steps if t2 is None else t2
     if not 0 <= t1 < t2 <= steps:
@@ -362,10 +364,7 @@ def lr_sweep(model: ToyModel, lr_grid, trials: int, n: int = 24, steps: int = 12
         raise ValueError("lr grid must be non-empty")
     if not all(math.isfinite(lr) for lr in lrs):
         raise ValueError("learning rates must be finite")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    trials, n, bins = _whole(trials, "trials", 1), _whole(n, "n", 1), _whole(bins, "bins", 2)
     if epsilon is not None and not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite (None picks 10% of the distortion range)")
     quant = model.default_quantizer(bins)

@@ -11,6 +11,7 @@ from genbounds.info import (
     Channel,
     Joint,
     Pmf,
+    _increasing_root,
     binary_kl,
     binary_kl_inverse,
     binary_kl_inverse_cap,
@@ -324,6 +325,35 @@ class TestBinaryKlInverse:
     def test_nan_b_rejected(self):
         with pytest.raises(ValueError):
             binary_kl_inverse(0.3, math.nan)
+
+
+class TestIncreasingRoot:
+    """The one root-finder: Newton inside a bracket that ends on adjacent floats."""
+
+    @pytest.mark.parametrize("h, root", [
+        (lambda x: (x * x - 2.0, 2.0 * x), math.sqrt(2.0)),
+        (lambda x: (math.log(x), 1.0 / x), 1.0),
+        (lambda x: (math.tanh(x - 7.0), 1.0 - math.tanh(x - 7.0) ** 2), 7.0),  # Newton overshoots far
+        (lambda x: (x - 5.0 if x >= 5.0 else -1.0, 1.0 if x >= 5.0 else 0.0), 5.0),  # slope 0 below the root
+    ], ids=["square", "log", "tanh", "flat"])
+    def test_finds_a_known_root(self, h, root):
+        a, b = _increasing_root(h, 1e-3)
+        assert b == math.nextafter(a, math.inf)
+        assert h(a)[0] < 0 <= h(b)[0]
+        assert a <= root <= b
+
+    def test_root_at_or_below_lo(self):
+        assert _increasing_root(lambda x: (x - 1.0, 1.0), 1.0) == (1.0, 1.0)
+        assert _increasing_root(lambda x: (x - 1.0, 1.0), 2.0) == (2.0, 2.0)
+
+    def test_no_root_runs_the_doubling_out(self):
+        a, b = _increasing_root(lambda x: (-1.0, 0.0), 1.0)
+        assert b == math.inf and 2 * a == math.inf
+
+    def test_nan_names_the_point(self):
+        # Newton's first step from 1 lands on 10, where h is NaN
+        with pytest.raises(ValueError, match=r"h is NaN at lambda = 10\.0"):
+            _increasing_root(lambda x: (math.nan if x > 2 else x - 10.0, 1.0), 1.0)
 
 
 class TestTypes:

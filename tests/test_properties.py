@@ -1,24 +1,32 @@
-"""Properties that hold on every input: fuzzed bound constructors, the binary-KL
-inverse and canonical JSON. Hypothesis runs under the suite's derandomized
-profile (tests/conftest.py), so each run draws the same examples."""
+"""Properties that hold on every input: fuzzed bound constructors, thm5's
+multiplier, the binary-KL inverse and canonical JSON. Hypothesis runs under the
+suite's derandomized profile (tests/conftest.py), so each run draws the same
+examples."""
 
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genbounds.bounds import (
+    _fo_condition,
+    _logsumexp,
+    _mgf_cells,
+    channel_kl,
     fixed_size_bound,
     pac_bayes_eq22,
     reconstruct_bound,
     seeger_fast_rate_bound,
     thm1_bound,
+    thm5_expectation_bound,
     toy_example_bound,
 )
-from genbounds.info import binary_kl, binary_kl_inverse, binary_kl_inverse_cap
+from genbounds.info import _increasing_root, binary_kl, binary_kl_inverse, binary_kl_inverse_cap, renyi_divergence
 from genbounds.io import canonical_json
+from genbounds.seeding import rng
 from genbounds.trajectory import thm7_bound, thm8_bound
 
 fixed = settings(max_examples=40)
@@ -60,6 +68,72 @@ def test_bound_raises_or_reconstructs(kind):
         assert reconstruct_bound(rep) == rep.bound_value
 
     check()
+
+
+def _thm5_problem(gen, k: int):
+    """(P, P_W|S, q, g, epsilon) of a random z x w problem; problems 0-2 are the edge cases.
+
+    Problem 0 has a dataset symbol of mass 0, problem 1 a constant g, and problem 2
+    a deterministic channel with KL(p||q) = D_2(P||q P_S) = log 4 above
+    -log P(g = max g) = log(8/3), where the infimum is reached only as lam -> inf.
+    """
+    if k == 2:
+        P = np.array([[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]])
+        g = np.array([[0.5, 0.5, 0.1, 0.0], [0.5, 0.2, 0.3, 0.1]])
+        return P, P / 0.5, np.full(4, 0.25), g, 0.0
+    z, w = gen.integers(2, 5, size=2)
+    ps = gen.dirichlet(np.ones(z))
+    if k == 0:
+        ps[0] = 0.0
+        ps /= ps.sum()
+    pws = gen.dirichlet(np.full(w, 0.5), size=z)
+    q = gen.dirichlet(np.ones(w)) if k % 2 else ps @ pws
+    g = np.full((z, w), 0.3) if k == 1 else gen.uniform(-1.0, 1.0, size=(z, w)) * gen.uniform(0.1, 5.0)
+    return ps[:, None] * pws, pws, q, g, float(gen.uniform(0.0, 0.1)) * (k % 3 == 0)
+
+
+def _grid_min(logw, g, K, lo):
+    """min over 10^4 log-spaced lam in [lo, 1e8] of (K + log sum e^(logw + lam g)) / lam, as one array."""
+    lams = np.geomspace(lo, 1e8, 10_000)
+    t = g[:, None] * lams + logw[:, None]  # one column per lam: the reductions run along the short axis
+    top = t.max(axis=0)
+    return float(((K + np.log(np.exp(t - top).sum(axis=0)) + top) / lams).min())
+
+
+def _check_multiplier(lam, logw, g, K, lo):
+    """lam is lo where h(lo) >= 0, inf where h stays below 0, and else the upper end of the helper's bracket."""
+    if lam == math.inf:
+        assert K + _logsumexp(logw[g == g.max()]) >= 0
+        return
+    a, b = _increasing_root(lambda x: _fo_condition(logw, g, K, x), lo)
+    assert lam == b
+    if a == b:
+        assert a == lo and _fo_condition(logw, g, K, lo)[0] >= 0
+    else:
+        assert b == math.nextafter(a, math.inf)
+        assert _fo_condition(logw, g, K, a)[0] < 0 <= _fo_condition(logw, g, K, b)[0]
+
+
+def test_thm5_multiplier_beats_a_fine_grid():
+    gen = rng(2105)
+    for k in range(200):
+        P, pws, q, g, eps = _thm5_problem(gen, k)
+        ps = P.sum(axis=1)
+        logw, g_live = _mgf_cells(ps, q, g)
+        kl = channel_kl(ps, pws, np.tile(q, (ps.size, 1)))
+        rep = thm5_expectation_bound("i", P, pws, q, g, g, None, eps)
+        assert rep.bound_value <= _grid_min(logw, g_live, kl, 1e-6) + eps + 1e-12 * abs(rep.bound_value), k
+        assert reconstruct_bound(rep) == rep.bound_value
+        _check_multiplier(rep.params["lambda"], logw, g_live, kl, 1e-6)
+
+        f = np.exp(g)
+        logw, logf = _mgf_cells(ps, q, np.log(f))
+        d2 = renyi_divergence(P.ravel(), (ps[:, None] * q).ravel(), 2.0)
+        rep = thm5_expectation_bound("ii", P, pws, q, f, f, None, alpha=2.0)
+        log_value = math.log(rep.bound_value)
+        assert log_value <= _grid_min(logw, logf, d2, 2.0) + 1e-12 * abs(log_value), k
+        assert reconstruct_bound(rep) == rep.bound_value
+        _check_multiplier(rep.params["lambda"], logw, logf, d2, 2.0)
 
 
 b_values = st.one_of(

@@ -66,6 +66,24 @@ class TestSimulate:
         with pytest.raises(ValueError, match="need at least 2 steps"):
             lr_sweep(model, [0.1], trials=2, n=6, steps=steps)
 
+    @pytest.mark.parametrize("size, match", [
+        ({"trials": 2.5}, "trials must be a whole number"),  # ran np.arange(2.5): 3 trials
+        ({"trials": True}, "trials must be a whole number"),  # ran one trial
+        ({"trials": 0}, "trials must be at least 1"),
+        ({"n": 3.5}, "n must be a whole number"),  # numpy's TypeError
+        ({"n": 0}, "n must be at least 1"),
+        ({"steps": 10.5}, "steps must be a whole number"),  # numpy's TypeError
+        ({"bins": 8.0}, "bins must be a whole number"),
+        ({"bins": 1}, "bins must be at least 2"),
+    ])
+    def test_sweep_sizes_are_whole_numbers(self, size, match):
+        with pytest.raises(ValueError, match=match):
+            lr_sweep(QuadraticToy(), [0.1], **{"trials": 2, "n": 6, "steps": 10, **size})
+
+    def test_fractional_steps_rejected(self):
+        with pytest.raises(ValueError, match="steps must be a whole number"):
+            simulate_trajectory(QuadraticToy(), [0, 1, 2], 0.1, 10.5, seed=9)
+
     def test_window_default_last_half(self):
         model = QuadraticToy()
         s = model.sample_dataset(8, 10)
