@@ -275,20 +275,17 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    result = scaling_study(_numbers(args.n_list, int), args.trials, seed=args.seed, delta=args.delta)
+    result = scaling_study(_numbers(args.n_list, int), args.trials, delta=args.delta)
     _emit(
         args, write_csv,
         [
-            (r.n, r.mc_mean_gen, r.bound_expectation, r.bound_tail, r.event_rate, result.slope_bound)
+            (r.n, r.exact_mean_gen, r.bound_expectation, r.bound_tail, r.event_probability, result.slope_bound)
             for r in result.rows
         ],
-        "scaling.csv", ["n", "mc_mean_gen", "bound_expectation", "bound_tail", "event_rate", "slope_fit"],
+        "scaling.csv",
+        ["n", "exact_mean_gen", "bound_expectation", "bound_tail", "event_probability", "slope_fit"],
     )
-    print(
-        f"counterexample: bound slope {result.slope_bound:.3f}, mc slope {result.slope_mc:.3f}"
-        if args.trials > 0
-        else f"counterexample: bound slope {result.slope_bound:.3f} (bounds only)"
-    )
+    print(f"counterexample: bound slope {result.slope_bound:.3f}, exact slope {result.slope_exact:.3f}")
     return 0
 
 
@@ -368,9 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.0, help="<= 0 means 10%% of the distortion range")
     p.set_defaults(func=cmd_trajectory)
 
-    p = command("counterexample", "SCO counter-example scaling study")
+    p = command("counterexample", "SCO counter-example scaling study (exact, no sampling)", seeded=False)
     p.add_argument("--n-list", dest="n_list", type=str, default="4,6,8,10")
-    p.add_argument("--trials", type=int, default=2000)
+    ignored = "accepted for old scripts; no output depends on it"
+    p.add_argument("--trials", type=int, default=0, help=f"whole number >= 0, {ignored}")
+    p.add_argument("--seed", type=int, default=0, help=ignored)
     p.add_argument("--delta", type=float, default=0.05)
     p.set_defaults(func=cmd_counterexample)
 

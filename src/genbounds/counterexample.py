@@ -31,7 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .bounds import BoundReport, _check_domain, _finish
-from .seeding import rng as _rng, rngs
+from .learning import _whole
+from .seeding import rng as _rng
 
 __all__ = [
     "ScoInstance",
@@ -187,7 +188,7 @@ class ScoInstance:
     n: int
 
     def __post_init__(self):
-        if not (1 <= self.n <= MAX_N and float(self.n).is_integer()):
+        if isinstance(self.n, (bool, np.bool_)) or not (1 <= self.n <= MAX_N and float(self.n).is_integer()):
             raise ValueError(f"n must be a whole number in [1, {MAX_N}], got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
 
@@ -517,89 +518,47 @@ def assemble_bound(inst: ScoInstance, r: float, mode: str, delta: float | None =
 @dataclass(frozen=True)
 class ScalingRow:
     n: int
-    mc_mean_gen: float
-    mc_se: float
+    exact_mean_gen: float
+    event_probability: float
     bound_expectation: float
     bound_tail: float
-    event_rate: float
-    exact_mean_gen: float
 
 
 @dataclass(frozen=True)
 class ScalingResult:
     rows: list
     slope_bound: float
-    slope_mc: float
+    slope_exact: float
 
 
-def _trial_gen(inst: ScoInstance, law: tuple, gen: np.random.Generator) -> tuple[float, bool]:
-    """One MC draw of gen(S, W_T) via the exact per-type closed forms; `law` is `_good_law(inst)`."""
-    pm, gap, phi_w = law
-    counts = gen.multinomial(inst.d, pm)
-    k = int(counts[0])
-    val = min(k, inst.T) * 0.5 * _phi(inst, -inst.eta) + float((counts[1:] * gap[1:] * phi_w[1:]).sum())
-    return val, inst.T // 2 <= k <= inst.T
+def scaling_study(n_list, trials: int = 0, delta: float = 0.05) -> ScalingResult:
+    """Assembled bounds vs the exact generalization error across instance sizes.
 
-
-def scaling_study(n_list, trials: int, seed: int = 0, delta: float = 0.05) -> ScalingResult:
-    """Assembled bounds vs MC generalization error across instance sizes.
-
-    Per n: `trials` MC draws of gen(S, W_T) (closed forms over the bad-count
-    and empirical-mean types), both assembled bounds at r = 1 - 1/n^2, and
-    the event frequency. Raises if the MC mean exceeds the expectation bound
-    beyond 3 standard errors at any n. Slopes are least-squares fits of
-    log(value) against log(n), so `n_list` needs at least two distinct
-    values; with trials = 0 the table is bounds-only, and otherwise trials
-    must be at least 2 for a standard error. n is capped at MAX_N.
+    Per n: the exact E[gen(S, W_T)] (`exact_mean_gen`), the exact probability
+    of the bad-count event (`bad_coord_stats`) and both assembled bounds at
+    r = 1 - 1/n^2. Raises if the exact mean exceeds the expectation bound at
+    any n. Slopes are least-squares fits of log(value) against log(n), so
+    `n_list` needs at least two distinct whole numbers, each at most MAX_N.
+    `trials` must be a whole number of at least 0; no output depends on it.
     """
-    if trials != 0 and trials < 2:
-        raise ValueError("trials must be 0 (bounds only) or at least 2")
-    ns = sorted(int(x) for x in n_list)
-    if any(b <= a for a, b in zip(ns, ns[1:])) or len(ns) != len(set(ns)):
-        raise ValueError("n_list must be strictly increasing")
+    _whole(trials, "trials")
+    ns = sorted(_whole(x, "every n in n_list", 1) for x in n_list)
+    if len(set(ns)) < len(ns):
+        raise ValueError("n_list must not repeat a value")
     if len(ns) < 2:
         raise ValueError("n_list needs at least two n values to fit a slope")
     if ns[-1] > MAX_N:
         raise ValueError(f"n = {ns[-1]} exceeds the memory cap n <= {MAX_N}")
-    rows: list[ScalingRow] = []
-    for ni, n in enumerate(ns):
+    rows = []
+    for n in ns:
         inst = ScoInstance(n)
         r = 1.0 - 1.0 / n**2
-        be = assemble_bound(inst, r, "expectation")
-        bt = assemble_bound(inst, r, "tail", delta=delta)
-        if trials > 0:
-            law = _good_law(inst)
-            vals = np.empty(trials)
-            hits = 0
-            for t, gen in enumerate(rngs(seed, ni, count=trials)):
-                vals[t], ok = _trial_gen(inst, law, gen)
-                hits += ok
-            mean = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(trials))
-            event_rate = hits / trials
-            if not mean <= be.bound_value + 3 * se:
-                raise AssertionError(
-                    f"MC mean gen {mean} exceeded the expectation bound {be.bound_value} at n={n}"
-                )
-        else:
-            mean, se, event_rate = math.nan, math.nan, math.nan
-        rows.append(
-            ScalingRow(
-                n=n,
-                mc_mean_gen=mean,
-                mc_se=se,
-                bound_expectation=be.bound_value,
-                bound_tail=bt.bound_value,
-                event_rate=event_rate,
-                exact_mean_gen=exact_mean_gen(inst),
-            )
-        )
+        be = assemble_bound(inst, r, "expectation").bound_value
+        mean = exact_mean_gen(inst)
+        if not mean <= be:
+            raise AssertionError(f"exact mean gen {mean} exceeded the expectation bound {be} at n={n}")
+        bt = assemble_bound(inst, r, "tail", delta=delta).bound_value
+        rows.append(ScalingRow(n, mean, bad_coord_stats(inst)["probability"], be, bt))
     logn = np.log(np.asarray(ns, dtype=float))
     fit = lambda ys: float(np.polyfit(logn, np.log(ys), 1)[0])
-    slope_bound = fit([r.bound_expectation for r in rows])
-    slope_mc = (
-        fit([r.mc_mean_gen for r in rows])
-        if trials > 0 and all(r.mc_mean_gen > 0 for r in rows)
-        else math.nan
-    )
-    return ScalingResult(rows=rows, slope_bound=slope_bound, slope_mc=slope_mc)
+    return ScalingResult(rows, fit([r.bound_expectation for r in rows]), fit([r.exact_mean_gen for r in rows]))

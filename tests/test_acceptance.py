@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from genbounds.bounds import thm1_bound, thm5_expectation_bound
-from genbounds.counterexample import ScoInstance, run_gd, scaling_study
+from genbounds.counterexample import ScoInstance, bad_coord_stats, run_gd, scaling_study
 from genbounds.info import (
     Pmf,
     binary_kl,
@@ -116,19 +116,18 @@ def test_criterion_3_gd_dynamics_match_closed_form():
 
 def test_criterion_4_counterexample_scaling():
     t0 = time.time()
-    res = scaling_study(range(4, 11), trials=2000, seed=42)
+    res = scaling_study(range(4, 11))
     assert -1.35 <= res.slope_bound <= -0.65
-    floors = {}
     for row in res.rows:
-        inst = ScoInstance(row.n)
-        floor = 1 - 2 * math.exp(-inst.T / 36)
-        se = math.sqrt(max(floor * (1 - floor), 0.25 / 4) / 2000)
-        assert row.event_rate >= floor - 3 * se
-        floors[row.n] = (row.event_rate, floor)
+        stats = bad_coord_stats(ScoInstance(row.n))
+        assert row.event_probability == stats["probability"] >= stats["floor"]
+        assert row.exact_mean_gen <= row.bound_expectation
     report(
         "4 (scaling study)",
-        f"bound slope {res.slope_bound:.3f} in [-1.35,-0.65], mc slope {res.slope_mc:.3f}, "
-        f"dominance at every n, event rates above floors, {time.time() - t0:.1f}s",
+        f"bound slope {res.slope_bound:.3f} in [-1.35,-0.65], exact slope {res.slope_exact:.3f}, "
+        "exact dominance at every n, event probabilities "
+        + ", ".join(f"n={r.n}: {r.event_probability:.6f}" for r in res.rows)
+        + f" above their floors, {time.time() - t0:.1f}s",
     )
 
 

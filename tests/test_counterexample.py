@@ -193,7 +193,9 @@ class TestBadCoords:
         assert out["passed"]
         assert out["mean"] == 0.75 * inst.T == 24.0
 
-    @pytest.mark.parametrize("n", [0, 13, 2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("n", [
+        0, 13, 2.5, math.nan, math.inf, pytest.param(True, id="bool"), pytest.param(np.True_, id="numpy-bool"),
+    ])
     def test_instance_needs_whole_n_up_to_the_cap(self, n):
         with pytest.raises(ValueError, match="whole number"):
             ScoInstance(n)
@@ -303,19 +305,27 @@ class TestDistortionAndBounds:
 
 class TestScaling:
     def test_bounds_only_table(self):
-        res = scaling_study([4, 5], trials=0, seed=17)
-        assert all(math.isnan(r.mc_mean_gen) for r in res.rows)
-        assert all(r.bound_expectation > 0 for r in res.rows)
+        # no output depends on `trials`: the table at 0 trials is the table at 2000
+        res = scaling_study([4, 5], trials=0)
+        assert res == scaling_study([4, 5], trials=2000)
+        for r in res.rows:
+            assert all(math.isfinite(v) for v in dataclasses.astuple(r))
+            assert 0 < r.exact_mean_gen <= r.bound_expectation <= r.bound_tail
 
     def test_dominance_and_slopes(self):
-        res = scaling_study([4, 6, 8], trials=400, seed=18)
+        # exact, no standard error: each row is the library's exact value, under the bound
+        res = scaling_study(range(4, 11))
+        assert [r.n for r in res.rows] == list(range(4, 11))
         for r in res.rows:
-            assert r.mc_mean_gen == pytest.approx(r.exact_mean_gen, abs=5 * r.mc_se)
+            inst = ScoInstance(r.n)
+            assert r.exact_mean_gen == exact_mean_gen(inst)
+            assert 0 < r.exact_mean_gen <= r.bound_expectation
         assert res.slope_bound < 0
-        assert res.slope_mc <= -0.4
+        assert res.slope_exact <= -0.4
+        assert scaling_study([4, 6, 8, 10]).slope_exact == pytest.approx(-0.7526, abs=5e-5)
 
     def test_bound_violation_raises(self, monkeypatch):
-        # a validator must be able to fail: an MC mean above the expectation bound raises
+        # a validator must be able to fail: an exact mean above the expectation bound raises
         import genbounds.counterexample as cex
 
         real = cex.assemble_bound
@@ -326,26 +336,38 @@ class TestScaling:
 
         monkeypatch.setattr(cex, "assemble_bound", tiny)
         with pytest.raises(AssertionError, match="exceeded the expectation bound"):
-            scaling_study([4, 5], trials=50, seed=1)
+            scaling_study([4, 5])
 
     def test_event_rate_floor(self):
-        res = scaling_study([4, 5], trials=1000, seed=19)
-        inst = ScoInstance(4)
-        floor = 1 - 2 * math.exp(-inst.T / 36)
-        se = math.sqrt(0.25 / 1000)
-        assert res.rows[0].event_rate >= floor - 3 * se
+        # the exact event probability, with no sampling slack below the floor
+        res = scaling_study(range(4, 11))
+        for r in res.rows:
+            stats = bad_coord_stats(ScoInstance(r.n))
+            assert r.event_probability == stats["probability"]
+            assert r.event_probability >= stats["floor"]
 
     def test_n_list_validation(self):
         with pytest.raises(ValueError):
-            scaling_study([4, 4], trials=0)
+            scaling_study([4, 4])
         with pytest.raises(ValueError):
-            scaling_study([4, 20], trials=0)
+            scaling_study([4, 20])
         with pytest.raises(ValueError, match="two n values"):
-            scaling_study([4], trials=0)
+            scaling_study([4])
 
-    @pytest.mark.parametrize("trials", [1, -4])
-    def test_trials_zero_or_at_least_two(self, trials):
-        # one trial has no standard error, so the dominance check would be NaN
+    @pytest.mark.parametrize(
+        "n_list", [[4.7, 6], [True, 6], [4, 6.0], np.array([4.0, 6.0]), np.array([4.7, 6.0])],
+        ids=["fraction", "bool", "whole-float", "float-array", "fraction-array"],
+    )
+    def test_n_list_needs_whole_numbers(self, n_list):
+        # 4.7 used to run n = 4 and True n = 1
+        with pytest.raises(ValueError, match="every n in n_list must be a whole number"):
+            scaling_study(n_list)
+
+    def test_n_list_int_array(self):
+        assert scaling_study(np.array([6, 4])) == scaling_study([4, 6])
+
+    @pytest.mark.parametrize("trials", [-4, 2.5, True])
+    def test_trials_must_be_whole(self, trials):
         with pytest.raises(ValueError, match="trials"):
             scaling_study([2, 3], trials=trials)
 
@@ -366,26 +388,24 @@ class TestScaling:
         assert good_value(inst, 0.5) == quantizer_levels(inst)[0]
 
     def test_rows_pinned(self):
-        # values recorded when every trial rebuilt the binomial law and the
-        # terminal values; the law shared per n must reproduce them bit for bit.
-        # exact_mean_gen at n = 6 was re-recorded when the binomial pmf moved
-        # from scipy.stats.binom to Loader's form: 0.02277830405583544 became
-        # 0.022778304055835447 (1 ulp; see test_exact_mean_gen_matches_scipy)
-        res = scaling_study([4, 6], 200, seed=3)
+        # the bound columns and slope_bound are the bits recorded while the study
+        # still drew Monte Carlo trials; exact_mean_gen at n = 6 was re-recorded
+        # when the binomial pmf moved from scipy.stats.binom to Loader's form:
+        # 0.02277830405583544 became 0.022778304055835447 (1 ulp; see
+        # test_exact_mean_gen_matches_scipy)
+        res = scaling_study([4, 6])
         assert res.rows == [
             ScalingRow(
-                n=4, mc_mean_gen=0.02902473536648201, mc_se=0.000384855295560131,
+                n=4, exact_mean_gen=0.02945110661943899, event_probability=0.9282653024431807,
                 bound_expectation=0.9624029913515278, bound_tail=65.85076510535875,
-                event_rate=0.925, exact_mean_gen=0.02945110661943899,
             ),
             ScalingRow(
-                n=6, mc_mean_gen=0.022668752692322425, mc_se=0.00019390327428907075,
+                n=6, exact_mean_gen=0.022778304055835447, event_probability=0.9888524081788196,
                 bound_expectation=0.5675960486621988, bound_tail=36.74958617794901,
-                event_rate=1.0, exact_mean_gen=0.022778304055835447,
             ),
         ]
         assert res.slope_bound == -1.3022656661170353
-        assert res.slope_mc == -0.6095739493951906
+        assert res.slope_exact == -0.6336500331104395
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_exact_mean_gen_matches_scipy(self, n):

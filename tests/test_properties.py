@@ -1,8 +1,9 @@
-"""Properties that hold on every input: fuzzed bound constructors, thm5's
-multiplier, the binary-KL inverse and canonical JSON. Hypothesis runs under the
-suite's derandomized profile (tests/conftest.py), so each run draws the same
-examples."""
+"""Properties that hold on every input: fuzzed bound constructors, the SCO
+counter-example, thm5's multiplier, the binary-KL inverse and canonical JSON.
+Hypothesis runs under the suite's derandomized profile (tests/conftest.py), so
+each run draws the same examples."""
 
+import dataclasses
 import json
 import math
 
@@ -24,6 +25,7 @@ from genbounds.bounds import (
     thm5_expectation_bound,
     toy_example_bound,
 )
+from genbounds.counterexample import ScoInstance, assemble_bound, scaling_study
 from genbounds.info import _increasing_root, binary_kl, binary_kl_inverse, binary_kl_inverse_cap, renyi_divergence
 from genbounds.io import canonical_json
 from genbounds.seeding import rng
@@ -68,6 +70,62 @@ def test_bound_raises_or_reconstructs(kind):
         assert reconstruct_bound(rep) == rep.bound_value
 
     check()
+
+
+# instance sizes up to n = 8 (d = 24576 coordinates), and what must be rejected
+sco_n = st.one_of(
+    st.integers(-1, 8),
+    st.sampled_from([True, np.True_, 4.0, np.float64(5.0), 2.5, 13, math.nan, math.inf]),
+)
+
+
+def _all_finite(values) -> bool:
+    return all(math.isfinite(v) for v in values)
+
+
+@fixed
+@given(sco_n)
+def test_sco_instance_raises_or_is_finite(n):
+    try:
+        inst = ScoInstance(n)
+    except ValueError:
+        return
+    assert type(inst.n) is int and 1 <= inst.n <= 8
+    assert _all_finite([inst.T, inst.eta, inst.d, inst.lam, inst.sigma])
+    assert math.isclose(inst.bad_count_pmf.sum(), 1.0, rel_tol=1e-12)
+
+
+@fixed
+@given(
+    st.integers(1, 8),
+    st.one_of(x, st.floats(0.98, 1.0)),
+    st.sampled_from(["expectation", "tail", "mean"]),
+    st.one_of(st.none(), x),
+)
+def test_sco_bound_raises_or_is_finite(n, r, mode, delta):
+    try:
+        rep = assemble_bound(ScoInstance(n), r, mode, delta)
+    except ValueError:
+        return
+    assert _all_finite([rep.bound_value, *rep.terms.values()])
+    assert reconstruct_bound(rep) == rep.bound_value
+
+
+@fixed
+@given(
+    st.one_of(st.lists(st.integers(1, 8), min_size=2, max_size=3, unique=True), st.lists(sco_n, max_size=3)),
+    st.one_of(st.integers(0, 3), st.sampled_from([-1, True, 2.5])),
+)
+def test_scaling_study_raises_or_is_finite(n_list, trials):
+    try:
+        res = scaling_study(n_list, trials)
+    except ValueError:
+        return
+    assert len(res.rows) == len(n_list) >= 2
+    assert _all_finite([res.slope_bound, res.slope_exact])
+    for row in res.rows:
+        assert _all_finite(dataclasses.astuple(row))
+        assert row.exact_mean_gen <= row.bound_expectation
 
 
 def _thm5_problem(gen, k: int):
