@@ -26,7 +26,7 @@ from .learning import (
     gen_table,
     induced_joint,
 )
-from .seeding import rng as _rng, rngs
+from .seeding import rngs, streams
 
 __all__ = [
     "ValidationReport",
@@ -218,14 +218,34 @@ def mc_expectation_validate(
 # random-coding covering
 
 
-def _searchable_prefix(total_rate: float, size: int) -> int:
-    """floor(exp(total_rate)) entries, clipped to [1, size]; exp is capped at e^700."""
-    return max(1, min(int(math.floor(math.exp(min(total_rate, 700.0)))), size))
+def _searchable_prefix(total_rates: np.ndarray, size: int) -> np.ndarray:
+    """floor(exp(x)) entries for each total rate x, clipped to [1, size]; exp is capped at e^700.
+
+    The exponential is libm's `math.exp`: numpy's vectorised exp may round
+    differently, and one ulp can move the floor.
+    """
+    e = np.fromiter(map(math.exp, np.minimum(total_rates, 700.0).tolist()), float, len(total_rates))
+    return np.clip(np.floor(e), 1, size).astype(int)
 
 
 def _inverse_cdf(cdf: np.ndarray, u) -> np.ndarray:
     """Inverse-CDF draw: the first index whose cumulative mass exceeds u, clipped to the last."""
     return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+
+
+def _book_entries(q_cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`_inverse_cdf(q_cdf, u)` for a non-decreasing cdf: how many entries before its last are at most u.
+
+    One vectorised comparison per reproduction, as the pair draw searches
+    the posterior: the book law has only W cells, and numpy's searchsorted,
+    which branches on every key, ran 10-20 times slower on a 2-cell law.
+    The type draw keeps `_inverse_cdf`, since a type table can have
+    thousands of cells.
+    """
+    out = np.zeros(u.shape, dtype=np.intp)
+    for c in q_cdf[:-1].tolist():
+        out += u >= c
+    return out
 
 
 def _book_size(m: int, rates: np.ndarray) -> int:
@@ -281,21 +301,26 @@ def covering_failure_estimate(
     the same entries, bit for bit, as drawing the whole book and slicing it.
     Every trial draws its 2m pair uniforms and its first K = min(8, book
     size) entries in one call, and blocks of trials are evaluated together
-    with the entries past the prefix masked out. Only a trial whose prefix
-    is longer than K and which has no hit among its first K entries draws
-    its stream again, skips those uniforms and searches the rest of its
-    prefix: a hit among the first K settles the trial, and a maximum over
-    two chunks is the maximum over the whole prefix.
+    with the entries past the prefix masked out. A hit among the first K
+    settles a trial; a trial with a longer prefix and no such hit is long,
+    and the rest of its prefix is searched later (the maximum over two
+    chunks is the maximum over the whole prefix). Long trials queue across
+    the blocks of one m. The queue is flushed when its remaining entries
+    reach one block's up-front draw (_BLOCK * (2 + K) entries of m floats),
+    and at the end of the m; a flush takes as many trials as fit, or one
+    longer prefix alone, so memory stays bounded. A flush keys its trials'
+    streams in one pass, skips the uniforms drawn up front and searches the
+    rest of every prefix in one buffer.
     The rate table `rates` is indexed by dataset type (enumerate_types
     order) and hypothesis; the algorithm must be exchangeable. Zero-failure
     rows are right-censored: the exponent column carries +inf and
-    failure_prob the rule-of-three upper bound 3/trials.
+    failure_prob the rule-of-three upper bound 3/trials, capped at 1.
     """
     rows = []
     for m, fails in _covering_flags(prob, alg, n, rates, epsilon, m_grid, trials, seed, q_hat):
         failures = int(fails.sum())
         if failures == 0:
-            rows.append(CoveringRow(m, trials, 0, 3.0 / trials, math.inf, True))
+            rows.append(CoveringRow(m, trials, 0, min(1.0, 3.0 / trials), math.inf, True))
         else:
             p = failures / trials
             rows.append(CoveringRow(m, trials, failures, p, -math.log(p) / m, False))
@@ -325,27 +350,54 @@ def _covering_flags(prob, alg, n, rates, epsilon, m_grid, trials, seed, q_hat) -
     for mi, m in enumerate(m_grid):
         size = _book_size(m, r)
         k = min(_FIRST_ENTRIES, size)
+        budget = _BLOCK * (2 + k)  # book entries per flush: as many floats as one block's up-front draw
         flags = np.empty(trials, dtype=bool)
+        # long trials not yet settled: trial, dataset types, book entries left to search, own distortion
+        queue = [np.empty(0, int), np.empty((0, m), int), np.empty(0, int), np.empty(0)]
         for block, u in enumerate(_draw_trials(seed, (mi,), trials, (2 + k) * m)):
             start = block * _BLOCK
             t_seq = _inverse_cdf(type_cdf, u[:, :m])
             w_seq = np.minimum((post_cdf[t_seq] < u[:, m : 2 * m, None]).sum(axis=2), last_w)
-            j_max = np.array([_searchable_prefix(x, size) for x in r[t_seq, w_seq].sum(axis=1).tolist()])
+            j_max = _searchable_prefix(r[t_seq, w_seq].sum(axis=1), size)
             own = g2[t_seq, w_seq].mean(axis=1)
-            entries = _inverse_cdf(q_cdf, u[:, 2 * m :].reshape(len(u), k, m))
+            entries = _book_entries(q_cdf, u[:, 2 * m :].reshape(len(u), k, m))
             repro = g2[t_seq[:, None, :], entries].mean(axis=2)
             repro[np.arange(k) >= j_max[:, None]] = -np.inf
-            best = repro.max(axis=1)
-            fail = own - best > epsilon
-            for t in np.flatnonzero(fail & (j_max > k)):
-                gen = _rng(seed, mi, start + t)
-                gen.random((2 + k) * m)
-                entries = _inverse_cdf(q_cdf, gen.random((j_max[t] - k, m)))
-                rest = g2[t_seq[t][None, :], entries].mean(axis=1).max()
-                fail[t] = own[t] - max(best[t], rest) > epsilon
+            fail = own - repro.max(axis=1) > epsilon
             flags[start : start + len(u)] = fail
+            long = np.flatnonzero(fail & (j_max > k))
+            queued = (start + long, t_seq[long], j_max[long] - k, own[long])
+            queue = [np.concatenate(pair) for pair in zip(queue, queued)]
+            last = start + len(u) == trials
+            while queue[0].size and (last or queue[2].sum() >= budget):
+                # the longest run of queued trials within the budget, or one larger trial alone
+                count = max(1, int(np.searchsorted(np.cumsum(queue[2]), budget, side="right")))
+                ids, seqs, left, own_q = (a[:count] for a in queue)
+                rest = _search_rest(seed, mi, ids, seqs, left, (2 + k) * m, q_cdf, g2)
+                # own - best > epsilon already holds, and rounding is monotone, so
+                # own - max(best, rest) > epsilon exactly when own - rest > epsilon
+                flags[ids] = own_q - rest > epsilon
+                queue = [a[count:] for a in queue]
         out.append((m, flags))
     return out
+
+
+def _search_rest(seed, mi, ids, seqs, left, skip, q_cdf, g2) -> np.ndarray:
+    """Per long trial (a row of `seqs`), the best reproduction among the `left` entries after its first K.
+
+    The streams rng(seed, mi, t) of all the trials are keyed in one pass; each
+    skips the `skip` uniforms drawn up front and fills its rows of one buffer,
+    which is searched with one gather and one segmented maximum.
+    """
+    ends = np.cumsum(left)
+    starts = ends - left
+    buf = np.empty((int(ends[-1]), seqs.shape[1]))
+    lead = np.empty(skip)
+    for gen, lo, hi in zip(streams(seed, mi, ids.astype(np.uint32)), starts.tolist(), ends.tolist()):
+        gen.random(out=lead)
+        gen.random(out=buf[lo:hi])
+    entries = _book_entries(q_cdf, buf)
+    return np.maximum.reduceat(g2[np.repeat(seqs, left, axis=0), entries].mean(axis=1), starts)
 
 
 def covering_default_instance() -> dict:

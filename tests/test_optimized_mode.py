@@ -22,13 +22,22 @@ def test_no_bare_assert_in_library():
     assert found == [], f"use an explicit raise instead of assert: {found}"
 
 
-def test_rd_output_identical_under_optimize(tmp_path):
-    args = ["rd", "--source", "0.2,0.3,0.5", "--distortion", "abs", "--epsilon-grid", "0.05,0.2"]
+def _same_bytes_under_optimize(tmp_path, args, name):
     assert main([*args, "--out", str(tmp_path / "plain")]) == 0
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     subprocess.run(
         [sys.executable, "-O", "-m", "genbounds.cli", *args, "--out", str(tmp_path / "optimized")],
         check=True, env={**os.environ, "PYTHONPATH": path}, capture_output=True,
     )
-    plain = (tmp_path / "plain" / "rd_curve.csv").read_bytes()
-    assert (tmp_path / "optimized" / "rd_curve.csv").read_bytes() == plain
+    plain = (tmp_path / "plain" / name).read_bytes()
+    assert (tmp_path / "optimized" / name).read_bytes() == plain
+
+
+def test_rd_output_identical_under_optimize(tmp_path):
+    args = ["rd", "--source", "0.2,0.3,0.5", "--distortion", "abs", "--epsilon-grid", "0.05,0.2"]
+    _same_bytes_under_optimize(tmp_path, args, "rd_curve.csv")
+
+
+def test_covering_output_identical_under_optimize(tmp_path):
+    args = ["covering", "--m-grid", "4,8", "--trials", "300", "--seed", "5"]
+    _same_bytes_under_optimize(tmp_path, args, "covering.csv")

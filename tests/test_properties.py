@@ -1,5 +1,6 @@
 """Properties that hold on every input: fuzzed bound constructors, the SCO
-counter-example, thm5's multiplier, the binary-KL inverse and canonical JSON.
+counter-example, thm5's multiplier, the binary-KL inverse, the covering
+simulator and canonical JSON.
 Hypothesis runs under the suite's derandomized profile (tests/conftest.py), so
 each run draws the same examples."""
 
@@ -26,10 +27,20 @@ from genbounds.bounds import (
     toy_example_bound,
 )
 from genbounds.counterexample import ScoInstance, assemble_bound, scaling_study
-from genbounds.info import _increasing_root, binary_kl, binary_kl_inverse, binary_kl_inverse_cap, renyi_divergence
+from genbounds.info import (
+    Pmf,
+    _increasing_root,
+    binary_kl,
+    binary_kl_inverse,
+    binary_kl_inverse_cap,
+    renyi_divergence,
+)
 from genbounds.io import canonical_json
+from genbounds.learning import FiniteLearningProblem, GibbsAlgorithm, enumerate_types
 from genbounds.seeding import rng
 from genbounds.trajectory import thm7_bound, thm8_bound
+from genbounds.validation import _covering_flags, covering_failure_estimate
+from test_validation import per_trial_covering
 
 fixed = settings(max_examples=40)
 
@@ -208,6 +219,32 @@ def test_binary_kl_inverse_within_its_constraint_and_cap(a, b):
     assert a <= p <= min(1.0, binary_kl_inverse_cap(a, b)) + 1e-12
     if p < 1.0:
         assert binary_kl(p, a) <= b
+
+
+@fixed
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(2, 2, 1), (2, 3, 2), (3, 2, 2), (3, 3, 1)]),
+    st.floats(-0.05, 0.05),
+    st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    st.integers(1, 40),
+)
+def test_covering_matches_the_per_trial_loop(seed, shape, epsilon, m_grid, trials):
+    z, w, n = shape
+    gen = rng(seed)
+    prob = FiniteLearningProblem(loss=gen.uniform(0, 1, (z, w)), mu=Pmf(gen.dirichlet(np.ones(z))), bound=1.0)
+    alg = GibbsAlgorithm(prior=Pmf(np.full(w, 1 / w)), beta=2.0)
+    shape = (len(enumerate_types(z, n)), w)
+    rates = gen.uniform(0.0, 1.5, shape) * (gen.random(shape) < 0.7)  # about 3 in 10 rates are zero
+    q_hat = gen.dirichlet(np.ones(w))
+    q_hat[gen.integers(w)] = 0.0  # a reproduction the book never draws
+    q_hat /= q_hat.sum()
+    args = (prob, alg, n, rates, epsilon, m_grid, trials, seed, q_hat)
+    for (_, got), want in zip(_covering_flags(*args), per_trial_covering(*args)):
+        assert np.array_equal(got, want)
+    for row in covering_failure_estimate(*args[:-1], q_hat=q_hat):
+        assert 0.0 <= row.failure_prob <= 1.0
+        assert math.isfinite(row.exponent) or (row.exponent == math.inf and row.censored)
 
 
 scalars = st.one_of(

@@ -14,7 +14,7 @@ from genbounds.learning import (
     induced_joint,
 )
 from genbounds.ratedistortion import DistortionSpec, InfeasibleDistortion, rd_curve
-from genbounds.seeding import rng, rngs
+from genbounds.seeding import rng, rngs, streams
 from genbounds import validation
 from genbounds.validation import (
     _BLOCK,
@@ -172,8 +172,10 @@ class TestBook:
         rates = np.zeros((3, 2))
         size = validation._book_size(4, rates)
         assert size == 1
-        assert validation._searchable_prefix(float(rates[[0, 1, 2, 0], [0, 1, 0, 1]].sum()), size) == 1
-        assert validation._searchable_prefix(0.0, 50) == 1  # one entry even when the book holds more
+        total = rates[[0, 1, 2, 0], [0, 1, 0, 1]].sum(keepdims=True)
+        assert validation._searchable_prefix(total, size).tolist() == [1]
+        # one entry even when the book holds more; the book size caps a long one
+        assert validation._searchable_prefix(np.array([0.0, math.log(7.5), 800.0]), 50).tolist() == [1, 7, 50]
 
     def test_uniform_entries_distribution(self):
         size = validation._book_size(1, np.full((2, 4), math.log(4000.0)))
@@ -181,6 +183,15 @@ class TestBook:
         entries = validation._inverse_cdf(np.cumsum(np.full(4, 0.25)), rng(6).random((size, 1)))
         counts = np.bincount(entries.reshape(-1), minlength=4) / entries.size
         assert np.allclose(counts, 0.25, atol=0.05)
+
+    @pytest.mark.parametrize("q", [[0.95, 0.05], [0.2, 0.0, 0.5, 0.0, 0.3], [1.0], [0.0, 1.0], [0.1] * 10])
+    def test_book_entries_equal_the_inverse_cdf(self, q):
+        # zero-mass cells repeat a cdf value; u on a cdf value, at 0 and past the last entry are the edges
+        q_cdf = np.cumsum(q)
+        u = np.concatenate([rng(8).random(2000), q_cdf, np.nextafter(q_cdf, 0), [0.0, q_cdf[-1] + 1e-16]])
+        got = validation._book_entries(q_cdf, u.reshape(2, -1))
+        assert got.dtype == np.intp
+        assert np.array_equal(got, validation._inverse_cdf(q_cdf, u.reshape(2, -1)))
 
     def test_seed_determinism(self):
         inst = covering_default_instance()
@@ -222,6 +233,15 @@ class TestCovering:
         )
         assert rows[0].censored and rows[0].exponent == math.inf
         assert rows[0].failure_prob == pytest.approx(3 / 300)
+
+    @pytest.mark.parametrize("trials, bound", [(1, 1.0), (2, 1.0), (3, 1.0), (4, 0.75)])
+    def test_censored_failure_prob_is_a_probability(self, trials, bound):
+        # the rule-of-three bound 3/trials passes 1 below three trials
+        inst = covering_default_instance()
+        [row] = covering_failure_estimate(
+            inst["prob"], inst["alg"], inst["n"], inst["rates"], 10.0, [4], trials, seed=10, q_hat=inst["q_hat"]
+        )
+        assert row.censored and row.failures == 0 and row.failure_prob == bound
 
     def test_zero_rate_infeasible_distortion_fails_always(self):
         inst = covering_default_instance()
@@ -374,7 +394,7 @@ def per_trial_covering(prob, alg, n, rates, epsilon, m_grid, trials, seed, q_hat
         for gen in rngs(seed, mi, count=trials):
             t_seq = validation._inverse_cdf(type_cdf, gen.random(m))
             w_seq = np.minimum((post_cdf[t_seq] < gen.random(m)[:, None]).sum(axis=1), last_w)
-            j_max = validation._searchable_prefix(float(rates[t_seq, w_seq].sum()), size)
+            j_max = max(1, min(math.floor(math.exp(min(float(rates[t_seq, w_seq].sum()), 700.0))), size))
             entries = validation._inverse_cdf(q_cdf, gen.random((j_max, m)))
             own = float(g2[t_seq, w_seq].mean())
             repro = g2[t_seq[None, :], entries].mean(axis=1)
@@ -478,7 +498,7 @@ class TestBatchedCovering:
         # m = 1 and 2 have books smaller than the entries drawn up front
         assert [validation._book_size(m, inst["rates"]) < _FIRST_ENTRIES for m in m_grid] == [True] * 2 + [False] * 3
         redrawn = []
-        monkeypatch.setattr(validation, "_rng", lambda *path: redrawn.append(path) or rng(*path))
+        monkeypatch.setattr(validation, "streams", lambda *path: redrawn.append(path) or streams(*path))
         got = validation._covering_flags(
             inst["prob"], inst["alg"], inst["n"], inst["rates"], eps, m_grid, trials, 25, inst["q_hat"]
         )
@@ -491,6 +511,8 @@ class TestBatchedCovering:
         assert sum(f.sum() for f in want) > 0
         # the rest of a long prefix was searched on some trials at m = 4, 8 and 12
         assert {path[1] for path in redrawn} == {2, 3, 4}
+        # each flush keys one stream per queued trial: rng(seed, mi, t)
+        assert all(path[0] == 25 and path[2].dtype == np.uint32 for path in redrawn)
 
     @pytest.mark.parametrize("epsilon", [None, 0.0])
     def test_prefix_one_past_the_first_entries(self, epsilon):
@@ -502,6 +524,44 @@ class TestBatchedCovering:
         [(_, got)], [want] = validation._covering_flags(*args), per_trial_covering(*args)
         assert validation._book_size(3, rates) == _FIRST_ENTRIES + 1
         assert np.array_equal(got, want) and 0 < got.sum() < 600
+
+
+class TestCoveringFlushes:
+    """Long trials queue across the blocks of one m and are searched in flushes of bounded size."""
+
+    def test_flush_boundaries(self, monkeypatch):
+        inst = covering_default_instance()
+        monkeypatch.setattr(validation, "_BLOCK", 4)
+        budget = 4 * (2 + _FIRST_ENTRIES)  # book entries per flush, as many floats as a block's first draw
+        flushes = []
+        search = validation._search_rest
+
+        def record(seed, mi, ids, seqs, left, *rest):
+            flushes.append((mi, ids.tolist(), left.tolist()))
+            return search(seed, mi, ids, seqs, left, *rest)
+
+        monkeypatch.setattr(validation, "_search_rest", record)
+        # a negative epsilon leaves nearly every trial unsettled by its first K entries
+        args = (inst["prob"], inst["alg"], inst["n"], inst["rates"], -0.005, [2, 4, 8], 60, 31, inst["q_hat"])
+        got, want = validation._covering_flags(*args), per_trial_covering(*args)
+        for (_, fails), want_fails in zip(got, want):
+            assert np.array_equal(fails, want_fails)
+        assert 0 < got[2][1].sum() < 60
+        by_m = {mi: [(ids, left) for i, ids, left in flushes if i == mi] for mi in range(3)}
+        assert by_m[0] == []  # m = 2: a book of 3 entries, so no trial is long
+        assert len(by_m[1]) == 1  # m = 4: three long trials, settled at the end of the m
+        assert len(by_m[2]) >= 10  # m = 8: many flushes
+        for batches in by_m.values():
+            ids = [t for batch, _ in batches for t in batch]
+            assert ids == sorted(set(ids))  # each long trial is searched once, in trial order
+            # a flush stops only where the next trial would pass the budget
+            for (_, left), (_, after) in zip(batches, batches[1:]):
+                assert sum(left) + after[0] > budget
+            for _, left in batches:
+                assert sum(left) <= budget or len(left) == 1
+        # a trial larger than the budget is flushed alone
+        assert any(len(left) == 1 and left[0] > budget for _, left in by_m[2])
+        assert any(len(left) > 1 for _, left in by_m[2])
 
 
 class TestSizesAreWholeNumbers:
