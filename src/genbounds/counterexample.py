@@ -14,6 +14,8 @@ cannot reach the closed form). Because only bad coordinates sit at the max
 value 0 once training starts, exactly min(#bad, T) of them end at -eta, and
 the projection never activates (the squared norm stays below
 2/(5n) + 1/(4n^2) < 1), so the closed form is exact whenever #bad <= T.
+With no bad coordinate the oracle pushes one good coordinate, of least
+empirical mean, at the first step only.
 
 Everything needed by the scaling study (generalization errors, distortions,
 the assembled bounds) reduces to per-coordinate closed forms conditioned on
@@ -399,25 +401,38 @@ def _given_good(pm: np.ndarray) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _gen_given_k(inst: ScoInstance, ks: np.ndarray, c_good_gen: float) -> np.ndarray:
-    """E[gen(S, W_T) | #bad = k]: min(k, T) pushed bad coordinates and d - k good ones."""
-    return np.minimum(ks, inst.T) * 0.5 * _phi(inst, -inst.eta) + (inst.d - ks) * c_good_gen
+def _gen_given_k(inst: ScoInstance) -> np.ndarray:
+    """E[gen(S, W_T) | #bad = k] for k = 0..d.
+
+    min(k, T) bad coordinates end at -eta and contribute phi(-eta)/2 each;
+    each of the d - k good ones contributes (1/2 - m/n) phi(w(m/n)) in
+    expectation, m its count given m > 0. At k = 0 every coordinate sits at
+    the max 0 at step 1, so the oracle pushes the good coordinate of least
+    count m once: it ends at w(m/n) - eta (1 - 2 eta m/n)^(T-1), and every
+    later iterate is negative, so nothing else is pushed.
+    """
+    n, T, d = inst.n, inst.T, inst.d
+    pm, gap, phi_w = _good_law(inst)
+    probs = _given_good(pm)
+    ks = np.arange(d + 1)
+    per_k = np.minimum(ks, T) * 0.5 * _phi(inst, -inst.eta) + (d - ks) * float((probs * gap * phi_w).sum())
+    # P(least count >= m) for m = 0..n+1, the d counts being iid given > 0
+    at_least = np.append(np.cumsum(probs[::-1])[::-1], 0.0) ** d
+    pushed = np.array([good_value(inst, m / n) - inst.eta * (1.0 - 2.0 * inst.eta * m / n) ** (T - 1)
+                       for m in range(n + 1)])
+    push = (at_least[:-1] - at_least[1:]) * gap * (_phi(inst, pushed) - phi_w)
+    per_k[0] += float(push[1:].sum())
+    return per_k
 
 
 def exact_mean_gen(inst: ScoInstance) -> float:
     """Exact E[gen(S, W_T)] of the GD output under the true dynamics.
 
-    min(k, T) bad coordinates end at -eta and contribute phi(-eta)/2 each;
-    good coordinates contribute (1/2 - m/n) phi(w(m)) in expectation. The
-    single k = 0 cell, where the oracle would push one good coordinate
-    instead, is treated as push-free: its weight exp(-1.5 n^2) is below
-    double precision for every supported n.
+    The mean over the Binomial(d, 2^-n) law of the bad count k of the
+    per-k means (`_gen_given_k`), the k = 0 cell with the oracle's one push
+    of a good coordinate.
     """
-    pm, gap, phi_w = _good_law(inst)
-    c_good_gen = float((_given_good(pm) * gap * phi_w).sum())
-    pmf = inst.bad_count_pmf
-    per_k = _gen_given_k(inst, np.arange(inst.d + 1), c_good_gen)
-    return float((pmf * per_k).sum())
+    return float((inst.bad_count_pmf * _gen_given_k(inst)).sum())
 
 
 def _distortion_terms(inst: ScoInstance, r: float) -> dict:
@@ -430,7 +445,6 @@ def _distortion_terms(inst: ScoInstance, r: float) -> dict:
     return {
         "c_bad_diff": 0.5 * r * (_phi(inst, v1) - phi_v0),
         "c_good_diff": float((probs * good_diff_m).sum()),
-        "c_good_gen": float((probs * gap * phi_w).sum()),
         "good_diff_max": float(good_diff_m[1:].max()),
     }
 
@@ -442,15 +456,10 @@ def exact_distortion(inst: ScoInstance, r: float) -> float:
     outside it What = 0 so the difference is gen(S, W_T) itself, also exact.
     """
     terms = _distortion_terms(inst, r)
-    pmf = inst.bad_count_pmf
-    ks = np.arange(inst.d + 1)
-    in_event = (ks >= inst.T // 2) & (ks <= inst.T)
-    per_k = np.where(
-        in_event,
-        ks * terms["c_bad_diff"] + (inst.d - ks) * terms["c_good_diff"],
-        _gen_given_k(inst, ks, terms["c_good_gen"]),
-    )
-    return float((pmf * per_k).sum())
+    per_k = _gen_given_k(inst)
+    ks = np.arange(inst.T // 2, inst.T + 1)  # the event's counts
+    per_k[ks] = ks * terms["c_bad_diff"] + (inst.d - ks) * terms["c_good_diff"]
+    return float((inst.bad_count_pmf * per_k).sum())
 
 
 def tail_distortion(inst: ScoInstance, r: float) -> float:

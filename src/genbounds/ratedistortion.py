@@ -11,11 +11,12 @@ dimension.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
-from contextvars import copy_context
+import sys
+import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -35,12 +36,14 @@ __all__ = [
 RATE_TOL = 1e-10
 MAX_ITER = 10_000
 DIST_TOL = 1e-9
-# A grid's points are solved concurrently only on a distortion matrix of at
-# least this many cells: numpy holds the interpreter lock on small arrays. On
-# 2 CPUs the 4-point rd_dimension grid of 64 abs symbols (4096 cells) took
-# 0.264 s threaded against 0.246 s serial, 128 symbols broke even, and 256
-# symbols ran 1.7-2x faster.
-_CONCURRENT_CELLS = 1 << 14
+# A grid's points run in worker processes (`_map_units`) only on a distortion
+# matrix of at least this many cells. One pool costs about 9 ms to start and
+# join on 2 shared CPUs, where (medians of 5-7 pairs, serial against
+# processes) rd_dimension's 5-point abs grid took 219 against 240 ms and 211
+# against 136 ms on 32 symbols, 185 against 195 ms and 274 against 164 ms on
+# 64 symbols, and 1.34 against 1.00 s on 128 symbols; `rd` on 64 abs symbols
+# (4 points, one of them 80% of the work) took 1.98 against 1.77 s.
+_CONCURRENT_CELLS = 1 << 12
 
 
 class InfeasibleDistortion(ValueError):
@@ -99,18 +102,9 @@ class _BaProblem:
         self.shifted = dm - dmin
         self.base = float((p * dmin[:, 0]).sum())  # the distortion floor
         self.support = None if p.min() > 0 else p > 0
-        self._buffers()
-
-    def _buffers(self):
-        self.weighted = np.empty(self.d.shape)
-        self.a = np.empty(self.d.shape)
-        self.denom = np.empty(self.p.size)
-
-    def twin(self) -> _BaProblem:
-        """The same prepared problem with its own work buffers, for a concurrent solve."""
-        twin = copy.copy(self)
-        twin._buffers()
-        return twin
+        self.weighted = np.empty(dm.shape)
+        self.a = np.empty(dm.shape)
+        self.denom = np.empty(p.size)
 
     def channel(self, s: float, q_in: np.ndarray) -> np.ndarray:
         """The test channel that one BA step from marginal q_in makes at multiplier s.
@@ -364,40 +358,58 @@ def _cpus() -> int:
 def _rd_grid(source, d: DistortionSpec | np.ndarray, eps: list[float]) -> list[_Point]:
     """R(epsilon) at every grid point, in grid order, on one prepared problem.
 
-    Each point is the point that `rd_curve` solves, to the bit. On a matrix
-    of at least `_CONCURRENT_CELLS` cells the points are solved concurrently,
-    one worker thread per available CPU, each with its own twin of the
+    Each point is the point that `rd_curve` solves, to the bit. The points
+    go through `_map_units`, in forked workers on a matrix of at least
+    `_CONCURRENT_CELLS` cells; each worker solves on its own copy of the
     problem. A failure raises the error of the first failing point in grid
-    order, as a serial loop would, and no thread outlives the call.
+    order, as a serial loop would.
     """
     prob = _BaProblem(source, d)
-    workers = min(len(eps), _cpus())
-    if workers < 2 or prob.d.size < _CONCURRENT_CELLS:
-        return [_solve(prob, e) for e in eps]
-    # imported here, so that importing the library loads no thread pool
-    from concurrent.futures import ThreadPoolExecutor
-    from queue import SimpleQueue
+    return _map_units(_solve, prob, eps, prob.d.size >= _CONCURRENT_CELLS)
 
-    # The twins are allocated here: a worker thread's allocations would land
-    # in a malloc arena of its own and stay resident. No more than `workers`
-    # points run at once, so a starting point always finds a free problem.
-    problems = SimpleQueue()
-    problems.put(prob)
-    for _ in range(workers - 1):
-        problems.put(prob.twin())
-    context = copy_context()  # holds numpy's error state
 
-    def solve(e: float) -> _Point:
-        problem = problems.get()
-        try:
-            return _solve(problem, e)
-        finally:
-            problems.put(problem)
+_unit = None  # set in a forked worker only: the unit function with its shared inputs bound
 
-    # map yields in grid order and raises the first error in it, cancelling
-    # the points not yet started; leaving the block joins every worker
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(lambda e: context.copy().run(solve, e), eps))
+
+def _start_worker(fn, shared):
+    global _unit
+    _unit = partial(fn, shared)
+
+
+def _run_unit(unit):
+    return _unit(unit)
+
+
+def _map_units(fn, shared, units: list, worth_forking: bool) -> list:
+    """[fn(shared, u) for u in units], in forked worker processes where that pays.
+
+    The units run in min(len(units), `_cpus()`) workers started with `fork`,
+    which inherit fn and shared instead of unpickling them, so only the
+    units and their results are pickled. Results come in input order, the
+    first failing unit's error is raised, as a serial loop would raise it,
+    and every worker is joined before the call returns. Each unit must be a
+    pure function of (shared, unit): a worker holds a copy of the caller's
+    memory, numpy's error state included, and what a unit changes there is
+    lost. The units run serially in the caller when the caller says the work
+    is too small (`worth_forking`), on one CPU, off Linux (fork is unsafe on
+    macOS and absent on Windows), inside a daemonic process, which may not
+    have children, and beside other threads: a fork copies only the calling
+    thread, so a lock that another thread holds would stay held in a worker.
+    """
+    workers = min(len(units), _cpus())
+    if worth_forking and workers > 1 and sys.platform == "linux" and threading.active_count() == 1:
+        # imported here, so that importing the library loads no process pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if not multiprocessing.current_process().daemon:
+            # map yields in input order and raises the first error in it,
+            # cancelling the units not yet started; leaving the block joins
+            # every worker
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     initializer=_start_worker, initargs=(fn, shared)) as pool:
+                return list(pool.map(_run_unit, units))
+    return [fn(shared, u) for u in units]
 
 
 def _gen_problem(joint: Joint, gtab: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -33,9 +33,8 @@ _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
 
 
 def child_sequence(root: int, *path: int) -> np.random.SeedSequence:
@@ -60,30 +59,37 @@ def _words(x: int) -> list[int]:
     return words
 
 
+def _u32(x):
+    """x mod 2**32: a Python int is masked, uint32 array arithmetic has wrapped already."""
+    return x & _MASK32 if isinstance(x, int) else x
+
+
 def _hasher(init: int, mult: int):
     """numpy's hashmix step: the hash constant advances the same way whatever the data."""
     hash_const = init
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def hashmix(value):
         nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
+        value = value ^ hash_const
         hash_const = (hash_const * mult) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
+        value = _u32(value * hash_const)
+        return value ^ (value >> 16)
 
     return hashmix
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> _XSHIFT)
+def _mix(x, y):
+    result = _u32(_u32(_MIX_MULT_L * x) - _u32(_MIX_MULT_R * y))
+    return result ^ (result >> 16)
 
 
-def _philox_keys(entropy: list[np.ndarray]) -> np.ndarray:
-    """SeedSequence(entropy).generate_state(2, uint64) for uint32 word arrays that broadcast.
+def _philox_keys(entropy: list) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(2, uint64) for words that broadcast, shaped (..., 2).
 
-    Each hash step is one uint32 array operation; only the words that differ
-    between streams need arrays longer than one.
+    A word is a Python int below 2**32 or a uint32 array. The hash steps run
+    on Python ints until the first array word enters the pool: the words
+    that every stream shares are hashed once, as integers, and only the steps
+    after it are array operations.
     """
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
@@ -96,7 +102,7 @@ def _philox_keys(entropy: list[np.ndarray]) -> np.ndarray:
             pool[i_dst] = _mix(pool[i_dst], hashmix(word))
 
     output = _hasher(_INIT_B, _MULT_B)
-    lo0, hi0, lo1, hi1 = (output(word).astype(np.uint64) for word in pool)
+    lo0, hi0, lo1, hi1 = (np.asarray(output(word), dtype=np.uint64) for word in pool)
     return np.stack([lo0 | hi0 << np.uint64(32), lo1 | hi1 << np.uint64(32)], axis=-1)
 
 
@@ -120,13 +126,16 @@ def streams(root, *path) -> Iterator[np.random.Generator]:
     that path, so a caller must not keep it past its iteration. Raises
     RuntimeError if the keys stop matching numpy's SeedSequence.
     """
-    r = root.astype(np.uint64) if isinstance(root, np.ndarray) else np.array([int(root) & (2**64 - 1)], np.uint64)
     # the root as four words: numpy pads it with zero words, or hashes zeros in their place
-    entropy = [(r & np.uint64(_MASK32)).astype(np.uint32), (r >> np.uint64(32)).astype(np.uint32)]
-    entropy += [np.zeros(1, dtype=np.uint32)] * 2
+    if isinstance(root, np.ndarray):
+        r = root.astype(np.uint64)
+        entropy = [(r & np.uint64(_MASK32)).astype(np.uint32), (r >> np.uint64(32)).astype(np.uint32), 0, 0]
+    else:
+        r = int(root) & (2**64 - 1)
+        entropy = [r & _MASK32, r >> 32, 0, 0]
     for p in path:
         if not isinstance(p, np.ndarray):
-            entropy += [np.array([w], dtype=np.uint32) for w in _words(int(p))]
+            entropy += _words(int(p))
         elif p.size and not 0 <= p.min() <= p.max() <= _MASK32:
             raise ValueError("an array path word must lie in [0, 2**32)")
         else:

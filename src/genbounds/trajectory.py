@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import BoundReport, _check_domain, _eq4_terms, _finish
 from .info import Pmf, gdelta_sup, mutual_information
 from .learning import _whole
-from .ratedistortion import rd_curve
+from .ratedistortion import _map_units, rd_curve
 from .seeding import rng as _rng, streams
 
 __all__ = [
@@ -41,6 +41,14 @@ __all__ = [
     "SweepResult",
     "trajectory_distribution",
 ]
+
+# A sweep's rates run in worker processes (`ratedistortion._map_units`) only
+# from this many SGD steps in all, trials x steps x rates. On 2 shared CPUs
+# (medians of 5-7 pairs, serial against processes) 3840 steps took 74 against
+# 109 ms and 81 against 68 ms, 7680 steps 134 against 108 ms and 86 against
+# 90 ms, 11520 steps 122 against 87 ms and 94 against 74 ms, and the CLI's
+# default sweep (48000 steps) 343 against 190 ms.
+_CONCURRENT_STEPS = 1 << 13
 
 
 class TrajectoryDivergence(RuntimeError):
@@ -358,6 +366,11 @@ def lr_sweep(model: ToyModel, lr_grid, trials: int, n: int = 24, steps: int = 12
     `simulate_trajectory`'s recurrence, whose window is range-checked and
     quantized as one array after the last step; its gen error comes from
     one risk table over the bins + 1 quantizer cells, built once per sweep.
+    Each rate is a pure function of the sweep's inputs and (li, lr)
+    (`_sweep_rate`), so from `_CONCURRENT_STEPS` SGD steps in all (trials x
+    steps x rates) the rates run in forked worker processes
+    (`ratedistortion._map_units`) and give the rows a serial loop gives, to
+    the bit.
     """
     lrs = [float(x) for x in lr_grid]
     if not lrs:
@@ -368,27 +381,28 @@ def lr_sweep(model: ToyModel, lr_grid, trials: int, n: int = 24, steps: int = 12
     if epsilon is not None and not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite (None picks 10% of the distortion range)")
     quant = model.default_quantizer(bins)
-    risks = _risk_table(model, quant, range(quant.bins + 1))
-    rows: list[SweepRow] = []
-    for li, lr in enumerate(lrs):
-        datasets = [model._draw(gen, n) for gen in streams(seed, li, np.arange(trials), 0)]
-        children = np.array([gen.integers(2**63) for gen in streams(seed, li, np.arange(trials), 313)], np.uint64)
-        try:
-            trajs = [
-                _descend(model, s, lr, steps, gen, quant)
-                for s, gen in zip(datasets, streams(children, 17))
-            ]
-        except TrajectoryDivergence:
-            rows.append(SweepRow(lr=lr, mean_gen=math.nan, rd_nats=math.nan, flag="diverged"))
-            continue
-        gens = [_window_gen(risks, s, tr.state_indices) for s, tr in zip(datasets, trajs)]
-        dist, rho, _ = trajectory_distribution(trajs)
-        eps = 0.1 * float(rho.max()) if epsilon is None else epsilon  # rho >= 0, so a zero span gives 0.0
-        sol = rd_curve(dist, rho, eps)
-        rows.append(SweepRow(lr=lr, mean_gen=float(np.mean(gens)), rd_nats=sol.rate_nats, flag="ok"))
+    shared = (model, trials, n, steps, epsilon, seed, quant, _risk_table(model, quant, range(quant.bins + 1)))
+    rows = _map_units(_sweep_rate, shared, list(enumerate(lrs)), trials * steps * len(lrs) >= _CONCURRENT_STEPS)
     ok_gen, ok_rd = [r.mean_gen for r in rows if r.flag == "ok"], [r.rd_nats for r in rows if r.flag == "ok"]
     rho_val = _spearman(ok_gen, ok_rd) if len(set(ok_gen)) > 1 and len(set(ok_rd)) > 1 else math.nan
     return SweepResult(rows=rows, spearman_rho=rho_val)
+
+
+def _sweep_rate(shared: tuple, rate: tuple[int, float]) -> SweepRow:
+    """The row of learning rate lr at index li of `lr_sweep`, for rate = (li, lr)."""
+    model, trials, n, steps, epsilon, seed, quant, risks = shared
+    li, lr = rate
+    datasets = [model._draw(gen, n) for gen in streams(seed, li, np.arange(trials), 0)]
+    children = np.array([gen.integers(2**63) for gen in streams(seed, li, np.arange(trials), 313)], np.uint64)
+    try:
+        trajs = [_descend(model, s, lr, steps, gen, quant) for s, gen in zip(datasets, streams(children, 17))]
+    except TrajectoryDivergence:
+        return SweepRow(lr=lr, mean_gen=math.nan, rd_nats=math.nan, flag="diverged")
+    gens = [_window_gen(risks, s, tr.state_indices) for s, tr in zip(datasets, trajs)]
+    dist, rho, _ = trajectory_distribution(trajs)
+    eps = 0.1 * float(rho.max()) if epsilon is None else epsilon  # rho >= 0, so a zero span gives 0.0
+    sol = rd_curve(dist, rho, eps)
+    return SweepRow(lr=lr, mean_gen=float(np.mean(gens)), rd_nats=sol.rate_nats, flag="ok")
 
 
 def _average_ranks(x) -> np.ndarray:

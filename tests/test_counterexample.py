@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -284,6 +285,49 @@ class TestDistortionAndBounds:
         se = float(vals.std(ddof=1) / math.sqrt(trials))
         assert exact_mean_gen(inst) == pytest.approx(mc, abs=4 * se)
 
+    @staticmethod
+    def gen_of(inst, s):
+        w, _ = run_gd(inst, s, "iterative")
+        return sco_population_risk(inst, w) - sco_empirical_risk(inst, s.mean(axis=0), w)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_exact_mean_gen_is_the_mean_over_every_dataset(self, n):
+        # gen depends on the columns only through how many of them have each
+        # count (tied columns share one mean), so a dataset stands for every
+        # dataset with its counts: all 8 at n = 1, all 2^48 at n = 2
+        inst = ScoInstance(n)
+        d = inst.d
+        cell = [math.comb(n, m) / 2**n for m in range(n + 1)]
+        total = 0.0
+        for counts in itertools.product(range(d + 1), repeat=n):
+            if sum(counts) > d:
+                continue
+            per_m = [d - sum(counts), *counts]  # columns with count 0, 1, ..., n
+            cols = np.repeat(np.arange(n + 1), per_m)
+            s = (np.arange(n)[:, None] < cols[None, :]).astype(np.uint8)
+            weight = math.factorial(d) / math.prod(map(math.factorial, per_m))
+            weight *= math.prod(c**k for c, k in zip(cell, per_m))
+            total += weight * self.gen_of(inst, s)
+        assert exact_mean_gen(inst) == pytest.approx(total, rel=1e-12, abs=0)
+        if n == 1:
+            assert total == pytest.approx(0.0223602, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_no_bad_coordinate_pushes_one_good_one_once(self, n):
+        # with no bad column, the oracle pushes the first column of least
+        # count at step 1 only: it ends eta (1 - 2 eta m/n)^(T-1) below the
+        # closed form and every other column at it, the law `exact_mean_gen`
+        # gives the #bad = 0 cell
+        inst = ScoInstance(n)
+        for least in range(1, n + 1):
+            cols = np.resize(np.arange(least, n + 1)[::-1], inst.d)  # the first least column is at index n - least
+            s = (np.arange(n)[:, None] < cols[None, :]).astype(np.uint8)
+            w, ok = run_gd(inst, s, "iterative")
+            assert not ok
+            want = good_value(inst, s.mean(axis=0))
+            want[n - least] -= inst.eta * (1.0 - 2.0 * inst.eta * least / n) ** (inst.T - 1)
+            np.testing.assert_allclose(w, want, rtol=1e-12, atol=1e-16)
+
     def test_r_one_rate_term_limit(self):
         inst = ScoInstance(4)
         rep = assemble_bound(inst, 1.0, "expectation")
@@ -392,26 +436,28 @@ class TestScaling:
         # still drew Monte Carlo trials; exact_mean_gen at n = 6 was re-recorded
         # when the binomial pmf moved from scipy.stats.binom to Loader's form:
         # 0.02277830405583544 became 0.022778304055835447 (1 ulp; see
-        # test_exact_mean_gen_matches_scipy)
+        # test_exact_mean_gen_matches_scipy); n = 4's exact_mean_gen and
+        # bound_expectation, and with them slope_bound, were re-recorded when
+        # the #bad = 0 cell got the oracle's push of a good coordinate
         res = scaling_study([4, 6])
         assert res.rows == [
             ScalingRow(
-                n=4, exact_mean_gen=0.02945110661943899, event_probability=0.9282653024431807,
-                bound_expectation=0.9624029913515278, bound_tail=65.85076510535875,
+                n=4, exact_mean_gen=0.029451106619440802, event_probability=0.9282653024431807,
+                bound_expectation=0.9624029913515296, bound_tail=65.85076510535875,
             ),
             ScalingRow(
                 n=6, exact_mean_gen=0.022778304055835447, event_probability=0.9888524081788196,
                 bound_expectation=0.5675960486621988, bound_tail=36.74958617794901,
             ),
         ]
-        assert res.slope_bound == -1.3022656661170353
-        assert res.slope_exact == -0.6336500331104395
+        assert res.slope_bound == -1.30226566611704
+        assert res.slope_exact == -0.6336500331105919
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_exact_mean_gen_matches_scipy(self, n):
         # the pinned exact_mean_gen against the same sum over scipy's binomial pmf
         binom = pytest.importorskip("scipy.stats").binom
-        pinned = {4: 0.02945110661943899, 6: 0.022778304055835447}[n]
+        pinned = {4: 0.029451106619440802, 6: 0.022778304055835447}[n]
         inst = ScoInstance(n)
         assert exact_mean_gen(inst) == pinned
         inst.__dict__["bad_count_pmf"] = binom.pmf(np.arange(inst.d + 1), inst.d, 2.0 ** -n)

@@ -131,7 +131,9 @@ class TestCli:
     def test_counterexample_byte_determinism(self, tmp_path):
         # --trials and --seed are accepted but change no byte; the pinned file is
         # the exact table, whose bound and slope_fit columns keep the bits they
-        # had while the study drew Monte Carlo trials
+        # had while the study drew Monte Carlo trials, except n = 4's
+        # exact_mean_gen and bound_expectation and with them slope_fit, which
+        # moved in their last digits when the #bad = 0 cell got its push
         hashes = []
         for name, trials, seed in (("c1", "100", "9"), ("c2", "0", "0"), ("c3", "2000", "3")):
             out = tmp_path / name
@@ -142,7 +144,7 @@ class TestCli:
             assert code == 0
             hashes.append(file_sha256(out / "scaling.csv"))
         assert hashes == [hashes[0]] * 3
-        assert hashes[0] == "021b78402c678f66cfc3a4052d98ab257b3011fe2f33ead70704807952a8635a"
+        assert hashes[0] == "0c30d64faf661c4e0a727e64bdce6054436b3972b479f745948ced0fe401f7b2"
 
     def test_counterexample_smoke_row(self, tmp_path, capsys):
         out = tmp_path / "ce"

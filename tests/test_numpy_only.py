@@ -31,11 +31,12 @@ def test_no_scipy_import_in_library():
 
 
 def test_cli_import_loads_no_scipy():
-    # nor the thread pool, which only a concurrent epsilon grid imports
+    # nor the process pool, which only `ratedistortion._map_units` imports, above its cutoff
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     probe = (
         "import sys, genbounds.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'concurrent.futures'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')"
+        " or m == 'concurrent.futures'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], check=True, env={**os.environ, "PYTHONPATH": path},

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -330,10 +332,10 @@ class TestRdDimension:
 
 
 class TestRdGrid:
-    """`_rd_grid`, the one grid solver of rd_dimension and `rd --source`."""
+    """`_rd_grid`, the one grid solver of rd_dimension and `rd --source`, on `_map_units`."""
 
     @staticmethod
-    def force_threads(monkeypatch):
+    def force_processes(monkeypatch):
         # any matrix is large enough, and three CPUs are available
         monkeypatch.setattr(rdm, "_CONCURRENT_CELLS", 0)
         monkeypatch.setattr(rdm, "_cpus", lambda: 3)
@@ -351,48 +353,49 @@ class TestRdGrid:
             sol = rd_curve(p, d, e)
             want.append(self.bits(sol.rate_nats, sol.achieved_distortion, sol.lagrange_lambda,
                                   sol.iterations, sol.converged))
-        self.force_threads(monkeypatch)
+        self.force_processes(monkeypatch)
         assert [self.bits(*pt) for pt in rdm._rd_grid(p, d, grid)] == want
         # a shared prepared problem carries nothing from one solve to the next
         assert [self.bits(*pt) for pt in rdm._rd_grid(p, d, grid[::-1])] == want[::-1]
 
     def test_helpers_keep_the_callers_numpy_error_state(self, monkeypatch):
-        self.force_threads(monkeypatch)
-        seen = []
-        solve = rdm._solve
+        self.force_processes(monkeypatch)
 
         def spy(prob, epsilon):
-            seen.append(np.geterr()["over"])
-            return solve(prob, epsilon)
+            # runs in a worker: it reports the state it sees there
+            return os.getpid(), np.geterr()["over"]
 
         monkeypatch.setattr(rdm, "_solve", spy)
         with np.errstate(over="raise"):
-            rdm._rd_grid(*abs_problem(8), [0.3, 0.2, 0.1, 0.05])
-        assert seen == ["raise"] * 4
+            seen = rdm._rd_grid(*abs_problem(8), [0.3, 0.2, 0.1, 0.05])
+        assert [state for _, state in seen] == ["raise"] * 4
+        assert os.getpid() not in {pid for pid, _ in seen}
 
     def test_cli_rd_source_bytes(self, tmp_path, monkeypatch):
         argv = ["rd", "--source", ",".join(["0.0625"] * 16), "--distortion", "abs",
                 "--epsilon-grid", "0.3,0.1,0.05,0.0,0.02"]
         assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
-        self.force_threads(monkeypatch)
-        assert main(argv + ["--out", str(tmp_path / "threads")]) == 0
+        self.force_processes(monkeypatch)
+        assert main(argv + ["--out", str(tmp_path / "processes")]) == 0
         serial = (tmp_path / "serial" / "rd_curve.csv").read_bytes()
-        assert (tmp_path / "threads" / "rd_curve.csv").read_bytes() == serial
+        assert (tmp_path / "processes" / "rd_curve.csv").read_bytes() == serial
 
-    def test_first_error_in_grid_order_and_no_thread_left(self, tmp_path, monkeypatch, capsys):
+    def test_first_error_in_grid_order_and_no_worker_left(self, tmp_path, monkeypatch, capsys):
         d = hamming(3) + 0.2  # floor 0.2
         p = [0.25, 0.25, 0.5]
         grid = [0.5, 0.1, 0.6, 0.15, 0.3]  # the 2nd and 4th points lie below the floor
         with pytest.raises(InfeasibleDistortion) as serial:
             for e in grid:
                 rd_curve(p, d, e)
-        self.force_threads(monkeypatch)
+        self.force_processes(monkeypatch)
         before = threading.active_count()
-        with pytest.raises(InfeasibleDistortion) as threaded:
+        with pytest.raises(InfeasibleDistortion) as pooled:
             rdm._rd_grid(p, DistortionSpec(d), grid)
-        assert str(threaded.value) == str(serial.value) == "epsilon=0.1 below the achievable floor 0.2"
+        assert str(pooled.value) == str(serial.value) == "epsilon=0.1 below the achievable floor 0.2"
+        assert multiprocessing.active_children() == []
         assert threading.active_count() == before
         assert len(rdm._rd_grid(p, DistortionSpec(d), [0.5, 0.3, 0.6])) == 3
+        assert multiprocessing.active_children() == []
         assert threading.active_count() == before
         matrix = tmp_path / "d.json"
         matrix.write_text(json.dumps(d.tolist()))
@@ -401,16 +404,64 @@ class TestRdGrid:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {serial.value}\n"
 
-    def test_small_matrices_start_no_thread(self, tmp_path, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started below the cutoff")
+    @staticmethod
+    def no_pool(monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_thread)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_process)
+
+    def test_small_inputs_start_no_process(self, tmp_path, monkeypatch):
+        self.no_pool(monkeypatch)
         monkeypatch.setattr(rdm, "_cpus", lambda: 4)
-        # the shape of the benchmark's `rd` op: 64 symbols, 4096 cells
-        argv = ["rd", "--source", ",".join([repr(1 / 64)] * 64), "--distortion", "abs",
+        # 32 symbols, 1024 cells: below the cutoff
+        argv = ["rd", "--source", ",".join([repr(1 / 32)] * 32), "--distortion", "abs",
                 "--epsilon-grid", "0.1,0.05,0.0", "--out", str(tmp_path / "rd")]
         assert main(argv) == 0
         p, d = abs_problem(16)
         slopes, _ = rd_dimension(p, d, [0.25, 0.125, 0.0625])
         assert len(slopes) == 3
+        # the CLI's sweep at a test's size
+        argv = ["trajectory", "--trials", "4", "--steps", "30", "--n", "8", "--out", str(tmp_path / "sweep")]
+        assert main(argv) == 0
+
+    def test_caller_beside_other_threads_runs_serially(self, monkeypatch):
+        self.force_processes(monkeypatch)
+        self.no_pool(monkeypatch)
+        p, d = abs_problem(8)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            pts = rdm._rd_grid(p, d, [0.3, 0.1])
+        finally:
+            release.set()
+            other.join(60)
+        assert not other.is_alive()
+        assert [pt.rate for pt in pts] == [rd_curve(p, d, e).rate_nats for e in [0.3, 0.1]]
+
+    def test_daemonic_process_runs_serially(self, monkeypatch):
+        # a daemonic process may not have children: its grid runs in it
+        self.force_processes(monkeypatch)
+        self.no_pool(monkeypatch)
+        p, d = abs_problem(8)
+        grid = [0.3, 0.1, 0.0]
+        want = [rd_curve(p, d, e).rate_nats for e in grid]
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def child():
+            try:
+                send.send([pt.rate for pt in rdm._rd_grid(p, d, grid)])
+            except BaseException as exc:
+                send.send(repr(exc))
+
+        proc = ctx.Process(target=child, daemon=True)
+        proc.start()
+        try:
+            assert receive.poll(60)
+            assert receive.recv() == want
+        finally:
+            proc.join(60)
+        assert not proc.is_alive()
+        assert proc.exitcode == 0

@@ -87,6 +87,22 @@ class TestStreams:
             rng(c, 17).integers(9, size=40).tolist() for c in children
         ]
 
+    @pytest.mark.parametrize("root, path", [
+        (7, (1, 2)),  # no array word: every hash step runs on integers
+        (2**64 - 1, (2**40 + 3, 5)),  # multi-word root and path word
+        (3, (np.arange(4), 2**40 + 3)),  # a multi-word integer after the array word
+        (np.array([0, 2**32, 2**64 - 1], dtype=np.uint64), (2**33 + 5,)),
+        (3, (np.array([], dtype=int), 0)),
+    ])
+    def test_integer_and_array_words(self, root, path):
+        # shared words are hashed as Python integers, the rest as arrays
+        entries = np.broadcast_arrays(*map(np.asarray, (root, *path)))
+        addresses = list(zip(*(a.ravel().tolist() for a in entries)))
+        keys = [_key(gen).copy() for gen in streams(root, *path)]
+        assert len(keys) == len(addresses)
+        for address, key in zip(addresses, keys):
+            assert np.array_equal(key, _expected_key(*address)), address
+
     def test_rngs_is_streams_over_the_trial_number(self):
         a = [_key(gen).copy() for gen in rngs(11, 4, count=20)]
         b = [_key(gen).copy() for gen in streams(11, 4, np.arange(20))]

@@ -1,10 +1,16 @@
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genbounds.ratedistortion as rdm
+import genbounds.trajectory as trajectory
+from genbounds.cli import main
 from genbounds.info import Pmf, mutual_information
 from genbounds.ratedistortion import DistortionSpec, rd_curve
 from genbounds.seeding import rng
@@ -419,6 +425,29 @@ class TestSweep:
         flags = {r.lr: r.flag for r in res.rows}
         assert flags[0.05] == "ok" and flags[50.0] == "diverged"
         assert math.isnan([r for r in res.rows if r.flag == "diverged"][0].rd_nats)
+
+    def test_cli_sweep_bytes_with_processes(self, tmp_path, monkeypatch):
+        # a diverging rate among them; the pool is forced with three CPUs
+        argv = ["trajectory", "--model", "quadratic", "--lr-grid", "0.05,0.4,50,1.2", "--trials", "6",
+                "--n", "8", "--steps", "30", "--seed", "11"]
+        assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+        parent, sweep_rate = os.getpid(), trajectory._sweep_rate
+
+        def in_worker(shared, rate):
+            if os.getpid() == parent:
+                raise AssertionError("a rate ran in the caller")
+            return sweep_rate(shared, rate)
+
+        monkeypatch.setattr(trajectory, "_sweep_rate", in_worker)
+        monkeypatch.setattr(trajectory, "_CONCURRENT_STEPS", 0)
+        monkeypatch.setattr(rdm, "_cpus", lambda: 3)
+        before = threading.active_count()
+        assert main(argv + ["--out", str(tmp_path / "processes")]) == 0
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == before
+        serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
+        assert b"diverged" in serial
+        assert (tmp_path / "processes" / "sweep.csv").read_bytes() == serial
 
     def test_rows_pinned(self):
         # values recorded with one risk evaluation per window step; the
