@@ -314,7 +314,7 @@ def fixed_size_bound(R: float, sigma: float, n: int, delta: float, epsilon: floa
 
 
 def _eq4_terms(R: float, sigma: float, n: int, delta: float, epsilon: float) -> dict:
-    """Terms of sqrt(2sigma^2 (R + log(1/delta)) / n) + eps, shared by eq4, eq21 and thm7."""
+    """Terms of sqrt(2sigma^2 (R + log(1/delta)) / n) + eps, shared by eq4, eq21, thm7 and toy."""
     s2 = _square(sigma)
     rate = 2.0 * s2 * R / n
     conf = 2.0 * s2 * math.log(1.0 / delta) / n
@@ -487,11 +487,8 @@ def toy_example_bound(
     _check_domain(
         n, delta, sample_means_sq_sum=sample_means_sq_sum, lipschitz_L=lipschitz_L, d=d, sigma=sigma
     )
-    inner = 2.0 * math.sqrt(lipschitz_L * d * sample_means_sq_sum)
-    s2 = _square(sigma)
-    rate = 2.0 * s2 * inner / n
-    conf = 2.0 * s2 * math.log(1.0 / delta) / n
-    terms = {"rate_term": rate, "confidence_term": conf}
+    terms = _eq4_terms(2.0 * math.sqrt(lipschitz_L * d * sample_means_sq_sum), sigma, n, delta, 0.0)
+    del terms["epsilon_term"]  # eq4 at rate 2 sqrt(L d S), with no epsilon
     params = {
         "n": n,
         "sigma": sigma,

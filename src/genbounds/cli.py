@@ -35,26 +35,15 @@ from .bounds import (
 )
 from .counterexample import scaling_study
 from .info import Pmf
-from .io import file_sha256, load_problem, write_csv, write_report
+from .io import _finite, _json_object, file_sha256, load_problem, write_csv, write_report
 from .learning import GibbsAlgorithm, _symbol_counts, gen_table, induced_joint, sample_dataset
 from .ratedistortion import _gen_problem, _rd_grid
 from .seeding import rng as _rng
 from .trajectory import LogisticToy, QuadraticToy, lr_sweep, thm7_bound, thm8_bound
-from .validation import BookCapError, covering_default_instance, covering_failure_estimate, mc_tail_validate
+from .validation import covering_default_instance, covering_failure_estimate, mc_tail_validate
 
 BOUND_KINDS = ("thm1", "eq4", "eq21", "seeger", "eq22", "prop5i", "prop5ii", "toy", "thm5i", "thm5ii")
 _SWEEP_KINDS = ("thm1", "eq4", "seeger", "thm7", "thm8")
-
-
-def _strict_load_config(path: str) -> dict:
-    def hook(pairs):
-        keys = [k for k, _ in pairs]
-        dupes = {k for k in keys if keys.count(k) > 1}
-        if dupes:
-            raise ValueError(f"duplicate config key(s): {sorted(dupes)}")
-        return dict(pairs)
-
-    return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=hook)
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -74,13 +63,10 @@ def _config_value(action: argparse.Action, key: str, value):
 def _apply_config(parser, args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
     if not getattr(args, "config", None):
         return args
-    cfg = _strict_load_config(args.config)
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     # a key names an optional flag of the subcommand; --help and --config themselves are not settable
     actions = {a.dest: a for a in sub.choices[args.command]._actions if a.option_strings}
-    unknown = set(cfg) - (set(actions) - {"help", "config"})
-    if unknown:
-        raise ValueError(f"unknown config key(s): {sorted(unknown)}")
+    cfg = _json_object(args.config, "config", set(actions) - {"help", "config"})
     cli_tokens = {t.split("=")[0].lstrip("-").replace("-", "_") for t in argv if t.startswith("--")}
     for key, value in cfg.items():
         if key not in cli_tokens:  # an explicit flag wins
@@ -197,7 +183,7 @@ def cmd_rd(args) -> int:
             grid = np.arange(k, dtype=float) / max(k - 1, 1)
             d = np.abs(grid[:, None] - grid[None, :])
         else:
-            d = np.asarray(json.loads(Path(args.distortion).read_text()), dtype=float)
+            d = _finite(json.loads(Path(args.distortion).read_text()), f"distortion file {args.distortion}", None)
         shift = 0.0
     eps_grid = _numbers(args.epsilon_grid)
     points = _rd_grid(source, d, [eps - shift for eps in eps_grid])
@@ -246,18 +232,22 @@ def cmd_covering(args) -> int:
 
 
 def _load_trajectory_spec(path: str):
-    data = _strict_load_config(path)
-    kind = data.pop("model", "logistic")
     known = {
         "logistic": {"mu", "w_max"},
         "quadratic": {"z_values", "mu", "w_lo", "w_hi"},
     }
-    if kind not in known:
+    data = _json_object(path, "trajectory spec", {"model", *known["logistic"], *known["quadratic"]})
+    kind = data.pop("model", "logistic")
+    if not isinstance(kind, str) or kind not in known:
         raise ValueError(f"unknown trajectory model {kind!r}")
     unknown = set(data) - known[kind]
     if unknown:
-        raise ValueError(f"unknown trajectory spec key(s): {sorted(unknown)}")
-    return LogisticToy(**data) if kind == "logistic" else QuadraticToy(**data)
+        raise ValueError(f"unknown {kind} trajectory spec key(s): {sorted(unknown)}")
+    values = {k: _finite(v, f"trajectory spec key {k!r}", 1 if k in ("mu", "z_values") else 0) for k, v in data.items()}
+    try:
+        return LogisticToy(**values) if kind == "logistic" else QuadraticToy(**values)
+    except OverflowError as exc:
+        raise ValueError(f"trajectory spec values overflow: {exc}") from None
 
 
 def cmd_trajectory(args) -> int:
@@ -396,7 +386,7 @@ def main(argv=None) -> int:
         args = _apply_config(parser, args, argv)
         args._t0 = time.time()
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError, BookCapError) as exc:
+    except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

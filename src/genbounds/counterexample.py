@@ -381,24 +381,18 @@ def _phi(inst: ScoInstance, x):
 
 
 def _good_law(inst: ScoInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per count m = 0..n of a coordinate: its Binomial(n, 1/2) pmf (unconditioned),
-    the gap weight 1/2 - m/n and phi of the good terminal value w(m/n).
+    """Per count m = 0..n of a coordinate: its Binomial(n, 1/2) law given m > 0 (normalised by
+    the full-length sum), the gap weight 1/2 - m/n and phi of the good terminal value w(m/n).
 
     The m = 0 cell is the bad one; its gap and phi entries are not used.
     """
     n = inst.n
-    pm = np.array([math.comb(n, m) for m in range(n + 1)], dtype=float) * 2.0 ** (-n)
+    probs = np.array([math.comb(n, m) for m in range(n + 1)], dtype=float) * 2.0 ** (-n)
+    probs[0] = 0.0
     gap = 0.5 - np.arange(n + 1) / n
     # one scalar pow per m: numpy's vectorised power may round differently from libm
     phi_w = _phi(inst, np.array([good_value(inst, m / n) for m in range(n + 1)]))
-    return pm, gap, phi_w
-
-
-def _given_good(pm: np.ndarray) -> np.ndarray:
-    """The count law conditioned on m > 0, normalised by the full-length sum."""
-    probs = pm.copy()
-    probs[0] = 0.0
-    return probs / probs.sum()
+    return probs / probs.sum(), gap, phi_w
 
 
 def _gen_given_k(inst: ScoInstance) -> np.ndarray:
@@ -412,8 +406,7 @@ def _gen_given_k(inst: ScoInstance) -> np.ndarray:
     later iterate is negative, so nothing else is pushed.
     """
     n, T, d = inst.n, inst.T, inst.d
-    pm, gap, phi_w = _good_law(inst)
-    probs = _given_good(pm)
+    probs, gap, phi_w = _good_law(inst)
     ks = np.arange(d + 1)
     per_k = np.minimum(ks, T) * 0.5 * _phi(inst, -inst.eta) + (d - ks) * float((probs * gap * phi_w).sum())
     # P(least count >= m) for m = 0..n+1, the d counts being iid given > 0
@@ -438,8 +431,7 @@ def exact_mean_gen(inst: ScoInstance) -> float:
 def _distortion_terms(inst: ScoInstance, r: float) -> dict:
     """Per-coordinate distortion pieces for the quantizer at parameter r."""
     v0, v1 = quantizer_levels(inst)
-    pm, gap, phi_w = _good_law(inst)
-    probs = _given_good(pm)
+    probs, gap, phi_w = _good_law(inst)
     phi_v0 = _phi(inst, v0)
     good_diff_m = gap * (phi_w - phi_v0)
     return {

@@ -231,11 +231,11 @@ def binary_kl(a: float, b: float) -> float:
 
 
 def binary_kl_inverse(a: float, b: float) -> float:
-    """sup{p in [0,1] : D(p || a) <= b}, by bisection on [a, 1].
+    """sup{p in [0,1] : D(p || a) <= b}, by `_increasing_root` on [a, 1].
 
-    The bracket [lo, hi] keeps D(lo || a) <= b < D(hi || a) and is halved
-    until it stops shrinking; the result is lo, so binary_kl(p*, a) <= b
-    holds for the result p* itself, and p* never exceeds the sup or
+    The search brackets the root of D(p || a) - b', b' the float after b, and reads points
+    p >= 1 as +inf (D(1 || a) > b by then). The bracket's lower float is the last with D <= b,
+    so binary_kl(p*, a) <= b holds for the result p* itself, and p* never exceeds the sup or
     a + sqrt(2ab) + 2b. The sup is 1 when D(1 || a) <= b.
     """
     if not 0.0 <= a <= 1.0:
@@ -251,15 +251,14 @@ def binary_kl_inverse(a: float, b: float) -> float:
         return 1.0
     if binary_kl(1.0, a) <= b:
         return 1.0
-    lo, hi = a, 1.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return lo
-        if binary_kl(mid, a) <= b:
-            lo = mid
-        else:
-            hi = mid
+    above = math.nextafter(b, math.inf)  # D(p || a) < above exactly where D(p || a) <= b
+
+    def h(p: float) -> tuple[float, float]:
+        if p >= 1.0:
+            return math.inf, math.inf
+        return binary_kl(p, a) - above, math.log(p) - math.log(a) - math.log1p(-p) + math.log1p(-a)
+
+    return _increasing_root(h, a)[0]
 
 
 def binary_kl_inverse_cap(a: float, b: float) -> float:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .info import Pmf
-from .learning import FiniteLearningProblem
+from .learning import FiniteLearningProblem, _whole
 
 __all__ = [
     "canonical_json",
@@ -92,17 +92,45 @@ def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _json_object(path, source: str, keys, required=()) -> dict:
+    """The JSON object in file `path`; ValueError if it is not one, repeats a key, lacks a required key or holds
+    one outside `keys`."""
+
+    def hook(pairs):
+        names = [k for k, _ in pairs]
+        dupes = {k for k in names if names.count(k) > 1}
+        if dupes:
+            raise ValueError(f"duplicate {source} key(s): {sorted(dupes)}")
+        return dict(pairs)
+
+    data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=hook)
+    if not isinstance(data, dict):
+        raise ValueError(f"a {source} holds one JSON object")
+    missing, unknown = set(required) - set(data), set(data) - set(keys)
+    if missing:
+        raise ValueError(f"{source} missing key(s): {sorted(missing)}")
+    if unknown:
+        raise ValueError(f"unknown {source} key(s): {sorted(unknown)}")
+    return data
+
+
+def _finite(value, name: str, ndim: int | None):
+    """`value` as finite floats, of `ndim` axes unless None (a float at 0); ValueError naming it otherwise."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged list
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf" or ndim not in (None, a.ndim) or not np.isfinite(a).all():
+        shape = "a finite number" if ndim == 0 else "an array of finite numbers"
+        raise ValueError(f"{name} must be {shape}, got {value!r:.60}")
+    return float(a) if ndim == 0 else a.astype(float)
+
+
 def load_problem(path) -> FiniteLearningProblem:
     """Problem file: {"z_alphabet": k, "w_alphabet": l, "loss": row-major, "mu": [...], "B": opt}."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
     required = {"z_alphabet", "w_alphabet", "loss", "mu"}
-    missing = required - set(data)
-    if missing:
-        raise ValueError(f"problem file missing keys: {sorted(missing)}")
-    unknown = set(data) - required - {"B"}
-    if unknown:
-        raise ValueError(f"problem file has unknown keys: {sorted(unknown)}")
-    z, w = int(data["z_alphabet"]), int(data["w_alphabet"])
-    loss = np.asarray(data["loss"], dtype=float).reshape(z, w)
-    return FiniteLearningProblem(loss=loss, mu=Pmf(np.asarray(data["mu"], dtype=float)), bound=data.get("B"))
-
+    data = _json_object(path, "problem file", required | {"B"}, required)
+    z, w = (_whole(data[key], f"problem file key {key!r}", 1) for key in ("z_alphabet", "w_alphabet"))
+    loss, mu = (_finite(data[key], f"problem file key {key!r}", ndim) for key, ndim in (("loss", None), ("mu", 1)))
+    bound = None if data.get("B") is None else _finite(data["B"], "problem file key 'B'", 0)
+    return FiniteLearningProblem(loss=loss.reshape(z, w), mu=Pmf(mu), bound=bound)

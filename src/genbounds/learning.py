@@ -39,7 +39,7 @@ __all__ = [
 ENUMERATION_CAP = 2**22
 
 
-class EnumerationCapError(RuntimeError):
+class EnumerationCapError(ValueError):
     """Raised when exact dataset enumeration would exceed the configured cap."""
 
 
@@ -234,8 +234,8 @@ class Algorithm:
         symbols = np.arange(prob.z_alphabet_size)
         return np.stack([np.asarray(self.posterior(prob, np.repeat(symbols, c))) for c in counts])
 
-    def posterior_from_counts(self, prob: FiniteLearningProblem, counts: np.ndarray, n: int) -> Pmf:
-        """Posterior for any dataset with the given symbol counts (n = counts.sum())."""
+    def posterior_from_counts(self, prob: FiniteLearningProblem, counts: np.ndarray) -> Pmf:
+        """Posterior for any dataset with the given symbol counts."""
         return Pmf(self.posteriors(prob, np.asarray(counts)[None])[0])
 
 

@@ -52,7 +52,8 @@ class InfeasibleDistortion(ValueError):
 
 @dataclass(frozen=True)
 class DistortionSpec:
-    """Distortion matrix d(source_symbol, reproduction_symbol) and target epsilon."""
+    """Distortion matrix d(source_symbol, reproduction_symbol) and target epsilon. Nothing reads `epsilon`
+    (the solvers take their target as an argument); it stays because callers such as `bench/run.py` pass it."""
 
     matrix: np.ndarray
     epsilon: float = 0.0

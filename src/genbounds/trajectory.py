@@ -235,14 +235,13 @@ def _descend(model, samples, lr, steps, gen, quantizer, w0=None, t1=None, t2=Non
 
 def gen_trajectory(model: ToyModel, samples: np.ndarray, traj: TrajectoryProcess) -> float:
     """Windowed generalization error (1/Delta_t) sum_t gen(s, w_t), exact risks."""
-    table = _risk_table(model, traj.quantizer, np.unique(traj.state_indices).tolist())
-    return _window_gen(table, np.asarray(samples, dtype=int), traj.state_indices)
+    return _window_gen(_risk_table(model, traj.quantizer), np.asarray(samples, dtype=int), traj.state_indices)
 
 
-def _risk_table(model: ToyModel, quantizer: Quantizer, cells) -> dict:
-    """cell -> (population risk, loss at each of z_values) at the cell's grid value."""
+def _risk_table(model: ToyModel, quantizer: Quantizer) -> dict:
+    """cell -> (population risk, loss at each of z_values) at the cell's grid value, for all bins + 1 cells."""
     table = {}
-    for c in cells:
+    for c in range(quantizer.bins + 1):
         w = quantizer.value(c)
         table[c] = (model.population_risk(w), np.array([model.loss(z, w) for z in model.z_values]))
     return table
@@ -381,7 +380,7 @@ def lr_sweep(model: ToyModel, lr_grid, trials: int, n: int = 24, steps: int = 12
     if epsilon is not None and not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite (None picks 10% of the distortion range)")
     quant = model.default_quantizer(bins)
-    shared = (model, trials, n, steps, epsilon, seed, quant, _risk_table(model, quant, range(quant.bins + 1)))
+    shared = (model, trials, n, steps, epsilon, seed, quant, _risk_table(model, quant))
     rows = _map_units(_sweep_rate, shared, list(enumerate(lrs)), trials * steps * len(lrs) >= _CONCURRENT_STEPS)
     ok_gen, ok_rd = [r.mean_gen for r in rows if r.flag == "ok"], [r.rd_nats for r in rows if r.flag == "ok"]
     rho_val = _spearman(ok_gen, ok_rd) if len(set(ok_gen)) > 1 and len(set(ok_rd)) > 1 else math.nan

@@ -51,7 +51,7 @@ _TYPE_CACHE_FLOATS = 2**21
 _FIRST_ENTRIES = 8
 
 
-class BookCapError(RuntimeError):
+class BookCapError(ValueError):
     """Raised when the requested hypothesis book would exceed the size cap."""
 
 
@@ -110,11 +110,11 @@ def _mc_blocks(prob, alg, n: int, trials: int, seed: int):
     block's distinct posteriors (U, W) with each trial's row in them (B,).
 
     Trial t's draws are what `Generator.choice` makes of stream rng(seed, t):
-    its first n uniforms searched from the right in mu's cdf, the next one in
-    the posterior's, each cdf scaled by its last entry. The posterior and gen
-    errors of a dataset type are computed once, from the first trial that
-    draws it, and kept in one table (emptied when it would pass
-    _TYPE_CACHE_FLOATS), so the algorithm must be exchangeable.
+    its first n uniforms searched in mu's cdf (`_inverse_cdf`), the next one
+    in the posterior's (`_draw`), each cdf scaled by its last entry. The
+    posterior and gen errors of a dataset type are computed once, from the
+    first trial that draws it, and kept in one table (emptied when it would
+    pass _TYPE_CACHE_FLOATS), so the algorithm must be exchangeable.
     """
     z, w_size = prob.z_alphabet_size, prob.w_alphabet_size
     mu_cdf = np.cumsum(np.asarray(prob.mu))
@@ -123,7 +123,7 @@ def _mc_blocks(prob, alg, n: int, trials: int, seed: int):
     cache = np.empty((0, 3, w_size))  # per type: posterior, its cdf, gen errors
     room = max(_BLOCK, _TYPE_CACHE_FLOATS // (3 * w_size))
     for u in _draw_trials(seed, (), trials, n + 1):
-        s = mu_cdf.searchsorted(u[:, :n], side="right")
+        s = _inverse_cdf(mu_cdf, u[:, :n])
         types, first, inverse = np.unique(_symbol_counts(s, z), axis=0, return_index=True, return_inverse=True)
         keys = [counts.tobytes() for counts in types]
         if len(index) + len(keys) > room:
@@ -140,8 +140,7 @@ def _mc_blocks(prob, alg, n: int, trials: int, seed: int):
         cache = np.concatenate([cache, rows])
         table = cache[[index[key] for key in keys]]
         inverse = inverse.reshape(-1)
-        # the number of cdf entries at most u is the right-side searchsorted index
-        w = (table[inverse, 1] <= u[:, n, None]).sum(axis=1)
+        w = _draw(table[inverse, 1], u[:, n])
         yield s, w, table[inverse, 2, w], table[:, 0], inverse
 
 
@@ -229,23 +228,18 @@ def _searchable_prefix(total_rates: np.ndarray, size: int) -> np.ndarray:
 
 
 def _inverse_cdf(cdf: np.ndarray, u) -> np.ndarray:
-    """Inverse-CDF draw: the first index whose cumulative mass exceeds u, clipped to the last."""
+    """`_draw` by binary search, for long laws: the first index whose cumulative mass exceeds u, clipped to the last."""
     return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
 
-def _book_entries(q_cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """`_inverse_cdf(q_cdf, u)` for a non-decreasing cdf: how many entries before its last are at most u.
+def _draw(cdf: np.ndarray, u) -> np.ndarray:
+    """`Generator.choice`'s draw: how many entries before the last of each non-decreasing cdf along `cdf`'s last axis
+    are at most u (one cdf, or one per entry of u). A tie u == cdf[i] moves past cell i.
 
-    One vectorised comparison per reproduction, as the pair draw searches
-    the posterior: the book law has only W cells, and numpy's searchsorted,
-    which branches on every key, ran 10-20 times slower on a 2-cell law.
-    The type draw keeps `_inverse_cdf`, since a type table can have
-    thousands of cells.
+    One vectorised comparison per cell: the book and hypothesis laws have only W cells, and
+    numpy's searchsorted, which branches on every key, ran 10-20 times slower on a 2-cell law.
     """
-    out = np.zeros(u.shape, dtype=np.intp)
-    for c in q_cdf[:-1].tolist():
-        out += u >= c
-    return out
+    return (cdf[..., :-1] <= u[..., None]).sum(axis=-1)
 
 
 def _book_size(m: int, rates: np.ndarray) -> int:
@@ -286,7 +280,7 @@ def covering_failure_estimate(
     m_grid,
     trials: int,
     seed: int,
-    q_hat=None,
+    q_hat,
 ) -> list[CoveringRow]:
     """Estimate the excess-distortion exponent -(1/m) log P(failure) per m.
 
@@ -312,7 +306,8 @@ def covering_failure_estimate(
     streams in one pass, skips the uniforms drawn up front and searches the
     rest of every prefix in one buffer.
     The rate table `rates` is indexed by dataset type (enumerate_types
-    order) and hypothesis; the algorithm must be exchangeable. Zero-failure
+    order) and hypothesis, the book law `q_hat` is a pmf over the
+    hypotheses, and the algorithm must be exchangeable. Zero-failure
     rows are right-censored: the exponent column carries +inf and
     failure_prob the rule-of-three upper bound 3/trials, capped at 1.
     """
@@ -336,15 +331,12 @@ def _covering_flags(prob, alg, n, rates, epsilon, m_grid, trials, seed, q_hat) -
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
     joint, types = induced_joint(prob, alg, n, by_type=True)
-    if q_hat is None:
-        q_hat = joint.marginal_w()
     q_hat, r = _check_book(q_hat, rates, prob.w_alphabet_size, len(types))
     type_probs = np.asarray(joint.marginal_s())
     post_cdf = np.cumsum(alg.posteriors(prob, types), axis=1)
     g2 = gen_table(prob, types, by_type=True) ** 2  # (types, w); reproduction alphabet = W
     q_cdf = np.cumsum(q_hat)
     type_cdf = np.cumsum(type_probs)
-    last_w = prob.w_alphabet_size - 1
 
     out = []
     for mi, m in enumerate(m_grid):
@@ -357,10 +349,10 @@ def _covering_flags(prob, alg, n, rates, epsilon, m_grid, trials, seed, q_hat) -
         for block, u in enumerate(_draw_trials(seed, (mi,), trials, (2 + k) * m)):
             start = block * _BLOCK
             t_seq = _inverse_cdf(type_cdf, u[:, :m])
-            w_seq = np.minimum((post_cdf[t_seq] < u[:, m : 2 * m, None]).sum(axis=2), last_w)
+            w_seq = _draw(post_cdf[t_seq], u[:, m : 2 * m])
             j_max = _searchable_prefix(r[t_seq, w_seq].sum(axis=1), size)
             own = g2[t_seq, w_seq].mean(axis=1)
-            entries = _book_entries(q_cdf, u[:, 2 * m :].reshape(len(u), k, m))
+            entries = _draw(q_cdf, u[:, 2 * m :].reshape(len(u), k, m))
             repro = g2[t_seq[:, None, :], entries].mean(axis=2)
             repro[np.arange(k) >= j_max[:, None]] = -np.inf
             fail = own - repro.max(axis=1) > epsilon
@@ -396,7 +388,7 @@ def _search_rest(seed, mi, ids, seqs, left, skip, q_cdf, g2) -> np.ndarray:
     for gen, lo, hi in zip(streams(seed, mi, ids.astype(np.uint32)), starts.tolist(), ends.tolist()):
         gen.random(out=lead)
         gen.random(out=buf[lo:hi])
-    entries = _book_entries(q_cdf, buf)
+    entries = _draw(q_cdf, buf)
     return np.maximum.reduceat(g2[np.repeat(seqs, left, axis=0), entries].mean(axis=1), starts)
 
 

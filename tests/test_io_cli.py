@@ -495,6 +495,39 @@ class TestCli:
         assert err.startswith("error: book of ") and "exceeds the cap" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["bound", "--kind", "thm5i"], ["rd"]], ids=["bound", "rd"])
+    def test_enumeration_cap_is_a_clean_error(self, tmp_path, problem_file, capsys, argv):
+        out = tmp_path / "x"
+        assert main([*argv, "--problem", str(problem_file), "--n", "2000", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: 1337337001 types exceed the cap 4194304\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, edit, message",
+        [
+            (["bound", "--kind", "thm5i", "--problem"], {"B": "x"}, "problem file key 'B' must be a finite number"),
+            (["rd", "--problem"], {"z_alphabet": None}, "problem file key 'z_alphabet' must be a whole number"),
+            (["rd", "--problem"], {"loss": [[0, 1], [2]]}, "problem file key 'loss' must be an array of finite"),
+            (["rd", "--problem"], [], "a problem file holds one JSON object"),
+            (["trajectory", "--spec"], {"model": "logistic", "w_max": None}, "trajectory spec key 'w_max' must be"),
+            (["trajectory", "--spec"], {"model": [1]}, "unknown trajectory model [1]"),
+            (["trajectory", "--spec"], {"model": "logistic", "w_max": 1000}, "trajectory spec values overflow"),
+            (["sweep", "--config"], [1], "a config holds one JSON object"),
+            (["rd", "--distortion"], {"a": 1}, "distortion file "),
+        ],
+        ids=["B-text", "z-null", "loss-ragged", "problem-list", "w_max-null", "model-list", "w_max-overflow",
+             "config-list", "distortion-object"],
+    )
+    def test_malformed_input_file_is_a_clean_error(self, tmp_path, problem_file, capsys, argv, edit, message):
+        # a problem edit updates the fixture's problem; any other file, or a non-object problem, is the edit itself
+        data = {**json.loads(problem_file.read_text()), **edit} if argv[-1] == "--problem" and edit else edit
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "x"
+        assert main([*argv, str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
 
 SUBCOMMANDS = {
     "bound": (["bound", "--kind", "thm1"], "report.json"),

@@ -317,7 +317,7 @@ class TestInducedJoint:
         for k in np.unique(ones):
             idx = ones == k
             counts_k = np.array([3 - k, k])
-            post = np.asarray(alg.posterior_from_counts(prob, counts_k, 3))
+            post = np.asarray(alg.posterior_from_counts(prob, counts_k))
             draws = gen.choice(3, size=int(idx.sum()), p=post)
             counts += np.bincount(draws, minlength=3)
         assert np.allclose(counts / trials, marg, atol=0.005)

@@ -1,6 +1,7 @@
 """Properties that hold on every input: fuzzed bound constructors, the SCO
 counter-example, thm5's multiplier, the binary-KL inverse, the covering
-simulator and canonical JSON.
+simulator, the categorical draw, canonical JSON, and the CLI on malformed
+input files and sizes.
 Hypothesis runs under the suite's derandomized profile (tests/conftest.py), so
 each run draws the same examples."""
 
@@ -26,6 +27,7 @@ from genbounds.bounds import (
     thm5_expectation_bound,
     toy_example_bound,
 )
+from genbounds.cli import main
 from genbounds.counterexample import ScoInstance, assemble_bound, scaling_study
 from genbounds.info import (
     Pmf,
@@ -39,7 +41,7 @@ from genbounds.io import canonical_json
 from genbounds.learning import FiniteLearningProblem, GibbsAlgorithm, enumerate_types
 from genbounds.seeding import rng
 from genbounds.trajectory import thm7_bound, thm8_bound
-from genbounds.validation import _covering_flags, covering_failure_estimate
+from genbounds.validation import _covering_flags, _draw, _inverse_cdf, covering_failure_estimate
 from test_validation import per_trial_covering
 
 fixed = settings(max_examples=40)
@@ -262,3 +264,65 @@ nested = st.recursive(
 def test_canonical_json_round_trips(data):
     assert json.loads(canonical_json(data)) == data
 
+
+
+@fixed
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4))
+def test_draw_is_the_inverse_cdf(seed, cells, rows):
+    gen = rng(seed)
+    # masses rounded to tenths repeat cdf values, and about 4 in 10 cells have none
+    masses = np.round(gen.random((rows, cells)) * (gen.random((rows, cells)) < 0.6), 1)
+    masses[masses.sum(axis=1) == 0, -1] = 1.0
+    cdf = np.cumsum(masses, axis=1) / masses.sum(axis=1, keepdims=True)
+    u = np.concatenate([gen.random((rows, 20)), cdf, np.nextafter(cdf, 0), np.zeros((rows, 1))], axis=1)
+    want = np.stack([_inverse_cdf(law, u_row) for law, u_row in zip(cdf, u)])
+    for law, u_row, want_row in zip(cdf, u, want):
+        assert np.array_equal(_draw(law, u_row), want_row)
+    assert np.array_equal(_draw(cdf[:, None, :], u), want)  # one law per row
+
+
+PROBLEM = {"z_alphabet": 2, "w_alphabet": 2, "loss": [[0.0, 0.8], [0.6, 0.1]], "mu": [0.4, 0.6], "B": 1.0}
+SPEC = {"model": "quadratic", "z_values": [-0.5, 0.5], "mu": [0.5, 0.5], "w_lo": -1.0, "w_hi": 1.0}
+_DROP = object()
+malformed = st.sampled_from(
+    [math.nan, math.inf, -1.0, 0, 3, 2.5, 1e300, True, None, "x", [], [[]], [1, "a"], [[1], [2, 3]], {"a": 1}]
+)
+
+
+def _fuzzed(base: dict):
+    """`base` as it is, or with one key dropped or given a malformed value."""
+    def edit(key, value):
+        return {k: value if k == key else v for k, v in base.items() if k != key or value is not _DROP}
+
+    return st.just(base) | st.builds(edit, st.sampled_from(list(base)), st.just(_DROP) | malformed)
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        return exc.code
+
+
+@fixed
+@given(
+    _fuzzed(PROBLEM),
+    _fuzzed(SPEC),
+    st.sampled_from(["bound --kind thm5i", "rd", "mc-validate --trials 100"]),
+    st.sampled_from(["1", "2", "4", "0", "-1", "x"]),
+    st.sampled_from(["1", "3", "0", "-1"]),
+    st.lists(st.sampled_from(["1", "3", "5", "0", "60"]), min_size=1, max_size=2).map(",".join),
+)
+def test_malformed_files_and_sizes_exit_cleanly(tmp_path_factory, problem, spec, command, n, trials, m_grid):
+    where = tmp_path_factory.mktemp("cli")
+    (where / "problem.json").write_text(json.dumps(problem))
+    (where / "spec.json").write_text(json.dumps(spec))
+    out = ["--out", str(where / "out")]
+    runs = [
+        [*command.split(), "--problem", str(where / "problem.json"), "--n", n, *out],
+        ["covering", "--m-grid", m_grid, "--trials", trials, *out],
+        ["trajectory", "--spec", str(where / "spec.json"), "--lr-grid", "0.1,0.5", "--trials", trials,
+         "--n", n, "--steps", "10", *out],
+    ]
+    for argv in runs:
+        assert _exit_code(argv) in (0, 1, 2), argv

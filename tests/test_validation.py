@@ -189,7 +189,7 @@ class TestBook:
         # zero-mass cells repeat a cdf value; u on a cdf value, at 0 and past the last entry are the edges
         q_cdf = np.cumsum(q)
         u = np.concatenate([rng(8).random(2000), q_cdf, np.nextafter(q_cdf, 0), [0.0, q_cdf[-1] + 1e-16]])
-        got = validation._book_entries(q_cdf, u.reshape(2, -1))
+        got = validation._draw(q_cdf, u.reshape(2, -1))
         assert got.dtype == np.intp
         assert np.array_equal(got, validation._inverse_cdf(q_cdf, u.reshape(2, -1)))
 
@@ -386,14 +386,13 @@ def per_trial_covering(prob, alg, n, rates, epsilon, m_grid, trials, seed, q_hat
     g2 = gen_table(prob, types, by_type=True) ** 2
     q_cdf = np.cumsum(q_hat)
     type_cdf = np.cumsum(np.asarray(joint.marginal_s()))
-    last_w = prob.w_alphabet_size - 1
     flags = []
     for mi, m in enumerate(m_grid):
         size = validation._book_size(m, rates)
         fails = []
         for gen in rngs(seed, mi, count=trials):
             t_seq = validation._inverse_cdf(type_cdf, gen.random(m))
-            w_seq = np.minimum((post_cdf[t_seq] < gen.random(m)[:, None]).sum(axis=1), last_w)
+            w_seq = (post_cdf[t_seq, :-1] <= gen.random(m)[:, None]).sum(axis=1)  # Generator.choice's rule
             j_max = max(1, min(math.floor(math.exp(min(float(rates[t_seq, w_seq].sum()), 700.0))), size))
             entries = validation._inverse_cdf(q_cdf, gen.random((j_max, m)))
             own = float(g2[t_seq, w_seq].mean())
