@@ -338,7 +338,12 @@ def rd_tail_bound(
     (`FiniteLearningProblem.sigma`). The supremum of the generalization-gap
     rate-distortion function over the KL ball around the joint is estimated
     heuristically (certified lower estimate); the nu = P baseline is
-    reported alongside so the gap is visible.
+    reported alongside so the gap is visible. The search shares its RD
+    solves with one forked helper process where `info._may_fork` allows
+    (see `info.gdelta_sup`); the report is the same to the bit either way.
+    The RD function at the joint itself is solved once, for the baseline,
+    although the search counts it as two of its `search_budget` evaluations
+    (its start and its gradient's base).
     """
     _check_domain(n, delta, sigma=sigma)
     table = _probs(joint, 2)
@@ -350,8 +355,12 @@ def rd_tail_bound(
         return rd_gen(Joint(t), gtab, epsilon).rate_nats
 
     baseline_rd = rd_of(table)
+
+    def objective(t: np.ndarray) -> float:
+        return baseline_rd if np.array_equal(t, table) else rd_of(t)
+
     # gdelta_sup evaluates the joint first and keeps only improvements: sup_rd >= baseline_rd
-    sup_rd, _ = gdelta_sup(table, delta, rd_of, search_budget=search_budget, seed=seed)
+    sup_rd, _ = gdelta_sup(table, delta, objective, search_budget=search_budget, seed=seed, _helper=True)
     params = {"n": n, "sigma": sigma, "delta": delta, "epsilon": epsilon}
     extra = {
         "sup_rd": sup_rd,

@@ -12,6 +12,10 @@ function here is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -344,12 +348,121 @@ def _mix_to_radius(p: np.ndarray, q: np.ndarray, budget: float) -> np.ndarray:
     return (1 - lo) * p + lo * q
 
 
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _may_fork(workers: int) -> bool:
+    """Whether a caller that would run `workers` processes may fork them.
+
+    No for fewer than two, off Linux (fork is unsafe on macOS and absent on
+    Windows), beside other threads (a fork copies only the calling thread, so
+    a lock that another thread holds would stay held in the child) and inside
+    a daemonic process, which may not have children. multiprocessing is
+    imported only once the other checks pass, so importing the library loads
+    no process machinery.
+    """
+    if workers < 2 or sys.platform != "linux" or threading.active_count() != 1:
+        return False
+    import multiprocessing
+
+    return not multiprocessing.current_process().daemon
+
+
+def _quiet(f: Callable[[np.ndarray], float], x: np.ndarray) -> float | None:
+    """f(x), or None where f raises or warns there.
+
+    The search evaluates some points before their serial turn, and some that
+    it never uses; those make no noise. A point it needs whose value is None
+    is evaluated again in its turn, where it raises or warns as in a serial
+    search.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = f(x)
+        except Exception:
+            return None
+    return None if caught else value
+
+
+def _serve(f, conn, parent_end) -> None:
+    """The helper's loop: `_quiet` values of f at each list of points received, until the parent's end closes."""
+    import signal
+
+    # the parent takes an interrupt and stops the helper, whose SIGTERM kills it whatever handler it inherited
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent_end.close()
+    while True:
+        try:
+            points = conn.recv()
+            conn.send([_quiet(f, x) for x in points])
+        except (EOFError, BrokenPipeError):  # the parent returned, raised or died
+            return
+
+
+class _Helper:
+    """One forked process that evaluates the search's objective at the points sent to it.
+
+    The process inherits f instead of unpickling it, so only the points and
+    their values cross the pipe. `close` joins it, killing it first if it is
+    still evaluating (its caller is leaving on an error).
+    """
+
+    def __init__(self, f: Callable[[np.ndarray], float]):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self._conn, theirs = ctx.Pipe()
+        self._proc = ctx.Process(target=_serve, args=(f, theirs, self._conn), daemon=True)
+        self._proc.start()
+        theirs.close()
+        self._busy = False
+
+    def send(self, points: list) -> None:
+        self._conn.send(points)
+        self._busy = True
+
+    def recv(self) -> list:
+        """The `_quiet` values of the points last sent, in order."""
+        values = self._conn.recv()
+        self._busy = False
+        return values
+
+    def close(self) -> None:
+        if self._busy:
+            self._proc.terminate()
+        self._conn.close()
+        self._proc.join()
+
+
+def _values(f: Callable[[np.ndarray], float], points: list, helper: _Helper | None) -> list:
+    """[f(x) for x in points], raising the first error in that order.
+
+    With a helper, it takes every second point and the caller the others,
+    both `_quiet`ly; a point whose value is None is evaluated again in its
+    turn, so the error or warning of the first such point is the serial one.
+    """
+    if helper is None:
+        return [f(x) for x in points]
+    helper.send(points[1::2])
+    values = [None] * len(points)
+    values[0::2] = [_quiet(f, x) for x in points[0::2]]
+    values[1::2] = helper.recv()
+    return [f(x) if v is None else v for x, v in zip(points, values)]
+
+
 def gdelta_sup(
     p_ref,
     delta: float,
     objective: Callable[[np.ndarray], float],
     search_budget: int = 2000,
     seed: int = 0,
+    *,
+    _helper: bool = False,
 ):
     """Heuristic maximization of `objective` over the KL ball G^delta.
 
@@ -359,88 +472,131 @@ def gdelta_sup(
     by pairwise-mass coordinate ascent. Every candidate is re-checked for
     membership, so the result is a certified lower estimate of the true sup.
 
+    With `_helper` (`bounds.rd_tail_bound` asks for it: its objective is an
+    RD solve of milliseconds), the search shares its evaluations with one
+    forked helper process, connected by a pipe. The finite-difference points,
+    the tilts and the restarts, whose values do not depend on one another,
+    are split between the two (`_values`) and folded in serial order. In the
+    coordinate ascent the helper evaluates the candidate after the caller's,
+    built from the same incumbent, and that value is used only if the
+    caller's candidate did not improve. Every value used is the one that the
+    serial search computes, at the same count of evaluations, so the result
+    is the same to the bit; an error or warning comes from the point where
+    the serial search meets it, and a point that the serial search never
+    evaluates raises and warns nothing. Where `_may_fork` says no, the same
+    steps run in the caller. The helper is joined before the call returns or
+    raises.
+
     Returns (sup_estimate, argmax) with argmax shaped like `p_ref`.
     """
     ref = np.asarray(p_ref, dtype=float)
     shape = ref.shape
     p = ref.reshape(-1).copy()
-    budget = gdelta_radius(delta)
+    radius = gdelta_radius(delta)
 
     def f(flat: np.ndarray) -> float:
         return float(objective(flat.reshape(shape)))
 
-    evals = [0]
-
-    def f_counted(flat: np.ndarray) -> float:
-        evals[0] += 1
-        return f(flat)
-
-    best_p = p.copy()
-    best_v = f_counted(p)
-    if budget <= 0.0:
-        return best_v, best_p.reshape(shape)
-
-    support = p > 0
-
-    def consider(cand: np.ndarray | None):
-        nonlocal best_p, best_v
-        if cand is None:
-            return
-        if kl_divergence(cand, p) > budget + GDELTA_SLACK:
-            return
-        v = f_counted(cand)
-        if v > best_v:
-            best_v, best_p = v, cand.copy()
-
-    # finite-difference ascent direction at a base point (vertex mixes)
-    def direction_at(base: np.ndarray) -> np.ndarray:
-        h = 1e-4
-        g = np.zeros_like(base)
-        fb = f_counted(base)
-        for i in np.flatnonzero(support):
-            e = np.zeros_like(base)
-            e[i] = 1.0
-            g[i] = (f_counted((1 - h) * base + h * e) - fb) / h
-        return g
-
-    grad = direction_at(p)
-    for frac in (1.0, 0.5, 0.25, 0.1):
-        consider(_tilt_to_radius(p, grad, budget * frac))
-
-    gen = _rng(seed, 7)
-    n_restarts = max(4, min(32, search_budget // max(2 * p.size, 1)))
-    while evals[0] < search_budget // 2 and n_restarts > 0:
-        n_restarts -= 1
-        q = np.zeros_like(p)
-        q[support] = gen.dirichlet(np.ones(int(support.sum())))
-        consider(_mix_to_radius(p, q, budget))
-
-    # pairwise mass-transfer coordinate ascent from the incumbent
-    step = 0.25
-    idx = np.flatnonzero(support)
-    while evals[0] < search_budget and step > 1e-4:
-        improved = False
-        order = gen.permutation(len(idx))
-        for a_pos in order:
-            if evals[0] >= search_budget:
-                break
-            i = idx[a_pos]
-            j = idx[int(gen.integers(len(idx)))]
-            if i == j or best_p[i] <= 0:
-                continue
-            move = step * best_p[i]
-            cand = best_p.copy()
-            cand[i] -= move
-            cand[j] += move
-            if kl_divergence(cand, p) > budget + GDELTA_SLACK:
-                continue
-            v = f_counted(cand)
-            if v > best_v + 1e-15:
-                best_v, best_p = v, cand
-                improved = True
-        if not improved:
-            step *= 0.5
-
+    best_v = f(p)
+    if radius <= 0.0:
+        return best_v, p.reshape(shape)
+    helper = _Helper(f) if _helper and _may_fork(_cpus()) else None
+    try:
+        best_v, best_p = _search(f, p, radius, best_v, search_budget, seed, helper)
+    finally:
+        if helper is not None:
+            helper.close()
     if not in_gdelta(best_p, p, delta):
         raise RuntimeError("gdelta_sup incumbent lies outside the KL ball")
     return best_v, best_p.reshape(shape)
+
+
+def _search(f, p: np.ndarray, radius: float, best_v: float, budget: int, seed: int, helper: _Helper | None):
+    """(sup estimate, argmax) of `gdelta_sup`'s search from p, whose value is best_v.
+
+    `evals` counts the evaluations of the serial search, p's included, and
+    the budget checks read it.
+    """
+    best_p = p.copy()
+    evals = 1
+    idx = np.flatnonzero(p > 0)
+
+    def inside(cand: np.ndarray | None) -> bool:
+        return cand is not None and kl_divergence(cand, p) <= radius + GDELTA_SLACK
+
+    # finite-difference ascent direction at p (vertex mixes)
+    h = 1e-4
+    points = [p]
+    for i in idx:
+        e = np.zeros_like(p)
+        e[i] = 1.0
+        points.append((1 - h) * p + h * e)
+    f_base, *f_moved = _values(f, points, helper)
+    evals += len(points)
+    grad = np.zeros_like(p)
+    grad[idx] = (np.array(f_moved) - f_base) / h
+
+    # tilts along it, then Dirichlet restarts: no candidate's value depends on another's
+    tilts = (_tilt_to_radius(p, grad, radius * frac) for frac in (1.0, 0.5, 0.25, 0.1))
+    cands = [cand for cand in tilts if inside(cand)]
+    gen = _rng(seed, 7)
+    n_restarts = max(4, min(32, budget // max(2 * p.size, 1)))
+    while evals + len(cands) < budget // 2 and n_restarts > 0:
+        n_restarts -= 1
+        q = np.zeros_like(p)
+        q[idx] = gen.dirichlet(np.ones(idx.size))
+        cand = _mix_to_radius(p, q, radius)
+        if inside(cand):
+            cands.append(cand)
+    for cand, v in zip(cands, _values(f, cands, helper)):
+        if v > best_v:
+            best_v, best_p = v, cand.copy()
+    evals += len(cands)
+
+    # pairwise mass-transfer coordinate ascent from the incumbent
+    # (i, j) at each position of each pass. No draw depends on a value, so a pass drawn whole when
+    # first reached holds the pairs that the serial search draws one at a time.
+    passes = []
+
+    def next_cand(best: np.ndarray, pos: tuple, count: int):
+        """(candidate, its position) after `pos` = (pass, index, step, improved) from incumbent `best`,
+        with `count` evaluations made; None where the ascent ends."""
+        t, k, step, improved = pos
+        while count < budget:
+            if k == idx.size:
+                t, k, step, improved = t + 1, 0, step if improved else step * 0.5, False
+            if k == 0 and not step > 1e-4:
+                return None
+            if t == len(passes):
+                order = gen.permutation(len(idx))
+                passes.append((idx[order], [idx[int(gen.integers(len(idx)))] for _ in order]))
+            i, j = passes[t][0][k], passes[t][1][k]
+            k += 1
+            if i == j or best[i] <= 0:
+                continue
+            move = step * best[i]
+            cand = best.copy()
+            cand[i] -= move
+            cand[j] += move
+            if inside(cand):
+                return cand, (t, k, step, improved)
+        return None
+
+    nxt, known = next_cand(best_p, (0, 0, 0.25, False), evals), None
+    while nxt is not None:
+        cand, pos = nxt
+        # the helper takes the candidate that follows if this one does not improve
+        ahead = next_cand(best_p, pos, evals + 1) if helper is not None and known is None else None
+        if ahead is not None:
+            helper.send([ahead[0]])
+        v = f(cand) if known is None else known
+        later = helper.recv()[0] if ahead is not None else None
+        evals += 1
+        if v > best_v + 1e-15:
+            best_v, best_p = v, cand
+            nxt, known = next_cand(best_p, (*pos[:3], True), evals), None
+        elif ahead is not None:
+            nxt, known = ahead, later
+        else:
+            nxt, known = next_cand(best_p, pos, evals), None
+    return best_v, best_p

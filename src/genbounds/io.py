@@ -127,10 +127,16 @@ def _finite(value, name: str, ndim: int | None):
 
 
 def load_problem(path) -> FiniteLearningProblem:
-    """Problem file: {"z_alphabet": k, "w_alphabet": l, "loss": row-major, "mu": [...], "B": opt}."""
+    """Problem file: {"z_alphabet": k, "w_alphabet": l, "loss": ..., "mu": [...], "B": opt}.
+
+    `loss` is a flat row-major list of k * l numbers or a (k, l) nested list.
+    """
     required = {"z_alphabet", "w_alphabet", "loss", "mu"}
     data = _json_object(path, "problem file", required | {"B"}, required)
     z, w = (_whole(data[key], f"problem file key {key!r}", 1) for key in ("z_alphabet", "w_alphabet"))
     loss, mu = (_finite(data[key], f"problem file key {key!r}", ndim) for key, ndim in (("loss", None), ("mu", 1)))
+    if loss.shape not in ((z * w,), (z, w)):
+        raise ValueError(f"problem file key 'loss' must be a flat row-major list of {z * w} numbers or a "
+                         f"({z}, {w}) nested list, got shape {loss.shape}")
     bound = None if data.get("B") is None else _finite(data["B"], "problem file key 'B'", 0)
     return FiniteLearningProblem(loss=loss.reshape(z, w), mu=Pmf(mu), bound=bound)

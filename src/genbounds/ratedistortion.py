@@ -12,16 +12,13 @@ dimension.
 from __future__ import annotations
 
 import math
-import os
-import sys
-import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .info import Channel, Joint, _probs
+from .info import Channel, Joint, _cpus, _may_fork, _probs
 
 __all__ = [
     "RdSolution",
@@ -350,12 +347,6 @@ def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSoluti
     return RdSolution(pt.rate, pt.distortion, channel, pt.lagrange, pt.iterations, pt.converged)
 
 
-def _cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _rd_grid(source, d: DistortionSpec | np.ndarray, eps: list[float]) -> list[_Point]:
     """R(epsilon) at every grid point, in grid order, on one prepared problem.
 
@@ -392,24 +383,21 @@ def _map_units(fn, shared, units: list, worth_forking: bool) -> list:
     pure function of (shared, unit): a worker holds a copy of the caller's
     memory, numpy's error state included, and what a unit changes there is
     lost. The units run serially in the caller when the caller says the work
-    is too small (`worth_forking`), on one CPU, off Linux (fork is unsafe on
-    macOS and absent on Windows), inside a daemonic process, which may not
-    have children, and beside other threads: a fork copies only the calling
-    thread, so a lock that another thread holds would stay held in a worker.
+    is too small (`worth_forking`) and where `info._may_fork` says no: on one
+    CPU, off Linux, beside other threads and inside a daemonic process.
     """
     workers = min(len(units), _cpus())
-    if worth_forking and workers > 1 and sys.platform == "linux" and threading.active_count() == 1:
+    if worth_forking and _may_fork(workers):
         # imported here, so that importing the library loads no process pool
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        if not multiprocessing.current_process().daemon:
-            # map yields in input order and raises the first error in it,
-            # cancelling the units not yet started; leaving the block joins
-            # every worker
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     initializer=_start_worker, initargs=(fn, shared)) as pool:
-                return list(pool.map(_run_unit, units))
+        # map yields in input order and raises the first error in it,
+        # cancelling the units not yet started; leaving the block joins
+        # every worker
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 initializer=_start_worker, initargs=(fn, shared)) as pool:
+            return list(pool.map(_run_unit, units))
     return [fn(shared, u) for u in units]
 
 

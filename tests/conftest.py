@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 # allow running the suite from a fresh checkout without installing
@@ -13,3 +14,22 @@ except ImportError:
 # example database carried between runs, and no per-example deadline
 settings.register_profile("genbounds", derandomize=True, database=None, deadline=None)
 settings.load_profile("genbounds")
+
+
+@pytest.fixture
+def helper_points(monkeypatch):
+    """The points that `info.gdelta_sup` sends its forked helper, which it starts as on two CPUs."""
+    import numpy as np
+
+    from genbounds import info
+
+    sent = []
+
+    class Spy(info._Helper):
+        def send(self, points):
+            sent.extend(np.array(x) for x in points)
+            super().send(points)
+
+    monkeypatch.setattr(info, "_Helper", Spy)
+    monkeypatch.setattr(info, "_cpus", lambda: 2)
+    return sent

@@ -1,8 +1,10 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from genbounds import info
 from genbounds.bounds import (
     _log_mgf_cells,
     _logsumexp,
@@ -636,6 +638,18 @@ class TestRdTailBound:
         assert rep.bound_value >= rep.extra["baseline_bound"] - 1e-12
         assert reconstruct_bound(rep) == pytest.approx(rep.bound_value, abs=1e-12)
 
+
+    def test_helper_changes_no_bit(self, monkeypatch, helper_points):
+        # n = 2 gives 40 cells: a budget of 96 stops the restarts after 2 of 4 and the ascent in its second pass
+        prob, alg, _, _ = exact_instance(99, z=4, w=4, n=2)
+        helped = canonical_json(rd_tail(prob, alg, 2, 0.05, 0.0, search_budget=96, seed=4).to_dict())
+        assert len(helper_points) > 40
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(info, "_cpus", lambda: 1)
+        del helper_points[:]
+        serial = canonical_json(rd_tail(prob, alg, 2, 0.05, 0.0, search_budget=96, seed=4).to_dict())
+        assert helper_points == []
+        assert helped == serial
 
     @pytest.mark.parametrize("n, delta, sigma", [(0, 0.1, 0.5), (3, 0.0, 0.5), (3, 1.5, 0.5), (3, 0.1, -1.0)])
     def test_domain(self, n, delta, sigma):

@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -443,3 +446,94 @@ class TestGdeltaSup:
         with pytest.raises(ValueError):
             gdelta_sup(np.array([0.5, 0.5]), 1.5, lambda d: 0.0)
         assert gdelta_radius(1.0) == 0.0
+
+
+class TestGdeltaHelper:
+    """`gdelta_sup` with its forked helper computes the serial search's values and meets its errors."""
+
+    P = np.array([0.05, 0.1, 0.15, 0.2, 0.2, 0.3])
+
+    @staticmethod
+    def objective(d):
+        # not concave, so that some ascent steps improve and others do not
+        return float(np.sin(7 * np.asarray(d)) @ np.arange(1.0, 7.0))
+
+    def search(self, objective, helper, budget):
+        val, arg = gdelta_sup(self.P, 0.1, objective, search_budget=budget, seed=5, _helper=helper)
+        return val.hex(), [x.hex() for x in arg.tolist()]
+
+    def serial_points(self, budget):
+        seen = []
+
+        def record(d):
+            seen.append(np.array(d))
+            return self.objective(d)
+
+        self.search(record, False, budget)
+        return seen
+
+    @staticmethod
+    def failing_at(point, fail):
+        def objective(d):
+            if np.array_equal(d, point):
+                fail()
+            return TestGdeltaHelper.objective(d)
+
+        return objective
+
+    def test_same_bits_as_serial(self, helper_points):
+        # 30 stops the restarts after 3 of 4 and the ascent in its fourth pass, 160 runs all 13 restarts,
+        # and the ascent ends on each of its steps from 20 to 47
+        for budget in [160, *range(20, 48)]:
+            serial = self.search(self.objective, False, budget)
+            assert helper_points == []
+            assert self.search(self.objective, True, budget) == serial
+            assert len(helper_points) >= 3  # half the gradient's points at least
+            del helper_points[:]
+            assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def raise_error():
+        raise ValueError("objective failed")
+
+    @staticmethod
+    def warn():
+        warnings.warn("objective warned", RuntimeWarning)  # an error under the suite's warning filter
+
+    @pytest.mark.parametrize("fail, error", [(raise_error, ValueError), (warn, RuntimeWarning)])
+    def test_error_of_each_serial_call(self, fail, error, helper_points):
+        seen = self.serial_points(30)
+        firsts = [k for k, x in enumerate(seen) if not any(np.array_equal(x, y) for y in seen[:k])]
+        for k in firsts:
+            objective = self.failing_at(seen[k], fail)
+            with pytest.raises(error) as serial:
+                self.search(objective, False, 30)
+            with pytest.raises(error) as helped:
+                self.search(objective, True, 30)
+            assert str(helped.value) == str(serial.value)
+            assert multiprocessing.active_children() == []
+        # the helper evaluated some of the failing points, the gradient's and the ascent's
+        assert len(helper_points) > 10
+
+    @pytest.mark.parametrize("fail", [raise_error, warn])
+    def test_points_the_serial_search_skips_stay_quiet(self, fail, helper_points):
+        seen = self.serial_points(160)
+        want = self.search(self.objective, True, 160)
+        skipped = [x for x in helper_points if not any(np.array_equal(x, y) for y in seen)]
+        assert len(skipped) >= 3
+        for point in skipped[:3]:
+            assert self.search(self.failing_at(point, fail), True, 160) == want
+            assert multiprocessing.active_children() == []
+
+    def test_beside_another_thread_no_helper(self, helper_points):
+        want = self.search(self.objective, False, 60)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            assert self.search(self.objective, True, 60) == want
+        finally:
+            release.set()
+            other.join(60)
+        assert not other.is_alive()
+        assert helper_points == []

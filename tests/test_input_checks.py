@@ -93,6 +93,11 @@ CHECKS = {
         lambda t: load_problem(_json(t, {"z_alphabet": 1, "w_alphabet": 1, "loss": [[0.0]]})),
         "problem file missing key(s): ['mu']",
     ),
+    "problem file loss mis-nested": (
+        lambda t: load_problem(_json(t, {"z_alphabet": 2, "w_alphabet": 2, "loss": [[0.0], [0.8], [0.6], [0.1]],
+                                         "mu": [0.5, 0.5]})),
+        "problem file key 'loss' must be a flat row-major list of 4 numbers or a (2, 2) nested list, got shape (4, 1)",
+    ),
     "unknown trajectory model": (lambda t: _load_trajectory_spec(_json(t, {"model": "cubic"})), "unknown trajectory"),
 }
 

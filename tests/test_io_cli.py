@@ -73,6 +73,11 @@ class TestIo:
         prob = load_problem(problem_file)
         assert prob.z_alphabet_size == 4 and prob.w_alphabet_size == 4
         assert np.asarray(prob.mu).tolist() == pytest.approx([0.4, 0.3, 0.2, 0.1])
+        # the same rows flattened in row-major order load as the same table
+        data = json.loads(problem_file.read_text())
+        data["loss"] = np.ravel(data["loss"]).tolist()
+        problem_file.write_text(json.dumps(data))
+        assert np.array_equal(load_problem(problem_file).loss, prob.loss)
 
     def test_problem_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -31,7 +31,7 @@ def test_no_scipy_import_in_library():
 
 
 def test_cli_import_loads_no_scipy():
-    # nor the process pool, which only `ratedistortion._map_units` imports, above its cutoff
+    # nor multiprocessing, which only `ratedistortion._map_units` above its cutoff and eq21's KL-ball search import
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     probe = (
         "import sys, genbounds.cli; "

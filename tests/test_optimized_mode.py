@@ -46,13 +46,15 @@ def test_covering_output_identical_under_optimize(tmp_path):
 
 
 def test_forked_and_searched_paths_identical_under_optimize(tmp_path, problem_file):
-    # one `python -O` process runs all three, as its start-up (about 0.5 s) costs more than they do
+    # one `python -O` process runs all four, as its start-up (about 0.5 s) costs more than they do
     runs = {
         # 4 trials x 1024 steps x 2 rates reach the sweep's cutoff, so the rates run in forked workers
         "sweep.csv": ["trajectory", "--lr-grid", "0.1,0.8", "--trials", "4", "--steps", "1024", "--seed", "3"],
         "validation.json": ["mc-validate", "--problem", str(problem_file), "--n", "4", "--trials", "100"],
         # --lam 0 runs thm5's multiplier search
         "report.json": ["bound", "--kind", "thm5i", "--lam", "0", "--problem", str(problem_file), "--n", "4"],
+        # the KL-ball search, with its forked helper where the machine has two CPUs
+        "eq21.json": ["bound", "--kind", "eq21", "--problem", str(problem_file), "--n", "1"],
     }
     for name, args in runs.items():
         assert main([*args, "--out", str(tmp_path / "plain" / name)]) == 0
