@@ -3,9 +3,10 @@ The bound zoo on one exactly solvable Gibbs instance
 ====================================================
 
 A 2-symbol / 3-hypothesis problem with a Gibbs learner is small enough to
-enumerate every dataset, so each bound's inputs (rates, mutual informations,
-log-MGFs) are exact finite sums. The in-expectation bound is compared
-against the exactly computed expected generalization error.
+enumerate every dataset type (the symbol counts of n samples, all that the
+exchangeable Gibbs learner sees), so each bound's inputs (rates, mutual
+informations, log-MGFs) are exact finite sums. The in-expectation bound is
+compared against the exactly computed expected generalization error.
 """
 
 import math
@@ -36,22 +37,19 @@ prob = FiniteLearningProblem(
 )
 alg = GibbsAlgorithm(prior=Pmf.uniform(3), beta=1.2)
 n, delta = 3, 0.1
-joint, contexts = induced_joint(prob, alg, n)
-gt = gen_table(prob, contexts)
+joint, types = induced_joint(prob, alg, n)
+gt = gen_table(prob, types)
 P = np.asarray(joint)
 i_sw = mutual_information(P)
 sigma = prob.sigma
-print(f"exact joint over {len(contexts)} datasets x 3 hypotheses, I(S;W) = {i_sw:.4f} nats")
+print(f"exact joint over {len(types)} types x 3 hypotheses, I(S;W) = {i_sw:.4f} nats")
 
 # Tail bounds with explicit rates (here: the mutual information).
 print(f"variable-size tail bound : {thm1_bound(i_sw, sigma, n, delta).bound_value:.4f}")
 print(f"fixed-size tail bound    : {fixed_size_bound(i_sw, sigma, n, delta).bound_value:.4f}")
 
-# The rate-distortion tail bound searches the KL ball around the type-level
-# joint (exact for the exchangeable Gibbs learner, and a smaller search space).
-type_joint, types = induced_joint(prob, alg, n, by_type=True)
-type_gt = gen_table(prob, types, by_type=True)
-rd_rep = rd_tail_bound(type_joint, type_gt, sigma, n, delta, epsilon=0.01, search_budget=300, seed=0)
+# The rate-distortion tail bound searches the KL ball around the same joint.
+rd_rep = rd_tail_bound(joint, gt, sigma, n, delta, epsilon=0.01, search_budget=300, seed=0)
 print(
     f"rate-distortion bound    : {rd_rep.bound_value:.4f} "
     f"(sup-RD {rd_rep.extra['sup_rd']:.4f}, baseline {rd_rep.extra['baseline_rd']:.4f})"
@@ -61,9 +59,9 @@ print(
 print(f"fast-rate bound          : {seeger_fast_rate_bound(0.1, i_sw, sigma, n, delta).bound_value:.4f}")
 
 # A disintegrated PAC-Bayes bound at one realized dataset.
-s = contexts[2]
+s = [0, 1, 0]
 pi = np.asarray(alg.posterior(prob, s))
-q_rows = np.tile(np.asarray(alg.prior), (len(contexts), 1))
+q_rows = np.tile(np.asarray(alg.prior), (len(types), 1))
 mgf = log_mgf(P.sum(axis=1), q_rows, gt)
 print(f"PAC-Bayes bound at S=s   : {pac_bayes_eq22(pi, np.asarray(alg.prior), mgf, delta).bound_value:.4f}")
 

@@ -53,7 +53,6 @@ from .learning import (
     FiniteLearningProblem,
     GibbsAlgorithm,
     gen_error,
-    gibbs_posterior,
     induced_joint,
     population_risk,
     sample_dataset,

@@ -124,8 +124,8 @@ def cmd_bound(args) -> int:
         rep = _CLOSED_FORM[kind](args, args.n)
     else:  # the exact kinds, on the type-level joint of the Gibbs algorithm
         prob, alg = _gibbs_setup(args)
-        joint, contexts = induced_joint(prob, alg, args.n, by_type=True)
-        gtab = gen_table(prob, contexts, by_type=True)
+        joint, types = induced_joint(prob, alg, args.n)
+        gtab = gen_table(prob, types)
         if kind == "eq21":
             rep = rd_tail_bound(joint, gtab, prob.sigma, args.n, args.delta, args.epsilon, seed=args.seed)
         elif kind in ("thm5i", "thm5ii"):
@@ -142,7 +142,7 @@ def cmd_bound(args) -> int:
             p_s = np.asarray(joint.marginal_s())
             s = sample_dataset(prob, args.n, args.seed)
             counts = _symbol_counts(s.samples[None], prob.z_alphabet_size)
-            s_idx = int(np.flatnonzero((contexts == counts).all(axis=1))[0])
+            s_idx = int(np.flatnonzero((types == counts).all(axis=1))[0])
             pi = np.asarray(alg.posterior(prob, s))
             if kind == "eq22":
                 rep = pac_bayes_eq22(pi, np.asarray(alg.prior), log_mgf(p_s, alg.prior, f), args.delta)
@@ -157,7 +157,7 @@ def cmd_bound(args) -> int:
                 flip = args.kernel_flip
                 kernel = (1 - flip) * np.eye(k) + flip / max(k - 1, 1) * (1 - np.eye(k))
                 w_idx = int(_rng(args.seed, 1).choice(k, p=pi))
-                pws = alg.posteriors(prob, contexts)
+                pws = alg.posteriors(prob, types)
                 achieved = float(f[s_idx, w_idx] - kernel[w_idx] @ f[s_idx])
                 rep = prop5_bound(
                     "ii", P_S=p_s, q_hat=alg.prior, g=f, delta=args.delta,
@@ -172,8 +172,8 @@ def cmd_bound(args) -> int:
 def cmd_rd(args) -> int:
     if args.problem:
         prob, alg = _gibbs_setup(args)
-        joint, contexts = induced_joint(prob, alg, args.n, by_type=True)
-        source, d, shift = _gen_problem(joint, gen_table(prob, contexts, by_type=True))
+        joint, types = induced_joint(prob, alg, args.n)
+        source, d, shift = _gen_problem(joint, gen_table(prob, types))
     else:
         source = Pmf(np.asarray(_numbers(args.source)))
         k = source.alphabet_size

@@ -2,8 +2,9 @@
 
 A problem is a finite data alphabet, a finite hypothesis alphabet, a loss
 table and a data law mu. Everything downstream (generalization errors,
-induced joints, bound inputs) is computed by exact finite sums; datasets are
-enumerated exhaustively whenever the state space fits under a cap.
+induced joints, bound inputs) is computed by exact finite sums. A dataset
+enters only through its type, the count of each data symbol in it: the types
+of n samples are enumerated exhaustively whenever they fit under a cap.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import operator
 from dataclasses import dataclass
 import numpy as np
 
-from .info import Joint, Pmf, _probs
+from .info import Joint, Pmf
 from .seeding import rng as _rng
 
 __all__ = [
@@ -28,9 +29,7 @@ __all__ = [
     "empirical_risks",
     "gen_error",
     "gen_errors",
-    "gibbs_posterior",
     "sample_dataset",
-    "enumerate_datasets",
     "enumerate_types",
     "induced_joint",
     "EnumerationCapError",
@@ -40,7 +39,7 @@ ENUMERATION_CAP = 2**22
 
 
 class EnumerationCapError(ValueError):
-    """Raised when exact dataset enumeration would exceed the configured cap."""
+    """Raised when exact type enumeration would exceed the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -125,9 +124,9 @@ def _indices(x) -> np.ndarray:
     return a.astype(int, copy=False)
 
 
-def _type_counts(counts) -> np.ndarray:
-    """`counts` as an (N, z) float table of dataset types, the type-table twin of `_indices`:
-    ValueError unless its entries are whole and non-negative and its rows share one positive sum n."""
+def _type_counts(counts, z: int) -> np.ndarray:
+    """`counts` as an (N, z) float table of dataset types, the type-table twin of `_indices`: ValueError
+    unless it has z columns, its entries are whole and non-negative and its rows share one positive sum n."""
     c = np.asarray(counts)
     if c.ndim != 2 or c.size == 0:
         raise ValueError(f"expected a non-empty (N, z) table of symbol counts, got shape {c.shape}")
@@ -136,13 +135,15 @@ def _type_counts(counts) -> np.ndarray:
     n = np.einsum("ij->i", c)  # 4x faster than sum(axis=1) on the thm5 kinds' 5456 x 4 types
     if not (c.min() >= 0 and n[0] > 0 and (n == n[0]).all()):
         raise ValueError("symbol counts must be non-negative, and every row must have the same positive sum n")
+    if c.shape[1] != z:
+        raise ValueError(f"expected {z} symbol counts per row, one per data symbol, got {c.shape[1]}")
     return c.astype(float)
 
 
 def _dataset_counts(prob: FiniteLearningProblem, s) -> np.ndarray:
-    """(1, z) float symbol counts of the dataset s, the one-row table the row kernels take."""
+    """(1, z) int symbol counts of the dataset s, the one-row table `Algorithm.posteriors` takes."""
     samples = s.samples if isinstance(s, Dataset) else s
-    return _symbol_counts(np.asarray(samples)[None], prob.z_alphabet_size).astype(float)
+    return _symbol_counts(np.asarray(samples)[None], prob.z_alphabet_size)
 
 
 def _check_w(prob: FiniteLearningProblem, w: int) -> None:
@@ -197,42 +198,21 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _gibbs_rows(prob: FiniteLearningProblem, prior, beta: float, counts: np.ndarray) -> np.ndarray:
-    """prior(w) * exp(-beta * (counts @ loss)[w]), normalised along axis=-1.
-
-    (counts @ loss)[w] = n * emp_risk(s, w) for every dataset s with those counts.
-    """
-    pr = np.asarray(prior, dtype=float)
-    logits = np.where(pr > 0, np.log(np.clip(pr, 1e-300, None)), -np.inf) - beta * (counts @ prob.loss)
-    logits -= logits.max(axis=-1, keepdims=True)
-    weights = np.exp(logits)
-    return weights / weights.sum(axis=-1, keepdims=True)
-
-
-def gibbs_posterior(prob: FiniteLearningProblem, prior, beta: float, s) -> Pmf:
-    """Posterior(w) proportional to prior(w) * exp(-beta * n * emp_risk(s, w)).
-
-    A prior that is not a `Pmf` must be a pmf (`info._probs`).
-    """
-    beta = _check_beta(beta)
-    pr = prior.probs if isinstance(prior, Pmf) else _probs(prior, 1)
-    return Pmf(_gibbs_rows(prob, pr, beta, _dataset_counts(prob, s)[0]))
-
-
 class Algorithm:
-    """A (possibly stochastic) learner: maps a dataset to a pmf over hypotheses."""
+    """A (possibly stochastic) learner: maps a dataset to a pmf over hypotheses.
 
-    def posterior(self, prob: FiniteLearningProblem, s) -> Pmf:
-        raise NotImplementedError
+    A learner implements one kernel, `posteriors(prob, counts)`, and must be
+    exchangeable: its posterior sees a dataset only through its symbol counts.
+    `posterior` and `posterior_from_counts` each run that kernel on a one-row table.
+    """
 
     def posteriors(self, prob: FiniteLearningProblem, counts: np.ndarray) -> np.ndarray:
-        """(N, W) posteriors, one row per symbol-count vector in the (N, z) `counts`.
+        """(N, W) posteriors, one row per symbol-count vector in the (N, z) `counts`."""
+        raise NotImplementedError
 
-        Valid for exchangeable algorithms only (every built-in one is); this
-        fallback runs `posterior` once per row.
-        """
-        symbols = np.arange(prob.z_alphabet_size)
-        return np.stack([np.asarray(self.posterior(prob, np.repeat(symbols, c))) for c in counts])
+    def posterior(self, prob: FiniteLearningProblem, s) -> Pmf:
+        """Posterior for the dataset s."""
+        return Pmf(self.posteriors(prob, _dataset_counts(prob, s))[0])
 
     def posterior_from_counts(self, prob: FiniteLearningProblem, counts: np.ndarray) -> Pmf:
         """Posterior for any dataset with the given symbol counts."""
@@ -240,15 +220,27 @@ class Algorithm:
 
 
 class GibbsAlgorithm(Algorithm):
+    """Posterior(w) proportional to prior(w) * exp(-beta * n * emp_risk(s, w)).
+
+    A prior that is not a `Pmf` must be a pmf (`info._probs`), with one entry per hypothesis.
+    """
+
     def __init__(self, prior, beta: float):
         self.prior = prior if isinstance(prior, Pmf) else Pmf(np.asarray(prior, dtype=float))
         self.beta = _check_beta(beta)
-
-    def posterior(self, prob, s) -> Pmf:
-        return gibbs_posterior(prob, self.prior, self.beta, s)
+        # taken once, not per call: it was about a fifth of the cost of a one-row posterior
+        pr = self.prior.probs
+        self._log_prior = np.where(pr > 0, np.log(np.clip(pr, 1e-300, None)), -np.inf)
 
     def posteriors(self, prob, counts) -> np.ndarray:
-        return _gibbs_rows(prob, self.prior, self.beta, _type_counts(counts))
+        if self._log_prior.size != prob.w_alphabet_size:
+            k, w = self._log_prior.size, prob.w_alphabet_size
+            raise ValueError(f"the prior has {k} entries, but the problem has {w} hypotheses")
+        # (counts @ loss)[w] = n * emp_risk(s, w) for every dataset s with those counts
+        logits = self._log_prior - self.beta * (_type_counts(counts, prob.z_alphabet_size) @ prob.loss)
+        logits -= logits.max(axis=-1, keepdims=True)
+        weights = np.exp(logits)
+        return weights / weights.sum(axis=-1, keepdims=True)
 
 
 class ConstantAlgorithm(Algorithm):
@@ -257,11 +249,8 @@ class ConstantAlgorithm(Algorithm):
     def __init__(self, output):
         self.output = output if isinstance(output, Pmf) else Pmf(np.asarray(output, dtype=float))
 
-    def posterior(self, prob, s) -> Pmf:
-        return self.output
-
     def posteriors(self, prob, counts) -> np.ndarray:
-        return np.tile(np.asarray(self.output), (len(counts), 1))
+        return np.tile(np.asarray(self.output), (len(_type_counts(counts, prob.z_alphabet_size)), 1))
 
 
 def sample_dataset(prob: FiniteLearningProblem, n: int, seed: int, *path: int) -> Dataset:
@@ -270,15 +259,6 @@ def sample_dataset(prob: FiniteLearningProblem, n: int, seed: int, *path: int) -
     gen = _rng(seed, *path)
     idx = gen.choice(prob.z_alphabet_size, size=n, p=np.asarray(prob.mu))
     return Dataset(idx)
-
-
-def enumerate_datasets(z_size: int, n: int) -> np.ndarray:
-    """All z_size^n datasets as an (N, n) index array, subject to ENUMERATION_CAP."""
-    z_size, n = _whole(z_size, "z_size", 1), _whole(n, "n")
-    total = z_size**n
-    if total > ENUMERATION_CAP:
-        raise EnumerationCapError(f"{z_size}^{n} = {total} datasets exceeds the cap {ENUMERATION_CAP}")
-    return np.ascontiguousarray(np.indices((z_size,) * n).reshape(n, total).T)
 
 
 def _symbol_counts(rows, z: int) -> np.ndarray:
@@ -312,46 +292,37 @@ def enumerate_types(z_size: int, n: int) -> np.ndarray:
     return rows
 
 
-def induced_joint(
-    prob: FiniteLearningProblem,
-    alg: Algorithm,
-    n: int,
-    by_type: bool = False,
-):
-    """Exact joint P_{S,W} induced by the algorithm on n-sample datasets.
+def induced_joint(prob: FiniteLearningProblem, alg: Algorithm, n: int):
+    """Exact joint P_{T,W} of the type T of n iid samples from mu and the learner's output W.
 
-    Returns (Joint, contexts). In dataset mode contexts is the (N, n) array of
-    enumerated datasets; in type mode it is the (N, z) array of count vectors
-    (exact for exchangeable algorithms, with rows weighted by the multinomial
-    law of the type).
+    Returns (Joint, types): `types` is the (N, z) table of `enumerate_types`, and
+    row t of the joint is type t's multinomial probability times alg's posterior
+    for it. It equals the dataset-level joint summed over the datasets of each
+    type, since an `Algorithm` is exchangeable.
     """
     n = _whole(n, "n", 1)
+    # compositions of n into z parts, counted before any is built
+    n_types = math.comb(n + prob.z_alphabet_size - 1, prob.z_alphabet_size - 1)
+    if n_types > ENUMERATION_CAP:
+        raise EnumerationCapError(f"{n_types} types exceed the cap {ENUMERATION_CAP}")
+    types = enumerate_types(prob.z_alphabet_size, n)
     log_mu = np.where(np.asarray(prob.mu) > 0, np.log(np.clip(np.asarray(prob.mu), 1e-300, None)), -np.inf)
-    if by_type:
-        # compositions of n into z parts, counted before any is built
-        n_types = math.comb(n + prob.z_alphabet_size - 1, prob.z_alphabet_size - 1)
-        if n_types > ENUMERATION_CAP:
-            raise EnumerationCapError(f"{n_types} types exceed the cap {ENUMERATION_CAP}")
-        contexts = enumerate_types(prob.z_alphabet_size, n)
-        log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-        mass = (contexts * np.where(contexts > 0, log_mu, 0.0)).sum(axis=1)
-        # math.exp, not np.exp: numpy's vectorised exp differs from libm in the last ulp
-        # on some weights, which would move output bytes
-        weights = np.array([math.exp(x) for x in log_fact[n] - log_fact[contexts].sum(axis=1) + mass])
-        rows = alg.posteriors(prob, contexts)
-    else:
-        contexts = enumerate_datasets(prob.z_alphabet_size, n)
-        weights = np.exp(log_mu[contexts].sum(axis=1))
-        rows = np.stack([np.asarray(alg.posterior(prob, row)) for row in contexts])
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    mass = (types * np.where(types > 0, log_mu, 0.0)).sum(axis=1)
+    # math.exp, not np.exp: numpy's vectorised exp differs from libm in the last ulp
+    # on some weights, which would move output bytes
+    weights = np.array([math.exp(x) for x in log_fact[n] - log_fact[types].sum(axis=1) + mass])
+    rows = np.asarray(alg.posteriors(prob, types))
+    if rows.shape != (len(types), prob.w_alphabet_size):
+        raise ValueError(f"expected {len(types)} posteriors over {prob.w_alphabet_size} hypotheses, got {rows.shape}")
     table = weights[:, None] * rows
     total = table.sum()
     if not abs(total - 1.0) <= 1e-9:
         raise RuntimeError(f"induced joint mass {total} drifted from 1")
-    return Joint(table / total), contexts
+    return Joint(table / total), types
 
 
-def gen_table(prob: FiniteLearningProblem, contexts: np.ndarray, by_type: bool = False) -> np.ndarray:
-    """gen(s, w) for every enumerated dataset (or type) and hypothesis."""
+def gen_table(prob: FiniteLearningProblem, types: np.ndarray) -> np.ndarray:
+    """gen(s, w) for every type (row of symbol counts) and hypothesis."""
     # one product over the whole counts matrix: computing it in other batches moves last bits
-    counts = _type_counts(contexts) if by_type else _symbol_counts(contexts, prob.z_alphabet_size).astype(float)
-    return _gen_rows(prob, counts)
+    return _gen_rows(prob, _type_counts(types, prob.z_alphabet_size))

@@ -33,3 +33,27 @@ def helper_points(monkeypatch):
     monkeypatch.setattr(info, "_Helper", Spy)
     monkeypatch.setattr(info, "_cpus", lambda: 2)
     return sent
+
+
+@pytest.fixture
+def dataset_joint():
+    """The dataset-level joint, the oracle for `learning.induced_joint`'s type-level one.
+
+    `dataset_joint(prob, alg, n)` returns (Joint, datasets): all z^n datasets in
+    `itertools.product` order, row s being mu^n(s) times alg's posterior for s.
+    """
+    import itertools
+
+    import numpy as np
+
+    from genbounds.info import Joint
+
+    def build(prob, alg, n):
+        mu = np.asarray(prob.mu)
+        log_mu = np.where(mu > 0, np.log(np.clip(mu, 1e-300, None)), -np.inf)
+        datasets = np.array(list(itertools.product(range(prob.z_alphabet_size), repeat=n)))
+        weights = np.exp(log_mu[datasets].sum(axis=1))
+        table = weights[:, None] * np.stack([np.asarray(alg.posterior(prob, s)) for s in datasets])
+        return Joint(table / table.sum()), datasets
+
+    return build

@@ -171,7 +171,7 @@ def test_criterion_7_xu_raginsky_specialization():
     P = np.asarray(joint)
     i_sw = mutual_information(P)
     sigma = prob.sigma
-    n = ctx.shape[1]
+    n = int(ctx[0].sum())
     lam = math.sqrt(2 * n * i_sw / sigma**2)
     rep = thm5_expectation_bound(
         "i", P, P / P.sum(axis=1, keepdims=True), P.sum(axis=0), gt, gt, lam, 0.0,

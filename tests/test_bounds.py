@@ -31,6 +31,7 @@ from genbounds.learning import (
     ConstantAlgorithm,
     FiniteLearningProblem,
     GibbsAlgorithm,
+    gen_errors,
     gen_table,
     induced_joint,
 )
@@ -49,8 +50,8 @@ def exact_instance(seed=70, z=2, w=3, n=3, beta=1.1):
 
 
 def rd_tail(prob, alg, n, delta, epsilon, **kw):
-    joint, types = induced_joint(prob, alg, n, by_type=True)
-    return rd_tail_bound(joint, gen_table(prob, types, by_type=True), prob.sigma, n, delta, epsilon, **kw)
+    joint, types = induced_joint(prob, alg, n)
+    return rd_tail_bound(joint, gen_table(prob, types), prob.sigma, n, delta, epsilon, **kw)
 
 
 class TestTFunctional:
@@ -196,7 +197,7 @@ class TestEq22:
         f = lam * gt**2
         ps = np.asarray(joint).sum(axis=1)
         q = np.asarray(alg.prior)
-        pi = np.asarray(alg.posterior(prob, ctx[2]))
+        pi = np.asarray(alg.posterior_from_counts(prob, ctx[2]))
         mgf = log_mgf(ps, np.tile(q, (len(ctx), 1)), f)
         rep = pac_bayes_eq22(pi, q, mgf, 0.1)
         hand = (
@@ -215,7 +216,7 @@ class TestProp5:
         ps = np.asarray(joint).sum(axis=1)
         q_rows = np.tile(np.asarray(alg.prior), (len(ctx), 1))
         s_idx = 1
-        pi = np.asarray(alg.posterior(prob, ctx[s_idx]))
+        pi = np.asarray(alg.posterior_from_counts(prob, ctx[s_idx]))
         rep_i = prop5_bound(
             "i", P_S=ps, q_hat=q_rows, g=f, delta=0.07, epsilon=0.0,
             s_index=s_idx, pi=pi, p_quant=pi, f=f,
@@ -267,7 +268,7 @@ class TestProp5:
         f = gt + 1.0  # shift so f - g > 0 under the lossless quantizer
         ps = np.asarray(joint).sum(axis=1)
         q_rows = np.tile(np.asarray(alg.prior), (len(ctx), 1))
-        pi = np.asarray(alg.posterior(prob, ctx[0]))
+        pi = np.asarray(alg.posterior_from_counts(prob, ctx[0]))
         with pytest.raises(ValueError, match="distortion"):
             prop5_bound(
                 "i", P_S=ps, q_hat=q_rows, g=gt, delta=0.1, epsilon=0.0,
@@ -282,7 +283,7 @@ class TestProp5:
         gt = gen_table(prob, ctx)
         ps = np.asarray(joint).sum(axis=1)
         pws = np.asarray(joint) / ps[:, None]
-        pi = np.asarray(alg.posterior(prob, ctx[0]))
+        pi = np.asarray(alg.posterior_from_counts(prob, ctx[0]))
         name = "s_index" if s_index != 0 else "w_index"
         with pytest.raises(ValueError, match=name):
             prop5_bound(
@@ -414,7 +415,7 @@ class TestThm4Condition:
         prob, alg, joint, ctx = exact_instance(81)
         gt = gen_table(prob, ctx)
         P_S = np.asarray(joint).sum(axis=1)
-        pi = np.stack([np.asarray(alg.posterior(prob, row)) for row in ctx])
+        pi = alg.posteriors(prob, ctx)
         q = np.tile(np.asarray(alg.prior), (len(ctx), 1))
         delta = 0.08
         mgf = log_mgf(P_S, q, gt)
@@ -435,7 +436,7 @@ class TestThm4Condition:
         prob, alg, joint, ctx = exact_instance(83)
         gt = gen_table(prob, ctx)
         P_S = np.asarray(joint).sum(axis=1)
-        pi = np.stack([np.asarray(alg.posterior(prob, row)) for row in ctx])
+        pi = alg.posteriors(prob, ctx)
         q = np.tile(np.asarray(alg.prior), (len(ctx), 1))
         big = np.full(len(ctx), 50.0)
         rep = check_thm4_condition("i", P_S, pi, pi, q, 1.0, gt, gt, big, 0.0, P_S, 0.1)
@@ -469,7 +470,7 @@ class TestThm5:
         P = np.asarray(joint)
         i_sw = mutual_information(P)
         sigma = prob.sigma
-        n = ctx.shape[1]
+        n = int(ctx[0].sum())
         lam = math.sqrt(2 * n * i_sw / sigma**2)
         pws = P / P.sum(axis=1, keepdims=True)
         q = P.sum(axis=0)
@@ -587,12 +588,13 @@ class TestMultiplierDomain:
         with pytest.raises(ValueError, match=r"lam >= alpha/\(alpha-1\) = 2\.0"):
             thm5_expectation_bound("ii", np.full((2, 2), 0.25), self.p, self.p[0], f, f, 1.5, alpha=2.0)
 
-    def test_optimised_lam_unchanged(self):
-        # float.hex of (bound, lambda, terms) recorded when the multiplier became
-        # the root of thm5's first-order condition (it was a grid and golden-section
-        # search: 0x1.00dd21f20ef96p+2 and 0x1.2de1b1986bf7cp+1)
-        prob, alg, joint, ctx = exact_instance(86, n=4)
-        gt = gen_table(prob, ctx)
+    def test_optimised_lam_unchanged(self, dataset_joint):
+        # float.hex of (bound, lambda, terms) on the dataset-level joint, recorded when the
+        # multiplier became the root of thm5's first-order condition (it was a grid and
+        # golden-section search: 0x1.00dd21f20ef96p+2 and 0x1.2de1b1986bf7cp+1)
+        prob, alg, _, _ = exact_instance(86, n=4)
+        joint, datasets = dataset_joint(prob, alg, 4)
+        gt = np.stack([gen_errors(prob, s) for s in datasets])
         P = np.asarray(joint)
         pws = P / P.sum(axis=1, keepdims=True)
         q = P.sum(axis=0)
@@ -664,9 +666,9 @@ class TestRdTailBound:
 
     def test_gen_table_must_fit_the_joint(self):
         prob, alg, joint, ctx = exact_instance(93, w=2)
-        types_gt = gen_table(prob, induced_joint(prob, alg, 3, by_type=True)[1], by_type=True)
+        gt_n4 = gen_table(prob, induced_joint(prob, alg, 4)[1])
         with pytest.raises(ValueError, match="shape"):
-            rd_tail_bound(joint, types_gt, prob.sigma, 3, 0.2, 0.005, search_budget=10)
+            rd_tail_bound(joint, gt_n4, prob.sigma, 3, 0.2, 0.005, search_budget=10)
 
 
 class TestEq21Construction:
@@ -733,7 +735,7 @@ class TestReportInvariants:
         pws = P / P.sum(axis=1, keepdims=True)
         q = P.sum(axis=0)
         q_rows = np.tile(np.asarray(alg.prior), (len(ctx), 1))
-        pi = np.asarray(alg.posterior(prob, ctx[0]))
+        pi = np.asarray(alg.posterior_from_counts(prob, ctx[0]))
         prob2, alg2, _, _ = exact_instance(93, w=2)
         reports = [
             thm1_bound(1.2, 0.7, 30, 0.05, 0.02),

@@ -19,6 +19,7 @@ PWGS = P / PS[:, None]
 Q = np.array([0.5, 0.5])
 G = np.zeros((2, 2))
 F = np.ones((2, 2))
+PROB3 = learning.FiniteLearningProblem(loss=np.zeros((2, 3)), mu=Q)  # 3 hypotheses
 INST = cex.ScoInstance(2)
 QUAD = trajectory.QuadraticToy()
 GRID = QUAD.default_quantizer()
@@ -69,6 +70,14 @@ CHECKS = {
         lambda t: learning.FiniteLearningProblem(loss=2 * F, mu=Q, bound=1.0), "loss exceeds the declared bound B"
     ),
     "2-D dataset": (lambda t: learning.Dataset(np.zeros((2, 2), int)), "a dataset is a 1-D vector"),
+    "induced_joint posterior width": (
+        lambda t: learning.induced_joint(PROB3, learning.ConstantAlgorithm(info.Pmf.uniform(5)), 2),
+        "expected 3 posteriors over 3 hypotheses, got (3, 5)",
+    ),
+    "Gibbs prior width": (
+        lambda t: learning.induced_joint(PROB3, learning.GibbsAlgorithm(info.Pmf.uniform(5), 1.0), 2),
+        "the prior has 5 entries, but the problem has 3 hypotheses",
+    ),
     "entropy of nothing": (lambda t: info.entropy([]), "expected a non-empty 1-D probability array"),
     "binary_kl a > 1": (lambda t: info.binary_kl(1.5, 0.5), "a must lie in [0, 1]"),
     "binary_kl b > 1": (lambda t: info.binary_kl(0.5, 1.5), "b must lie in [0, 1]"),

@@ -220,8 +220,8 @@ class TestCli:
             rows = list(csv.reader(fh))[1:]
         prob = load_problem(problem_file)
         alg = GibbsAlgorithm(prior=Pmf.uniform(prob.w_alphabet_size), beta=1.0)
-        joint, ctx = induced_joint(prob, alg, 3, by_type=True)
-        gtab = gen_table(prob, ctx, by_type=True)
+        joint, ctx = induced_joint(prob, alg, 3)
+        gtab = gen_table(prob, ctx)
         assert len(rows) == len(grid)
         for eps, row in zip(grid, rows):
             sol = rd_gen(joint, gtab, eps)

@@ -27,3 +27,7 @@ def test_ratedistortion_imports_info_only():
 
 def test_bounds_imports_info_and_ratedistortion_only():
     assert _package_imports("bounds") == {"info", "ratedistortion"}
+
+
+def test_learning_imports_info_and_seeding_only():
+    assert _package_imports("learning") == {"info", "seeding"}

@@ -17,12 +17,10 @@ from genbounds.learning import (
     GibbsAlgorithm,
     empirical_risk,
     empirical_risks,
-    enumerate_datasets,
     enumerate_types,
     gen_error,
     gen_errors,
     gen_table,
-    gibbs_posterior,
     induced_joint,
     population_risk,
     population_risks,
@@ -35,6 +33,12 @@ def types_by_loop(z, n):
     """The type table by one bincount per composition, in combinations_with_replacement order."""
     combs = itertools.combinations_with_replacement(range(z), n)
     return np.asarray([np.bincount(c, minlength=z) for c in combs], dtype=int)
+
+
+def type_rows(types, datasets):
+    """The row of `types` that holds each dataset's symbol counts."""
+    counts = np.stack([np.bincount(s, minlength=types.shape[1]) for s in datasets])
+    return np.array([np.flatnonzero((types == c).all(axis=1))[0] for c in counts])
 
 
 def small_problem(seed=11, z=4, w=3, bound=None):
@@ -108,7 +112,7 @@ class TestSampleIndices:
             gen_table(small_problem(), np.array([[0.9, 1.7], [0.0, 1.0]]))
 
     def test_gen_table_rejects_empty_contexts(self):
-        with pytest.raises(ValueError, match="at least one sample"):
+        with pytest.raises(ValueError, match="non-empty"):
             gen_table(small_problem(), np.zeros((0, 3), dtype=int))
 
     @pytest.mark.parametrize("bad", [[0.0, math.nan], [math.inf], ["1"]])
@@ -151,14 +155,14 @@ class TestGibbs:
     def test_beta_zero_returns_prior(self):
         prob = small_problem(17)
         prior = Pmf(np.array([0.2, 0.3, 0.5]))
-        post = gibbs_posterior(prob, prior, 0.0, [0, 1])
+        post = GibbsAlgorithm(prior, 0.0).posterior(prob, [0, 1])
         assert np.allclose(np.asarray(post), np.asarray(prior))
 
     def test_large_beta_concentrates(self):
         prob = small_problem(18)
         s = [0, 1, 2, 3]
         risks = np.asarray([empirical_risk(prob, s, w) for w in range(3)])
-        post = gibbs_posterior(prob, Pmf.uniform(3), 5e3, s)
+        post = GibbsAlgorithm(Pmf.uniform(3), 5e3).posterior(prob, s)
         assert np.asarray(post)[int(np.argmin(risks))] > 0.999
 
     def test_two_hypothesis_hand_ratio(self):
@@ -170,7 +174,7 @@ class TestGibbs:
         r0 = empirical_risk(prob, s, 0)
         r1 = empirical_risk(prob, s, 1)
         z = math.exp(-n * r0) + math.exp(-n * r1)
-        post = gibbs_posterior(prob, Pmf.uniform(2), 1.0, s)
+        post = GibbsAlgorithm(Pmf.uniform(2), 1.0).posterior(prob, s)
         assert np.asarray(post)[0] == pytest.approx(math.exp(-n * r0) / z, abs=1e-12)
 
     def test_data_indexed_loss_offset_invariance(self):
@@ -181,48 +185,63 @@ class TestGibbs:
         shifted = FiniteLearningProblem(
             loss=prob.loss + offsets[:, None], mu=prob.mu
         )
-        a = gibbs_posterior(prob, Pmf.uniform(3), 1.7, s)
-        b = gibbs_posterior(shifted, Pmf.uniform(3), 1.7, s)
+        a = GibbsAlgorithm(Pmf.uniform(3), 1.7).posterior(prob, s)
+        b = GibbsAlgorithm(Pmf.uniform(3), 1.7).posterior(shifted, s)
         assert np.allclose(np.asarray(a), np.asarray(b), atol=1e-12)
 
     def test_zero_prior_rejected(self):
         prob = small_problem(21)
         with pytest.raises(ValueError):
-            gibbs_posterior(prob, np.zeros(3), 1.0, [0])
+            GibbsAlgorithm(np.zeros(3), 1.0).posterior(prob, [0])
 
     @pytest.mark.parametrize("prior", [[-0.5, 1.5], [0.5, 0.6], [math.nan, 1.0]])
     def test_prior_must_be_a_pmf(self, prior):
         # unchecked, [-0.5, 1.5] would come back as the posterior Pmf([0, 1])
         prob = small_problem(21, w=2)
         with pytest.raises(ValueError):
-            gibbs_posterior(prob, prior, 1.0, [0, 1])
+            GibbsAlgorithm(prior, 1.0).posterior(prob, [0, 1])
 
     @pytest.mark.parametrize("beta", [math.inf, math.nan, -1.0])
     def test_bad_beta_rejected(self, beta):
         prob = small_problem(21)
         with pytest.raises(ValueError, match="beta"):
-            gibbs_posterior(prob, Pmf.uniform(3), beta, [0])
-        with pytest.raises(ValueError, match="beta"):
             GibbsAlgorithm(Pmf.uniform(3), beta)
 
 
-class GibbsByDataset(Algorithm):
-    """Exchangeable learner that defines only `posterior`, so type mode runs the base fallback."""
+def gibbs_row(prob, prior, beta, counts):
+    """One Gibbs posterior by the 1-D formula on a count vector."""
+    pr = np.asarray(prior, dtype=float)
+    logits = np.where(pr > 0, np.log(np.clip(pr, 1e-300, None)), -np.inf) - beta * (counts @ prob.loss)
+    logits -= logits.max(axis=-1, keepdims=True)
+    weights = np.exp(logits)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+class GibbsByRow(Algorithm):
+    """Exchangeable learner whose only kernel runs the 1-D Gibbs formula row by row."""
 
     def __init__(self, prior, beta):
         self.prior, self.beta = prior, beta
 
-    def posterior(self, prob, s):
-        return gibbs_posterior(prob, self.prior, self.beta, s)
+    def posteriors(self, prob, counts):
+        return np.stack([gibbs_row(prob, self.prior, self.beta, c) for c in np.asarray(counts, dtype=float)])
 
 
 class TestPosteriors:
     def test_base_fallback_matches_gibbs(self):
+        # a learner that defines only `posteriors` gets `posterior` and `posterior_from_counts` from the base
         prob = small_problem(30, z=3, w=3)
-        j_gibbs, ctx = induced_joint(prob, GibbsAlgorithm(Pmf.uniform(3), 1.3), 5, by_type=True)
-        j_base, ctx_base = induced_joint(prob, GibbsByDataset(Pmf.uniform(3), 1.3), 5, by_type=True)
+        gibbs, by_row = GibbsAlgorithm(Pmf.uniform(3), 1.3), GibbsByRow(Pmf.uniform(3), 1.3)
+        j_gibbs, ctx = induced_joint(prob, gibbs, 5)
+        j_base, ctx_base = induced_joint(prob, by_row, 5)
         assert np.array_equal(ctx, ctx_base)
         assert np.allclose(np.asarray(j_base), np.asarray(j_gibbs), rtol=0, atol=1e-12)
+        s = np.array([2, 0, 1, 1, 0])
+        row = np.asarray(j_gibbs)[type_rows(ctx, [s])[0]]
+        for alg in (gibbs, by_row):
+            post = np.asarray(alg.posterior(prob, s))
+            assert np.allclose(post, row / row.sum(), rtol=0, atol=1e-12)
+            assert np.array_equal(np.asarray(alg.posterior_from_counts(prob, [2, 2, 1])), post)
 
     def test_gibbs_rows_match_gibbs_posterior(self):
         prob = small_problem(31, z=4, w=3)
@@ -233,7 +252,7 @@ class TestPosteriors:
         assert rows.shape == (len(types), 3)
         for c, row in zip(types, rows):
             s = np.repeat(np.arange(4), c)
-            assert np.allclose(row, np.asarray(gibbs_posterior(prob, prior, 2.5, s)), rtol=0, atol=1e-12)
+            assert np.allclose(row, np.asarray(alg.posterior(prob, s)), rtol=0, atol=1e-12)
 
     def test_constant_rows(self):
         prob = small_problem(32, z=2, w=3)
@@ -273,12 +292,9 @@ class TestInducedJoint:
     def test_identity_algorithm_diag(self):
         prob = FiniteLearningProblem(loss=np.zeros((3, 3)), mu=Pmf(np.array([0.2, 0.3, 0.5])))
 
-        class Identity(ConstantAlgorithm):
-            def __init__(self):
-                pass
-
-            def posterior(self, prob, s):
-                return Pmf.point_mass(int(np.asarray(s, dtype=int)[0]), 3)
+        class Identity(Algorithm):
+            def posteriors(self, prob, counts):
+                return np.asarray(counts, dtype=float)  # at n = 1 a type is the point mass on its symbol
 
         j, ctx = induced_joint(prob, Identity(), 1)
         assert np.allclose(np.asarray(j), np.diag(np.asarray(prob.mu)))
@@ -291,11 +307,11 @@ class TestInducedJoint:
         rows = rows / rows.sum(axis=1, keepdims=True)
         assert np.all((rows > 0.999).sum(axis=1) == 1)
 
-    def test_type_mode_matches_dataset_mode(self):
+    def test_type_mode_matches_dataset_mode(self, dataset_joint):
         prob = small_problem(24, z=2, w=3)
         alg = GibbsAlgorithm(prior=Pmf.uniform(3), beta=1.0)
-        j_full, ctx_full = induced_joint(prob, alg, 3)
-        j_type, ctx_type = induced_joint(prob, alg, 3, by_type=True)
+        j_full, _ = dataset_joint(prob, alg, 3)
+        j_type, ctx_type = induced_joint(prob, alg, 3)
         assert mutual_information(j_full) == pytest.approx(
             mutual_information(j_type), abs=1e-12
         )
@@ -329,13 +345,13 @@ class TestInducedJoint:
 
         prob = small_problem(33, z=2, w=2)
         with pytest.raises(RuntimeError, match="mass"):
-            induced_joint(prob, NanRows(Pmf.uniform(2)), 3, by_type=True)
+            induced_joint(prob, NanRows(Pmf.uniform(2)), 3)
 
     def test_cap_enforced(self):
-        # 4^12 datasets exceed the cap; the check raises before any is built
-        prob = small_problem(27, z=4, w=2)
+        # C(47, 7) = 62,891,499 types of 40 samples from 8 symbols exceed the cap
+        prob = small_problem(27, z=8, w=2)
         with pytest.raises(EnumerationCapError):
-            induced_joint(prob, ConstantAlgorithm(Pmf.uniform(2)), 12)
+            induced_joint(prob, ConstantAlgorithm(Pmf.uniform(2)), 40)
 
     def test_type_cap_checked_before_enumeration(self, monkeypatch):
         # C(303, 3) = 4,590,551 types exceed the default cap; none may be built
@@ -345,7 +361,7 @@ class TestInducedJoint:
         monkeypatch.setattr("genbounds.learning.enumerate_types", no_enumeration)
         prob = small_problem(27, z=4, w=2)
         with pytest.raises(EnumerationCapError, match="4590551 types"):
-            induced_joint(prob, ConstantAlgorithm(Pmf.uniform(2)), 300, by_type=True)
+            induced_joint(prob, ConstantAlgorithm(Pmf.uniform(2)), 300)
 
     def test_constant_algorithm_unbiased(self):
         prob = small_problem(28, z=2, w=3)
@@ -358,13 +374,10 @@ class TestInducedJoint:
         prob = small_problem(29, z=3, w=2)
         j, ctx = induced_joint(prob, GibbsAlgorithm(Pmf.uniform(2), 0.7), 4)
         assert np.asarray(j).sum() == pytest.approx(1.0, abs=1e-12)
-        assert len(ctx) == 3**4
+        assert len(ctx) == math.comb(4 + 2, 2)
 
 
 class TestEnumeration:
-    def test_dataset_count(self):
-        assert enumerate_datasets(3, 4).shape == (81, 4)
-
     def test_types_count(self):
         # compositions of n into z parts: C(n+z-1, z-1)
         assert len(enumerate_types(3, 4)) == math.comb(6, 2)
@@ -387,7 +400,6 @@ class TestEnumeration:
     def test_zero_samples_one_empty_type(self):
         got = enumerate_types(3, 0)
         assert got.dtype == np.dtype(int) and np.array_equal(got, np.zeros((1, 3), dtype=int))
-        assert enumerate_datasets(3, 0).shape == (1, 0)
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
@@ -406,16 +418,16 @@ class TestEnumeration:
     @pytest.mark.parametrize(
         "call, match",
         [
-            (lambda prob, alg: induced_joint(prob, alg, 2.5, by_type=True), "n must be a whole number"),
+            (lambda prob, alg: induced_joint(prob, alg, 2.5), "n must be a whole number"),
             (lambda prob, alg: induced_joint(prob, alg, 3.0), "n must be a whole number"),
             (lambda prob, alg: induced_joint(prob, alg, True), "n must be a whole number"),
-            (lambda prob, alg: induced_joint(prob, alg, 0, by_type=True), "n must be at least 1"),
+            (lambda prob, alg: induced_joint(prob, alg, 0), "n must be at least 1"),
             (lambda prob, alg: enumerate_types(2.0, 3), "z_size must be a whole number"),
-            (lambda prob, alg: enumerate_datasets(2, 2.5), "n must be a whole number"),
+            (lambda prob, alg: enumerate_types(2, 2.5), "n must be a whole number"),
             (lambda prob, alg: enumerate_types(0, 3), "z_size must be at least 1"),
             (lambda prob, alg: enumerate_types(0, 0), "z_size must be at least 1"),
-            (lambda prob, alg: enumerate_datasets(0, 2), "z_size must be at least 1"),
-            (lambda prob, alg: enumerate_datasets(2, -1), "n must be at least 0"),
+            (lambda prob, alg: enumerate_types(0, 2), "z_size must be at least 1"),
+            (lambda prob, alg: enumerate_types(2, -1), "n must be at least 0"),
             (lambda prob, alg: sample_dataset(prob, 2.0, 0), "n must be a whole number"),
         ],
     )
@@ -448,10 +460,10 @@ class TestEnumeration:
 
 
 class TestDatasetModeTables:
-    """Dataset-mode tables equal the per-row formulas they replaced, bit for bit."""
+    """The dataset-level tables of the oracle, summed over the datasets of each type, equal the type-level ones."""
 
     @pytest.mark.parametrize("zero_symbol", [False, True])
-    def test_match_per_row_formulas(self, zero_symbol):
+    def test_match_per_row_formulas(self, zero_symbol, dataset_joint):
         gen = rng(34)
         mu = gen.dirichlet(np.ones(3))
         if zero_symbol:
@@ -460,21 +472,20 @@ class TestDatasetModeTables:
         prob = FiniteLearningProblem(loss=gen.uniform(0, 1, size=(3, 6)), mu=Pmf(mu))
         alg = GibbsAlgorithm(Pmf.uniform(6), 1.7)
         n = 5
-        joint, ctx = induced_joint(prob, alg, n)
-        assert np.array_equal(ctx, enumerate_datasets(3, n))
+        joint, types = induced_joint(prob, alg, n)
+        oracle, datasets = dataset_joint(prob, alg, n)
+        rows = type_rows(types, datasets)
+        summed = np.zeros_like(np.asarray(joint))
+        np.add.at(summed, rows, np.asarray(oracle))
+        assert np.allclose(np.asarray(joint), summed, rtol=1e-12, atol=1e-15)
 
-        log_mu = np.where(mu > 0, np.log(np.clip(mu, 1e-300, None)), -np.inf)
-        weights = np.exp(np.asarray([float(log_mu[row].sum()) for row in ctx]))
-        table = weights[:, None] * np.stack([np.asarray(alg.posterior(prob, row)) for row in ctx])
-        assert np.array_equal(np.asarray(joint), table / table.sum())
-
-        counts = np.stack([np.bincount(row, minlength=3) for row in ctx]).astype(float)
-        expected = population_risks(prob)[None, :] - (counts @ prob.loss) / n
-        assert np.array_equal(gen_table(prob, ctx), expected)
+        gt = gen_table(prob, types)
+        for s, row in zip(datasets, rows):
+            assert np.allclose(gt[row], gen_errors(prob, s), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("ctx", [[[0, 3], [1, 1]], [[0, -1], [2, 2]], [0, 1, 2]])
     def test_bad_contexts_rejected(self, ctx):
-        # an out-of-range index would otherwise be counted in the next row
+        # rows with different sums, a negative count and a lone count vector are no type table
         with pytest.raises(ValueError):
             gen_table(small_problem(35, z=3, w=2), np.asarray(ctx))
 
@@ -483,14 +494,14 @@ class TestTypeCounts:
     """A type-count table has whole, non-negative entries and one positive sum n in every row."""
 
     BAD = [[[-1, 3]], [[0.5, 1.5]], [[1, 2], [2, 2]], [[0, 0]], [[math.nan, 2]], [1, 2], np.zeros((0, 2)),
-           [[True, True], [True, False]]]
+           [[True, True], [True, False]], [[1, 2, 0]]]
 
     @pytest.mark.parametrize("counts", BAD)
     def test_gen_table_rejects(self, counts):
         # [[-1, 3]] gave [[-0.5, 0.8]] and [[0.5, 1.5]] gave [[-0.125, 0.2]] on this problem
         prob = FiniteLearningProblem(loss=np.array([[0.0, 1.0], [1.0, 0.2]]), mu=Pmf(np.array([0.5, 0.5])))
         with pytest.raises(ValueError, match="symbol counts"):
-            gen_table(prob, np.asarray(counts), by_type=True)
+            gen_table(prob, np.asarray(counts))
 
     @pytest.mark.parametrize("counts", BAD)
     def test_gibbs_posteriors_reject(self, counts):
@@ -498,25 +509,29 @@ class TestTypeCounts:
         with pytest.raises(ValueError, match="symbol counts"):
             GibbsAlgorithm(Pmf.uniform(2), 1.0).posteriors(prob, np.asarray(counts))
 
+    @pytest.mark.parametrize("counts", BAD)
+    def test_constant_posteriors_reject(self, counts):
+        # [[-1, 4], [2, 2]]-like tables came back as rows of the output pmf
+        prob = FiniteLearningProblem(loss=np.array([[0.0, 1.0], [1.0, 0.2]]), mu=Pmf(np.array([0.5, 0.5])))
+        with pytest.raises(ValueError, match="symbol counts"):
+            ConstantAlgorithm(Pmf.uniform(2)).posteriors(prob, np.asarray(counts))
+
     def test_whole_float_counts_accepted(self):
         prob = small_problem(36, z=2, w=3)
         types = enumerate_types(2, 4)
-        assert np.array_equal(gen_table(prob, types.astype(float), by_type=True), gen_table(prob, types, by_type=True))
+        assert np.array_equal(gen_table(prob, types.astype(float)), gen_table(prob, types))
 
 
 class TestOneRowKernels:
-    """gen_errors, empirical_risks and gibbs_posterior give the bits of the per-dataset
-    formulas they replaced: a bincount of the samples, a 1-D product and a 1-D Gibbs row."""
+    """gen_errors, empirical_risks and each built-in learner's `posterior` and `posterior_from_counts`
+    give the bits of the per-dataset formulas they replaced: a bincount of the samples, a 1-D product,
+    a 1-D Gibbs row and the constant learner's own output."""
 
     @staticmethod
     def old_formulas(prob, prior, beta, s):
         counts = np.bincount(np.asarray(s), minlength=prob.z_alphabet_size).astype(float)
         emp = (counts @ prob.loss) / np.asarray(s).size
-        pr = np.asarray(prior, dtype=float)
-        logits = np.where(pr > 0, np.log(np.clip(pr, 1e-300, None)), -np.inf) - beta * (counts @ prob.loss)
-        logits -= logits.max(axis=-1, keepdims=True)
-        weights = np.exp(logits)
-        return emp, population_risks(prob) - emp, weights / weights.sum(axis=-1, keepdims=True)
+        return emp, population_risks(prob) - emp, gibbs_row(prob, prior, beta, counts)
 
     def test_bits_equal_on_random_problems(self):
         gen = rng(37)
@@ -531,14 +546,22 @@ class TestOneRowKernels:
             beta = float(gen.uniform(0, 10))
             s = gen.integers(0, z, size=n)
             emp, gerr, post = self.old_formulas(prob, prior, beta, s)
+            gibbs, constant = GibbsAlgorithm(prior, beta), ConstantAlgorithm(prior)
+            counts = np.bincount(s, minlength=z)
             for data in (s, Dataset(s), s.astype(float)):
                 assert np.array_equal(empirical_risks(prob, data), emp)
                 assert np.array_equal(gen_errors(prob, data), gerr)
-                assert np.array_equal(np.asarray(gibbs_posterior(prob, prior, beta, data)), post)
+                assert np.array_equal(np.asarray(gibbs.posterior(prob, data)), post)
+                assert np.array_equal(np.asarray(constant.posterior(prob, data)), prior)
+            for c in (counts, counts.astype(float)):
+                assert np.array_equal(np.asarray(gibbs.posterior_from_counts(prob, c)), post)
+                assert np.array_equal(np.asarray(constant.posterior_from_counts(prob, c)), prior)
 
     def test_index_past_the_alphabet_rejected(self):
         prob = small_problem(38, z=3, w=2)
+        gibbs, constant = GibbsAlgorithm(Pmf.uniform(2), 1.0), ConstantAlgorithm(Pmf.uniform(2))
         for call in (lambda: gen_errors(prob, [0, 3]), lambda: empirical_risks(prob, [10**12]),
-                     lambda: gibbs_posterior(prob, Pmf.uniform(2), 1.0, [-1, 0])):
+                     lambda: gibbs.posterior(prob, [-1, 0]), lambda: constant.posterior(prob, [0, 3]),
+                     lambda: constant.posterior(prob, [-1, 0])):
             with pytest.raises(ValueError):
                 call()

@@ -281,8 +281,8 @@ class TestCovering:
         from genbounds.learning import enumerate_types
 
         types = enumerate_types(prob.z_alphabet_size, n)
-        joint, ctx = induced_joint(prob, alg, n, by_type=True)
-        g2 = gen_table(prob, ctx, by_type=True) ** 2
+        joint, ctx = induced_joint(prob, alg, n)
+        g2 = gen_table(prob, ctx) ** 2
         P = np.asarray(joint)
         gen = rng(13)
         candidates = [P]
@@ -381,9 +381,9 @@ def per_trial_mc(prob, alg, n, trials, seed):
 
 def per_trial_covering(prob, alg, n, rates, epsilon, m_grid, trials, seed, q_hat):
     """The per-trial covering loop, kept as the oracle: failure flags per m."""
-    joint, types = induced_joint(prob, alg, n, by_type=True)
+    joint, types = induced_joint(prob, alg, n)
     post_cdf = np.cumsum(alg.posteriors(prob, types), axis=1)
-    g2 = gen_table(prob, types, by_type=True) ** 2
+    g2 = gen_table(prob, types) ** 2
     q_cdf = np.cumsum(q_hat)
     type_cdf = np.cumsum(np.asarray(joint.marginal_s()))
     flags = []
