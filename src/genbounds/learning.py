@@ -250,6 +250,9 @@ class ConstantAlgorithm(Algorithm):
         self.output = output if isinstance(output, Pmf) else Pmf(np.asarray(output, dtype=float))
 
     def posteriors(self, prob, counts) -> np.ndarray:
+        if self.output.alphabet_size != prob.w_alphabet_size:
+            k, w = self.output.alphabet_size, prob.w_alphabet_size
+            raise ValueError(f"the output has {k} entries, but the problem has {w} hypotheses")
         return np.tile(np.asarray(self.output), (len(_type_counts(counts, prob.z_alphabet_size)), 1))
 
 
@@ -292,6 +295,16 @@ def enumerate_types(z_size: int, n: int) -> np.ndarray:
     return rows
 
 
+def _posterior_rows(prob: FiniteLearningProblem, alg: Algorithm, types: np.ndarray) -> np.ndarray:
+    """alg's (N, W) posteriors of the (N, z) type table; ValueError unless it returns one row per type and one column
+    per hypothesis. A one-row table takes BLAS's gemv path, so its row may differ in the last bit from the same
+    type's row in a larger table."""
+    rows = np.asarray(alg.posteriors(prob, types))
+    if rows.shape != (len(types), prob.w_alphabet_size):
+        raise ValueError(f"expected {len(types)} posteriors over {prob.w_alphabet_size} hypotheses, got {rows.shape}")
+    return rows
+
+
 def induced_joint(prob: FiniteLearningProblem, alg: Algorithm, n: int):
     """Exact joint P_{T,W} of the type T of n iid samples from mu and the learner's output W.
 
@@ -312,10 +325,7 @@ def induced_joint(prob: FiniteLearningProblem, alg: Algorithm, n: int):
     # math.exp, not np.exp: numpy's vectorised exp differs from libm in the last ulp
     # on some weights, which would move output bytes
     weights = np.array([math.exp(x) for x in log_fact[n] - log_fact[types].sum(axis=1) + mass])
-    rows = np.asarray(alg.posteriors(prob, types))
-    if rows.shape != (len(types), prob.w_alphabet_size):
-        raise ValueError(f"expected {len(types)} posteriors over {prob.w_alphabet_size} hypotheses, got {rows.shape}")
-    table = weights[:, None] * rows
+    table = weights[:, None] * _posterior_rows(prob, alg, types)
     total = table.sum()
     if not abs(total - 1.0) <= 1e-9:
         raise RuntimeError(f"induced joint mass {total} drifted from 1")

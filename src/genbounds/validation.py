@@ -19,10 +19,11 @@ from .learning import (
     Algorithm,
     FiniteLearningProblem,
     GibbsAlgorithm,
+    _gen_rows,
+    _posterior_rows,
     _symbol_counts,
     _whole,
     enumerate_types,
-    gen_errors,
     gen_table,
     induced_joint,
 )
@@ -112,9 +113,12 @@ def _mc_blocks(prob, alg, n: int, trials: int, seed: int):
     Trial t's draws are what `Generator.choice` makes of stream rng(seed, t):
     its first n uniforms searched in mu's cdf (`_inverse_cdf`), the next one
     in the posterior's (`_draw`), each cdf scaled by its last entry. The
-    posterior and gen errors of a dataset type are computed once, from the
-    first trial that draws it, and kept in one table (emptied when it would
-    pass _TYPE_CACHE_FLOATS), so the algorithm must be exchangeable.
+    block's new dataset types are evaluated on their count rows by one
+    `posteriors` and one `_gen_rows` call (a lone one is passed twice, as a
+    one-row table takes BLAS's gemv path), so a trial reads its type's rows of
+    the type table, equal to the bit to `induced_joint`'s and `gen_table`'s.
+    They are kept in one table (emptied when it would pass
+    _TYPE_CACHE_FLOATS), so the algorithm must be exchangeable.
     """
     z, w_size = prob.z_alphabet_size, prob.w_alphabet_size
     mu_cdf = np.cumsum(np.asarray(prob.mu))
@@ -124,20 +128,21 @@ def _mc_blocks(prob, alg, n: int, trials: int, seed: int):
     room = max(_BLOCK, _TYPE_CACHE_FLOATS // (3 * w_size))
     for u in _draw_trials(seed, (), trials, n + 1):
         s = _inverse_cdf(mu_cdf, u[:, :n])
-        types, first, inverse = np.unique(_symbol_counts(s, z), axis=0, return_index=True, return_inverse=True)
+        types, inverse = np.unique(_symbol_counts(s, z), axis=0, return_inverse=True)
         keys = [counts.tobytes() for counts in types]
         if len(index) + len(keys) > room:
             index.clear()
             cache = cache[:0]
         new = [j for j, key in enumerate(keys) if key not in index]
-        rows = np.empty((len(new), 3, w_size))
-        for row, j in zip(rows, new):
-            row[0] = alg.posterior(prob, s[first[j]])
-            np.cumsum(row[0], out=row[1])
-            row[1] /= row[1][-1]
-            row[2] = gen_errors(prob, s[first[j]])
-            index[keys[j]] = len(index)
-        cache = np.concatenate([cache, rows])
+        if new:
+            at = types[new * 2 if len(new) == 1 else new]
+            rows = np.empty((len(at), 3, w_size))
+            rows[:, 0] = _posterior_rows(prob, alg, at)
+            np.cumsum(rows[:, 0], axis=1, out=rows[:, 1])
+            rows[:, 1] /= rows[:, 1, -1:]
+            rows[:, 2] = _gen_rows(prob, at)
+            index.update({keys[j]: len(index) + i for i, j in enumerate(new)})
+            cache = np.concatenate([cache, rows[: len(new)]])
         table = cache[[index[key] for key in keys]]
         inverse = inverse.reshape(-1)
         w = _draw(table[inverse, 1], u[:, n])
@@ -171,16 +176,17 @@ def mc_tail_validate(
     a violation when the exact generalization error exceeds it. Per-trial
     seeds derive from (seed, trial), so the count is order-independent.
     Each trial draws all its uniforms in one call; blocks of trials are then
-    evaluated together, with one posterior and one gen-error vector per
-    dataset type, so the algorithm must be exchangeable. `bound_fn` runs once
-    per trial, on that trial's own dataset. A NaN bound cannot be judged and
-    raises ValueError, as does a bound that is not one real number.
+    evaluated together as `_mc_blocks` describes (`post` and the gen error are
+    rows of the type table), so the algorithm must be exchangeable. `bound_fn`
+    runs once per trial, on that trial's own dataset. A NaN bound cannot be
+    judged and raises ValueError, as does a bound that is not one real number.
     """
     _check_mc(n, trials)
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     violations = 0
     for s, w, ge, posts, inverse in _mc_blocks(prob, alg, n, trials, seed):
+        posts = list(posts)  # one row view per type, shared by the trials that drew it
         for s_t, w_t, ge_t, i in zip(s, w.tolist(), ge.tolist(), inverse.tolist()):
             bound = _bound_value(bound_fn(s_t, w_t, posts[i]))
             if ge_t > bound:

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from genbounds import bounds, counterexample as cex, info, learning, trajectory
+from genbounds import bounds, counterexample as cex, info, learning, trajectory, validation
 from genbounds.cli import _load_trajectory_spec
 from genbounds.io import load_problem
 
@@ -23,6 +23,13 @@ PROB3 = learning.FiniteLearningProblem(loss=np.zeros((2, 3)), mu=Q)  # 3 hypothe
 INST = cex.ScoInstance(2)
 QUAD = trajectory.QuadraticToy()
 GRID = QUAD.default_quantizer()
+
+
+class WideLearner(learning.Algorithm):
+    """A learner whose posteriors have 5 entries, whatever the problem."""
+
+    def posteriors(self, prob, counts):
+        return np.full((len(counts), 5), 0.2)
 
 
 def _thm4(variant, alpha=None, f=F):
@@ -71,8 +78,15 @@ CHECKS = {
     ),
     "2-D dataset": (lambda t: learning.Dataset(np.zeros((2, 2), int)), "a dataset is a 1-D vector"),
     "induced_joint posterior width": (
-        lambda t: learning.induced_joint(PROB3, learning.ConstantAlgorithm(info.Pmf.uniform(5)), 2),
+        lambda t: learning.induced_joint(PROB3, WideLearner(), 2), "expected 3 posteriors over 3 hypotheses, got (3, 5)"
+    ),
+    "MC posterior width": (
+        lambda t: validation.mc_expectation_validate(PROB3, WideLearner(), 1.0, 2, 100, 0),
         "expected 3 posteriors over 3 hypotheses, got (3, 5)",
+    ),
+    "ConstantAlgorithm output width": (
+        lambda t: validation.mc_expectation_validate(PROB3, learning.ConstantAlgorithm([0.2] * 5), 1.0, 2, 100, 0),
+        "the output has 5 entries, but the problem has 3 hypotheses",
     ),
     "Gibbs prior width": (
         lambda t: learning.induced_joint(PROB3, learning.GibbsAlgorithm(info.Pmf.uniform(5), 1.0), 2),

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import genbounds
 from genbounds.cli import main
+from test_input_checks import CHECKS
 from test_io_cli import problem_file  # noqa: F401 (a fixture)
 
 SRC = Path(genbounds.__file__).resolve().parent
@@ -67,3 +68,19 @@ def test_forked_and_searched_paths_identical_under_optimize(tmp_path, problem_fi
     )
     for name in runs:
         assert (tmp_path / "optimized" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_mc_posterior_width_checked_under_optimize():
+    # the MC validators check a learner's posteriors with a raise, which `-O` keeps
+    name = "MC posterior width"
+    program = (
+        "import sys; from test_input_checks import CHECKS\n"
+        "try: CHECKS[sys.argv[1]][0](None)\n"
+        "except ValueError as e: print(e)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", program, name],
+        check=True, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert run.stdout.startswith(CHECKS[name][1])

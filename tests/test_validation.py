@@ -5,11 +5,13 @@ import pytest
 
 from genbounds.bounds import thm1_bound, thm5_expectation_bound
 from genbounds.info import Pmf, kl_divergence
+from genbounds import learning
 from genbounds.learning import (
     ConstantAlgorithm,
     FiniteLearningProblem,
     GibbsAlgorithm,
-    gen_errors,
+    _symbol_counts,
+    enumerate_types,
     gen_table,
     induced_joint,
 )
@@ -115,11 +117,15 @@ class TestMcTail:
         assert reps[0.15].violations == 347 and not reps[0.15].passed
 
     def test_bound_fn_gets_the_drawn_posterior(self):
+        # the posterior row of the trial's dataset type in the whole type table
         prob, alg = gibbs_instance(206, z=3, w=3)
+        types = enumerate_types(3, 6)
+        posts = alg.posteriors(prob, types)
         seen = []
 
         def bound_fn(s, w, post):
-            seen.append(np.array_equal(post, np.asarray(alg.posterior(prob, s))) and post[w] > 0)
+            row = posts[(types == np.bincount(s, minlength=3)).all(axis=1)][0]
+            seen.append(np.array_equal(post, row) and post[w] > 0)
             return math.inf
 
         mc_tail_validate(prob, alg, bound_fn, 6, 0.1, 100, seed=12)
@@ -138,6 +144,14 @@ class TestMcExpectation:
             mc_expectation_validate(prob, alg, math.nan, 4, 200, seed=2)
         with pytest.raises(ValueError, match="n must"):
             mc_expectation_validate(prob, alg, 1.0, 0, 200, seed=2)
+
+    def test_bound_below_the_interval_fails(self):
+        # pass iff mean - 3 ci <= bound: a bound at that edge passes, the next float below it fails
+        prob, alg = gibbs_instance(208)
+        mean, ci, _ = mc_expectation_validate(prob, alg, math.inf, 3, 2000, seed=4)
+        edge = mean - 3 * ci
+        assert ci > 0 and mc_expectation_validate(prob, alg, edge, 3, 2000, seed=4) == (mean, ci, True)
+        assert mc_expectation_validate(prob, alg, math.nextafter(edge, -math.inf), 3, 2000, seed=4) == (mean, ci, False)
 
     def test_constant_algorithm_unbiased(self):
         prob, _ = gibbs_instance(207)
@@ -278,8 +292,6 @@ class TestCovering:
         # reproduction is feasible for every nu at eps >= 0.
         inst = covering_default_instance()
         prob, alg, n = inst["prob"], inst["alg"], inst["n"]
-        from genbounds.learning import enumerate_types
-
         types = enumerate_types(prob.z_alphabet_size, n)
         joint, ctx = induced_joint(prob, alg, n)
         g2 = gen_table(prob, ctx) ** 2
@@ -369,13 +381,22 @@ class TestCovering:
 
 
 def per_trial_mc(prob, alg, n, trials, seed):
-    """The per-trial MC loop, kept as the oracle: (s, w, post, gen error) per trial."""
+    """The per-trial MC loop, kept as the oracle: (s, w, post, gen error) per trial.
+
+    Each trial draws s and w one at a time; its posterior and gen errors are its type's rows of the whole
+    type table, as `induced_joint` and `gen_table` hold them (a one-row `posterior` or `gen_errors` call
+    takes BLAS's gemv path and can differ in the last bit).
+    """
+    z = prob.z_alphabet_size
+    types = enumerate_types(z, n)
+    row = {counts.tobytes(): i for i, counts in enumerate(types)}
+    posts, gens = alg.posteriors(prob, types), gen_table(prob, types)
     out = []
     for gen in rngs(seed, count=trials):
-        s = gen.choice(prob.z_alphabet_size, size=n, p=np.asarray(prob.mu))
-        post = np.asarray(alg.posterior(prob, s))
-        w = int(gen.choice(post.size, p=post))
-        out.append((s, w, post, float(gen_errors(prob, s)[w])))
+        s = gen.choice(z, size=n, p=np.asarray(prob.mu))
+        i = row[np.bincount(s, minlength=z).tobytes()]
+        w = int(gen.choice(posts.shape[1], p=posts[i]))
+        out.append((s, w, posts[i], float(gens[i, w])))
     return out
 
 
@@ -417,13 +438,31 @@ MC_CASES = ["zero-mass symbol and hypothesis", "n = 1", "three blocks"]
 
 
 class CountingGibbs(GibbsAlgorithm):
+    """A Gibbs learner that records the count rows of every call of its kernel, as a list of tuples per call."""
+
     def __init__(self, prior, beta):
         super().__init__(prior, beta)
-        self.datasets = []
+        self.calls = []
 
-    def posterior(self, prob, s):
-        self.datasets.append(np.array(s))
-        return super().posterior(prob, s)
+    def posteriors(self, prob, counts):
+        self.calls.append([tuple(row) for row in np.asarray(counts).tolist()])
+        return super().posteriors(prob, counts)
+
+
+def evaluated(call):
+    """The types one kernel call evaluates: its rows are distinct, or one type twice (a one-row table takes gemv)."""
+    assert len(set(call)) == len(call) or (len(call) == 2 and call[0] == call[1])
+    return set(call)
+
+
+def new_types(drawn, z, block):
+    """Per block of `block` datasets, the types that no earlier block drew."""
+    seen, out = set(), []
+    for start in range(0, len(drawn), block):
+        types = {tuple(np.bincount(s, minlength=z).tolist()) for s in drawn[start : start + block]}
+        out.append(types - seen)
+        seen |= types
+    return out
 
 
 class TestBatchedMc:
@@ -453,23 +492,48 @@ class TestBatchedMc:
         mean, ci, _ = mc_expectation_validate(prob, alg, 1.0, n, trials, seed=23)
         assert mean == float(vals.mean()) and ci == float(vals.std(ddof=1) / math.sqrt(trials))
 
-    def test_one_posterior_per_dataset_type(self):
+    def test_one_posterior_per_dataset_type(self, monkeypatch):
         prob, _ = gibbs_instance(213, z=3, w=3)
         alg = CountingGibbs(Pmf.uniform(3), 1.0)
         trials, n = 2 * _BLOCK + 37, 4
         drawn = [s for s, _, _, _ in per_trial_mc(prob, GibbsAlgorithm(Pmf.uniform(3), 1.0), n, trials, seed=24)]
-        types = {tuple(np.bincount(s, minlength=3)) for s in drawn}
+        new = new_types(drawn, 3, _BLOCK)
+        assert len(new) == 3 and new[1] and len(set().union(*new)) < trials
+        counted = []
+        monkeypatch.setattr(validation, "_symbol_counts", lambda rows, z: counted.append(len(rows)) or _symbol_counts(rows, z))
+        monkeypatch.setattr(learning, "_dataset_counts", lambda *a: pytest.fail("a dataset was counted again"))
         for run in (
             lambda: mc_tail_validate(prob, alg, lambda s, w, post: math.inf, n, 0.1, trials, seed=24),
             lambda: mc_expectation_validate(prob, alg, 1.0, n, trials, seed=24),
         ):
-            alg.datasets.clear()
+            alg.calls.clear()
+            counted.clear()
             run()
-            called = [tuple(np.bincount(s, minlength=3)) for s in alg.datasets]
-            assert len(called) == len(set(called)) == len(types) < trials
-            assert set(called) == types
-            # each on a dataset that a trial drew
-            assert all(any(np.array_equal(s, d) for d in drawn) for s in alg.datasets)
+            # one kernel call per block that drew a new type, on exactly those types
+            assert [evaluated(call) for call in alg.calls] == [types for types in new if types]
+            # each block's datasets are counted once, together
+            assert counted == [_BLOCK, _BLOCK, 37]
+
+    def test_lone_new_type_reads_the_type_table(self, monkeypatch):
+        # in blocks of 16, two blocks each draw one type that no earlier block drew; it is passed to the kernel
+        # twice, as a one-row table's gemv path differs in the last bit for both types (OpenBLAS, Haswell kernels)
+        prob, alg = gibbs_instance(206, z=4, w=4)
+        n, trials = 5, 300
+        monkeypatch.setattr(validation, "_BLOCK", 16)
+        want = per_trial_mc(prob, alg, n, trials, seed=29)
+        counting = CountingGibbs(alg.prior, alg.beta)
+        seen = []
+
+        def at_oracle(s, w, post):
+            seen.append((w, post))
+            return want[len(seen) - 1][3]
+
+        assert mc_tail_validate(prob, counting, at_oracle, n, 0.5, trials, seed=29).violations == 0
+        lone = [call[0] for call in counting.calls if len(call) == 2 and call[0] == call[1]]
+        assert {(3, 1, 0, 1), (3, 2, 0, 0)} <= set(lone)
+        assert all(w == w0 and np.array_equal(post, p) for (w, post), (_, w0, p, _) in zip(seen, want))
+        below = iter([math.nextafter(x[3], -math.inf) for x in want])
+        assert mc_tail_validate(prob, alg, lambda s, w, post: next(below), n, 0.5, trials, seed=29).violations == trials
 
     def test_full_type_cache_evaluates_again(self, monkeypatch):
         # a table that would pass its room is emptied; its types are evaluated again, with the same draws
@@ -482,8 +546,10 @@ class TestBatchedMc:
         mc_tail_validate(prob, counting, lambda s, w, post: seen.append((w, post)) or math.inf, n, 0.1, trials, seed=28)
         assert [w for w, _ in seen] == [w for _, w, _, _ in want]
         assert all(np.array_equal(post, p) for (_, post), (_, _, p, _) in zip(seen, want))
-        distinct = {tuple(np.bincount(s, minlength=4)) for s, _, _, _ in want}
-        assert len(counting.datasets) > len(distinct)
+        # within a call no type repeats, but across calls some do: those the emptied table had held
+        calls = [evaluated(call) for call in counting.calls]
+        distinct = {tuple(np.bincount(s, minlength=4).tolist()) for s, _, _, _ in want}
+        assert set().union(*calls) == distinct and sum(map(len, calls)) > len(distinct)
         mean, _, _ = mc_expectation_validate(prob, counting, 1.0, n, trials, seed=28)
         assert mean == float(np.mean([ge for _, _, _, ge in want]))
 
