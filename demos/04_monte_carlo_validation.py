@@ -32,7 +32,9 @@ n, delta, trials = 25, 0.1, 10_000
 
 
 def bound_fn(s, w, post):
-    # pair-dependent rate: the clipped posterior/prior log-ratio
+    # pair-dependent rate: the clipped posterior/prior log-ratio. It depends on the
+    # dataset s only through its type, as mc_tail_validate requires: the validator
+    # calls it once per drawn (type, w) cell, not once per trial
     rate = max(0.0, math.log(post[w] / prior[w]))
     return thm1_bound(rate, prob.sigma, n, delta, 0.0).bound_value
 

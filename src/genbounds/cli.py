@@ -200,7 +200,7 @@ def cmd_mc_validate(args) -> int:
     prior = np.asarray(alg.prior)
     bound = thm1_bound if args.kind == "thm1" else fixed_size_bound
 
-    @functools.cache  # trials share few distinct rates, and each gives the same bound bits
+    @functools.cache  # cells share few distinct rates (every cell with post[w] <= prior[w] has rate 0)
     def bound_at(rate):
         return bound(rate, sigma, args.n, args.delta, args.epsilon).bound_value
 

@@ -35,6 +35,9 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
+# keys `_rekeyed` turns into Python ints at a time: as ints a key takes about
+# 150 bytes, against 16 in the array
+_KEY_CHUNK = 256
 
 
 def child_sequence(root: int, *path: int) -> np.random.SeedSequence:
@@ -122,8 +125,9 @@ def streams(root, *path) -> Iterator[np.random.Generator]:
 
     Any entry may be an integer array: a root is reduced mod 2**64, a path
     word must lie in [0, 2**32). Each yield is the one shared generator,
-    re-keyed (zero counter, empty buffer) to draw exactly what `rng` draws on
-    that path, so a caller must not keep it past its iteration. Raises
+    re-keyed by `_rekeyed` (zero counter, empty buffer, no stored half-word)
+    to draw exactly what `rng` draws on that path, so a caller must not keep
+    it past its iteration. Raises
     RuntimeError if the keys stop matching numpy's SeedSequence.
     """
     # the root as four words: numpy pads it with zero words, or hashes zeros in their place
@@ -150,17 +154,23 @@ def streams(root, *path) -> Iterator[np.random.Generator]:
 
 
 def _rekeyed(gen: np.random.Generator, keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """`gen`, re-keyed in turn to each (2,) row of `keys`: zero counter, empty buffer, no stored half-word.
+
+    numpy's state setter reads the words one by one, about twice as fast from
+    Python ints as from uint64 arrays, so the keys become ints _KEY_CHUNK rows
+    at a time and the counter and buffer are int lists.
+    """
     bitgen = gen.bit_generator
-    zeros = np.zeros(4, dtype=np.uint64)
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": zeros, "key": None},
-        "buffer": zeros,
+        "state": {"counter": [0, 0, 0, 0], "key": None},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for key in keys:
-        state["state"]["key"] = key
-        bitgen.state = state
-        yield gen
+    for start in range(0, len(keys), _KEY_CHUNK):
+        for key in keys[start : start + _KEY_CHUNK].tolist():
+            state["state"]["key"] = key
+            bitgen.state = state
+            yield gen

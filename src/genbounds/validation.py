@@ -43,8 +43,8 @@ BOOK_CAP = 200_000
 # trials evaluated together; blocks of 2048 ran no faster and raised the peak RSS
 # of an 8000-trial covering run by 6.6 MB more than blocks of 256
 _BLOCK = 256
-# floats of per-type posteriors, cdfs and gen errors the MC validators keep (16 MB);
-# a table that would grow past it is emptied, and its types are evaluated again
+# floats of per-type posteriors, cdfs, gen errors and bounds the MC validators keep
+# (16 MB); a table that could grow past it is emptied, and its types are evaluated again
 _TYPE_CACHE_FLOATS = 2**21
 # book entries every covering trial draws up front; only a trial with a longer
 # prefix and no hit among them draws the rest. 4 ran about 20% slower, and 16
@@ -107,46 +107,49 @@ def _draw_trials(seed: int, prefix: tuple, trials: int, width: int):
 
 
 def _mc_blocks(prob, alg, n: int, trials: int, seed: int):
-    """Per block of trials: datasets s (B, n), hypotheses w (B,), gen(s, w) (B,), and the
-    block's distinct posteriors (U, W) with each trial's row in them (B,).
+    """Per block of trials: datasets s (B, n), hypotheses w (B,), gen(s, w) (B,), the type table (T, 4, W)
+    and each trial's row of it (B,).
 
     Trial t's draws are what `Generator.choice` makes of stream rng(seed, t):
     its first n uniforms searched in mu's cdf (`_inverse_cdf`), the next one
-    in the posterior's (`_draw`), each cdf scaled by its last entry. The
-    block's new dataset types are evaluated on their count rows by one
-    `posteriors` and one `_gen_rows` call (a lone one is passed twice, as a
-    one-row table takes BLAS's gemv path), so a trial reads its type's rows of
-    the type table, equal to the bit to `induced_joint`'s and `gen_table`'s.
-    They are kept in one table (emptied when it would pass
-    _TYPE_CACHE_FLOATS), so the algorithm must be exchangeable.
+    in the posterior's (`_draw`), each cdf scaled by its last entry. A row of
+    the table holds one dataset type's posterior, its cdf, its gen errors and
+    a bound per hypothesis for `mc_tail_validate` (NaN until evaluated). The
+    block's count rows are looked up in one dict through a void view; its new
+    types are evaluated by one `posteriors` and one `_gen_rows` call (a lone
+    one is passed twice, as a one-row table takes BLAS's gemv path), so a
+    trial reads its type's rows of the type table, equal to the bit to
+    `induced_joint`'s and `gen_table`'s. The table is emptied when it could
+    pass _TYPE_CACHE_FLOATS, so the algorithm must be exchangeable.
     """
     z, w_size = prob.z_alphabet_size, prob.w_alphabet_size
     mu_cdf = np.cumsum(np.asarray(prob.mu))
     mu_cdf /= mu_cdf[-1]
-    index: dict[bytes, int] = {}  # dataset type -> its row of `cache`
-    cache = np.empty((0, 3, w_size))  # per type: posterior, its cdf, gen errors
-    room = max(_BLOCK, _TYPE_CACHE_FLOATS // (3 * w_size))
+    index: dict[bytes, int] = {}  # dataset type -> its row of `table`
+    table = np.empty((0, 4, w_size))
+    room = max(_BLOCK, _TYPE_CACHE_FLOATS // (4 * w_size))
     for u in _draw_trials(seed, (), trials, n + 1):
         s = _inverse_cdf(mu_cdf, u[:, :n])
-        types, inverse = np.unique(_symbol_counts(s, z), axis=0, return_inverse=True)
-        keys = [counts.tobytes() for counts in types]
-        if len(index) + len(keys) > room:
+        counts = _symbol_counts(s, z)
+        if len(index) + len(counts) > room:
             index.clear()
-            cache = cache[:0]
-        new = [j for j, key in enumerate(keys) if key not in index]
-        if new:
-            at = types[new * 2 if len(new) == 1 else new]
-            rows = np.empty((len(at), 3, w_size))
-            rows[:, 0] = _posterior_rows(prob, alg, at)
-            np.cumsum(rows[:, 0], axis=1, out=rows[:, 1])
-            rows[:, 1] /= rows[:, 1, -1:]
-            rows[:, 2] = _gen_rows(prob, at)
-            index.update({keys[j]: len(index) + i for i, j in enumerate(new)})
-            cache = np.concatenate([cache, rows[: len(new)]])
-        table = cache[[index[key] for key in keys]]
-        inverse = inverse.reshape(-1)
-        w = _draw(table[inverse, 1], u[:, n])
-        yield s, w, table[inverse, 2, w], table[:, 0], inverse
+            table = table[:0]
+        keys = counts.view(np.dtype((np.void, counts.itemsize * z))).ravel().tolist()  # a count row's bytes
+        known = len(index)
+        rows = np.array([index.setdefault(k, len(index)) for k in keys])
+        if len(index) > known:
+            # new types get rows in order of first draw, so they sort last, in that order
+            first = np.unique(rows, return_index=True)[1][known - len(index) :]
+            at = counts[first if len(first) > 1 else [first[0]] * 2]
+            new = np.empty((len(at), 4, w_size))
+            new[:, 0] = _posterior_rows(prob, alg, at)
+            np.cumsum(new[:, 0], axis=1, out=new[:, 1])
+            new[:, 1] /= new[:, 1, -1:]
+            new[:, 2] = _gen_rows(prob, at)
+            new[:, 3] = np.nan
+            table = np.concatenate([table, new[: len(first)]])
+        w = _draw(table[rows, 1], u[:, n])
+        yield s, w, table[rows, 2, w], table, rows
 
 
 def _bound_value(bound) -> float:
@@ -171,28 +174,36 @@ def mc_tail_validate(
 ) -> ValidationReport:
     """Empirical tail check of a per-(S, W) bound at confidence level delta.
 
-    `bound_fn(s, w, post)` returns the bound for the realized pair, where
-    `post` is the posterior array P_{W|S=s} that w was drawn from; a trial is
-    a violation when the exact generalization error exceeds it. Per-trial
-    seeds derive from (seed, trial), so the count is order-independent.
-    Each trial draws all its uniforms in one call; blocks of trials are then
-    evaluated together as `_mc_blocks` describes (`post` and the gen error are
-    rows of the type table), so the algorithm must be exchangeable. `bound_fn`
-    runs once per trial, on that trial's own dataset. A NaN bound cannot be
-    judged and raises ValueError, as does a bound that is not one real number.
+    `bound_fn(s, w, post)` returns the bound for a drawn pair, where `post` is
+    the posterior array P_{W|S=s} that w was drawn from; a trial is a
+    violation when the exact generalization error exceeds it. Per-trial seeds
+    derive from (seed, trial), so the count is order-independent. Trials are
+    drawn in blocks as `_mc_blocks` describes (`post` and the gen error are
+    rows of the type table), so the algorithm must be exchangeable, and
+    `bound_fn` must depend on the dataset only through its type: it runs once
+    per (dataset type, hypothesis) cell that the trials draw, in the order of
+    each cell's first trial, on that trial's dataset, and again for a cell
+    drawn after the table was emptied. Each block's violations are then
+    counted in one comparison. A NaN bound cannot be judged and raises
+    ValueError, as does a bound that is not one real number, at the same
+    first trial as a loop over every trial would.
     """
     _check_mc(n, trials)
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     violations = 0
-    for s, w, ge, posts, inverse in _mc_blocks(prob, alg, n, trials, seed):
-        posts = list(posts)  # one row view per type, shared by the trials that drew it
-        for s_t, w_t, ge_t, i in zip(s, w.tolist(), ge.tolist(), inverse.tolist()):
-            bound = _bound_value(bound_fn(s_t, w_t, posts[i]))
-            if ge_t > bound:
-                violations += 1
-            elif math.isnan(bound):
+    for s, w, ge, table, rows in _mc_blocks(prob, alg, n, trials, seed):
+        bound = table[:, 3]  # a view: the values stay in the table for later blocks
+        todo = np.flatnonzero(np.isnan(bound[rows, w]))
+        # the first trial of each cell not yet evaluated, in trial order
+        first = todo[np.unique(rows[todo] * table.shape[2] + w[todo], return_index=True)[1]]
+        for t in np.sort(first).tolist():
+            r, w_t = int(rows[t]), int(w[t])
+            value = _bound_value(bound_fn(s[t], w_t, table[r, 0]))
+            if math.isnan(value):
                 raise ValueError("bound_fn returned NaN, which no generalization error can be judged against")
+            bound[r, w_t] = value
+        violations += int(np.count_nonzero(ge > bound[rows, w]))
     return ValidationReport(trials=trials, violations=violations, target_delta=delta)
 
 

@@ -20,6 +20,7 @@ Q = np.array([0.5, 0.5])
 G = np.zeros((2, 2))
 F = np.ones((2, 2))
 PROB3 = learning.FiniteLearningProblem(loss=np.zeros((2, 3)), mu=Q)  # 3 hypotheses
+GIBBS3 = learning.GibbsAlgorithm(info.Pmf.uniform(3), 1.0)
 INST = cex.ScoInstance(2)
 QUAD = trajectory.QuadraticToy()
 GRID = QUAD.default_quantizer()
@@ -83,6 +84,14 @@ CHECKS = {
     "MC posterior width": (
         lambda t: validation.mc_expectation_validate(PROB3, WideLearner(), 1.0, 2, 100, 0),
         "expected 3 posteriors over 3 hypotheses, got (3, 5)",
+    ),
+    "MC NaN bound": (
+        lambda t: validation.mc_tail_validate(PROB3, GIBBS3, lambda s, w, post: float("nan"), 2, 0.1, 100, 0),
+        "bound_fn returned NaN",
+    ),
+    "MC non-real bound": (
+        lambda t: validation.mc_tail_validate(PROB3, GIBBS3, lambda s, w, post: 1j, 2, 0.1, 100, 0),
+        "bound_fn must return one real number, got 1j",
     ),
     "ConstantAlgorithm output width": (
         lambda t: validation.mc_expectation_validate(PROB3, learning.ConstantAlgorithm([0.2] * 5), 1.0, 2, 100, 0),

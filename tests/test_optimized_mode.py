@@ -70,17 +70,31 @@ def test_forked_and_searched_paths_identical_under_optimize(tmp_path, problem_fi
         assert (tmp_path / "optimized" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
-def test_mc_posterior_width_checked_under_optimize():
-    # the MC validators check a learner's posteriors with a raise, which `-O` keeps
-    name = "MC posterior width"
+def _messages_under_optimize(names):
+    """The ValueError messages of the named `CHECKS` rows, run in one `python -O` process, one per row."""
     program = (
         "import sys; from test_input_checks import CHECKS\n"
-        "try: CHECKS[sys.argv[1]][0](None)\n"
-        "except ValueError as e: print(e)\n"
+        "for name in sys.argv[1:]:\n"
+        "    try: CHECKS[name][0](None)\n"
+        "    except ValueError as e: print(str(e).splitlines()[0])\n"
+        "    else: print('no error')\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC.parent), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-O", "-c", program, name],
+        [sys.executable, "-O", "-c", program, *names],
         check=True, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
     )
-    assert run.stdout.startswith(CHECKS[name][1])
+    return run.stdout.splitlines()
+
+
+def test_mc_posterior_width_checked_under_optimize():
+    # the MC validators check a learner's posteriors with a raise, which `-O` keeps
+    [message] = _messages_under_optimize(["MC posterior width"])
+    assert message.startswith(CHECKS["MC posterior width"][1])
+
+
+def test_mc_bound_checks_under_optimize():
+    # mc_tail_validate judges bound_fn's value once per (type, w) cell, with raises that `-O` keeps
+    names = ["MC NaN bound", "MC non-real bound"]
+    for name, message in zip(names, _messages_under_optimize(names), strict=True):
+        assert message.startswith(CHECKS[name][1]), name

@@ -153,6 +153,45 @@ class TestDraws:
         assert list(rngs(3, 1, count=0)) == []
 
 
+def _half_word_then_doubles(gen, t):
+    """integers(2**32) stores half a word in the generator, and t % 3 doubles leave its buffer part-used."""
+    return int(gen.integers(2**32)), gen.random(t % 3).tolist()
+
+
+# a stream count on each side of every edge of `_rekeyed`'s chunks of keys
+COUNTS = [0, 1, seeding._KEY_CHUNK - 1, seeding._KEY_CHUNK, seeding._KEY_CHUNK + 1]
+
+
+class TestRekey:
+    @pytest.mark.parametrize("count", COUNTS)
+    @settings(max_examples=8)
+    @given(
+        root=st.one_of(st.integers(2**63, 2**64 - 1), st.integers(0, 2**64 - 1)),
+        prefix=st.lists(st.integers(0, 2**40), max_size=2),
+        form=st.sampled_from(["rngs", "array word", "array root"]),
+    )
+    def test_streams_draw_what_rng_draws(self, count, root, prefix, form):
+        # each stream must start afresh: a half-word, a buffer position or a counter left by the stream
+        # before it would change its first draws
+        t = np.arange(count, dtype=np.uint32)
+        if form == "rngs":
+            gens, addresses = rngs(root, *prefix, count=count), [(root, *prefix, i) for i in range(count)]
+        elif form == "array word":
+            gens, addresses = streams(root, t, *prefix), [(root, i, *prefix) for i in range(count)]
+        else:
+            roots = [(root + i * 0x9E3779B97F4A7C15) % 2**64 for i in range(count)]
+            gens, addresses = streams(np.array(roots, dtype=np.uint64), *prefix), [(r, *prefix) for r in roots]
+        top_bits = set()
+        drawn = 0
+        for i, (gen, address) in enumerate(zip(gens, addresses)):
+            top_bits.update(int(k) >> 63 for k in _key(gen))
+            assert _half_word_then_doubles(gen, i) == _half_word_then_doubles(rng(*address), i), (i, address)
+            drawn += 1
+        assert drawn == count
+        if count > 64:  # keys with and without the top bit set
+            assert top_bits == {0, 1}
+
+
 class TestBadInput:
     def test_count_over_two_to_the_32_raises_without_allocating(self):
         tracemalloc.start()

@@ -117,19 +117,21 @@ class TestMcTail:
         assert reps[0.15].violations == 347 and not reps[0.15].passed
 
     def test_bound_fn_gets_the_drawn_posterior(self):
-        # the posterior row of the trial's dataset type in the whole type table
+        # once per drawn (type, w) cell, with the type's posterior row in the whole type table
         prob, alg = gibbs_instance(206, z=3, w=3)
         types = enumerate_types(3, 6)
         posts = alg.posteriors(prob, types)
         seen = []
 
         def bound_fn(s, w, post):
-            row = posts[(types == np.bincount(s, minlength=3)).all(axis=1)][0]
-            seen.append(np.array_equal(post, row) and post[w] > 0)
+            i = int(np.flatnonzero((types == np.bincount(s, minlength=3)).all(axis=1))[0])
+            seen.append((i, w, np.array_equal(post, posts[i]) and post[w] > 0))
             return math.inf
 
         mc_tail_validate(prob, alg, bound_fn, 6, 0.1, 100, seed=12)
-        assert len(seen) == 100 and all(seen)
+        drawn = {(type_of(s, 3), w) for s, w, _, _ in per_trial_mc(prob, alg, 6, 100, seed=12)}
+        assert len(seen) == len(drawn) < 100 and all(ok for _, _, ok in seen)
+        assert {(tuple(types[i].tolist()), w) for i, w, _ in seen} == drawn
 
 
 class TestMcExpectation:
@@ -465,25 +467,74 @@ def new_types(drawn, z, block):
     return out
 
 
+def type_of(s, z):
+    return tuple(np.bincount(s, minlength=z).tolist())
+
+
+def first_draws(want, z):
+    """{(type, w) cell: its first trial} over the oracle's trials, in first-draw order."""
+    cells = {}
+    for t, (s, w, _, _) in enumerate(want):
+        cells.setdefault((type_of(s, z), w), t)
+    return cells
+
+
+def by_cell(want, z, shift=lambda x: x):
+    """A bound_fn returning shift(the oracle's gen error) of the drawn cell; its calls, (s, w, post), go to `.calls`."""
+    gen_of = {(type_of(s, z), w): ge for s, w, _, ge in want}
+
+    def bound_fn(s, w, post):
+        bound_fn.calls.append((s.copy(), w, post.copy()))
+        return shift(gen_of[type_of(s, z), w])
+
+    bound_fn.calls = []
+    return bound_fn
+
+
+def below(x):
+    return math.nextafter(x, -math.inf)
+
+
 class TestBatchedMc:
     @pytest.mark.parametrize("case", MC_CASES)
     def test_trials_equal_the_per_trial_loop(self, case):
         prob, alg, n, trials = mc_case(case)
         want = per_trial_mc(prob, alg, n, trials, seed=21)
-        seen = []
-
-        def at_oracle(s, w, post):
-            seen.append((s.copy(), w, post))
-            return want[len(seen) - 1][3]
-
-        # the bound is the oracle's gen error: no trial may exceed it ...
+        at_oracle = by_cell(want, prob.z_alphabet_size)
+        # the bound is each cell's gen error: no trial may exceed it ...
         assert mc_tail_validate(prob, alg, at_oracle, n, 0.5, trials, seed=21).violations == 0
-        assert len(seen) == trials
-        for (s, w, post), (s0, w0, post0, _) in zip(seen, want):
+        # ... bound_fn ran once per cell, in first-draw order, on that trial's dataset and posterior ...
+        firsts = list(first_draws(want, prob.z_alphabet_size).values())
+        assert len(at_oracle.calls) == len(firsts) < trials
+        for (s, w, post), t in zip(at_oracle.calls, firsts):
+            s0, w0, post0, _ = want[t]
             assert np.array_equal(s, s0) and type(w) is int and w == w0 and np.array_equal(post, post0)
         # ... and every trial exceeds the next float below it, so the gen errors are equal bit for bit
-        below = iter([math.nextafter(x[3], -math.inf) for x in want])
-        assert mc_tail_validate(prob, alg, lambda s, w, post: next(below), n, 0.5, trials, seed=21).violations == trials
+        under = by_cell(want, prob.z_alphabet_size, below)
+        assert mc_tail_validate(prob, alg, under, n, 0.5, trials, seed=21).violations == trials
+
+    @pytest.mark.parametrize("bad", [math.nan, "high", RuntimeError("bound_fn failed")], ids=["nan", "text", "raise"])
+    def test_bad_bound_surfaces_at_its_first_trial(self, bad):
+        # a loop over every trial would stop at the first trial of the bad cell; here a cell first drawn in the
+        # second block. The cells before it ran, each once, and the bad one ran on that trial's dataset
+        prob, alg, n, trials = mc_case("three blocks")
+        want = per_trial_mc(prob, alg, n, trials, seed=22)
+        cells = list(first_draws(want, 4).items())
+        k = next(k for k, (_, t) in enumerate(cells) if t >= _BLOCK)
+        seen = []
+
+        def bound_fn(s, w, post):
+            seen.append((type_of(s, 4), w, s.copy()))
+            if (type_of(s, 4), w) != cells[k][0]:
+                return math.inf
+            if isinstance(bad, Exception):
+                raise bad
+            return bad
+
+        with pytest.raises(type(bad) if isinstance(bad, Exception) else ValueError, match="bound_fn"):
+            mc_tail_validate(prob, alg, bound_fn, n, 0.1, trials, seed=22)
+        assert [(c, w) for c, w, _ in seen] == [cell for cell, _ in cells[: k + 1]]
+        assert np.array_equal(seen[-1][2], want[cells[k][1]][0])
 
     @pytest.mark.parametrize("case", MC_CASES)
     def test_expectation_equals_the_per_trial_loop(self, case):
@@ -522,34 +573,32 @@ class TestBatchedMc:
         monkeypatch.setattr(validation, "_BLOCK", 16)
         want = per_trial_mc(prob, alg, n, trials, seed=29)
         counting = CountingGibbs(alg.prior, alg.beta)
-        seen = []
-
-        def at_oracle(s, w, post):
-            seen.append((w, post))
-            return want[len(seen) - 1][3]
-
+        at_oracle = by_cell(want, 4)
         assert mc_tail_validate(prob, counting, at_oracle, n, 0.5, trials, seed=29).violations == 0
         lone = [call[0] for call in counting.calls if len(call) == 2 and call[0] == call[1]]
         assert {(3, 1, 0, 1), (3, 2, 0, 0)} <= set(lone)
-        assert all(w == w0 and np.array_equal(post, p) for (w, post), (_, w0, p, _) in zip(seen, want))
-        below = iter([math.nextafter(x[3], -math.inf) for x in want])
-        assert mc_tail_validate(prob, alg, lambda s, w, post: next(below), n, 0.5, trials, seed=29).violations == trials
+        firsts = first_draws(want, 4).values()
+        assert all(w == want[t][1] and np.array_equal(post, want[t][2]) for (_, w, post), t in zip(at_oracle.calls, firsts))
+        assert mc_tail_validate(prob, alg, by_cell(want, 4, below), n, 0.5, trials, seed=29).violations == trials
 
     def test_full_type_cache_evaluates_again(self, monkeypatch):
-        # a table that would pass its room is emptied; its types are evaluated again, with the same draws
-        prob, alg, n, trials = mc_case("three blocks")
+        # with room for one block's types, the table is emptied before every later block: each block evaluates
+        # its own types again and calls bound_fn again on each of its cells, with the same draws
+        prob, alg, n, _ = mc_case("three blocks")
+        trials = 17 * 32  # full blocks: a short last one could fit beside the types the table holds
         monkeypatch.setattr(validation, "_BLOCK", 32)
-        monkeypatch.setattr(validation, "_TYPE_CACHE_FLOATS", 3 * prob.w_alphabet_size * 40)
+        monkeypatch.setattr(validation, "_TYPE_CACHE_FLOATS", 4 * prob.w_alphabet_size * 32)
         want = per_trial_mc(prob, alg, n, trials, seed=28)
         counting = CountingGibbs(alg.prior, alg.beta)
-        seen = []
-        mc_tail_validate(prob, counting, lambda s, w, post: seen.append((w, post)) or math.inf, n, 0.1, trials, seed=28)
-        assert [w for w, _ in seen] == [w for _, w, _, _ in want]
-        assert all(np.array_equal(post, p) for (_, post), (_, _, p, _) in zip(seen, want))
-        # within a call no type repeats, but across calls some do: those the emptied table had held
-        calls = [evaluated(call) for call in counting.calls]
-        distinct = {tuple(np.bincount(s, minlength=4).tolist()) for s, _, _, _ in want}
-        assert set().union(*calls) == distinct and sum(map(len, calls)) > len(distinct)
+        at_oracle = by_cell(want, 4)
+        assert mc_tail_validate(prob, counting, at_oracle, n, 0.1, trials, seed=28).violations == 0
+        blocks = [want[start : start + 32] for start in range(0, trials, 32)]
+        assert [evaluated(call) for call in counting.calls] == [{type_of(s, 4) for s, _, _, _ in b} for b in blocks]
+        firsts = [start + t for start, b in zip(range(0, trials, 32), blocks) for t in first_draws(b, 4).values()]
+        assert len(at_oracle.calls) == len(firsts) > len(first_draws(want, 4))
+        for (s, w, post), t in zip(at_oracle.calls, firsts):
+            assert np.array_equal(s, want[t][0]) and w == want[t][1] and np.array_equal(post, want[t][2])
+        assert mc_tail_validate(prob, alg, by_cell(want, 4, below), n, 0.1, trials, seed=28).violations == trials
         mean, _, _ = mc_expectation_validate(prob, counting, 1.0, n, trials, seed=28)
         assert mean == float(np.mean([ge for _, _, _, ge in want]))
 
