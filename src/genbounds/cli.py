@@ -286,6 +286,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first call, not at import; parse_args and _apply_config only read it
 def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: `_apply_config` sees a flag as explicit only when it is spelled in full
     parser = argparse.ArgumentParser(prog="genbounds", description=__doc__, allow_abbrev=False)
@@ -379,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the subcommand in `argv` (default: sys.argv[1:]) and return its exit code; callable again in one process."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -386,7 +388,7 @@ def main(argv=None) -> int:
         args = _apply_config(parser, args, argv)
         args._t0 = time.time()
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # OSError: an unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

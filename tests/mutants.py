@@ -72,6 +72,28 @@ MUTANTS = [
         "(cdf[..., :-1] < u[..., None])",
         ("tests/test_validation.py::TestBook::test_book_entries_equal_the_inverse_cdf",),
     ),
+    Mutant(
+        "a --config value written into the cached parser's defaults, so a later call without it reads it",
+        "cli.py",
+        "            setattr(args, key, _config_value(actions[key], key, value))\n",
+        "            setattr(args, key, _config_value(actions[key], key, value))\n"
+        "            actions[key].default = getattr(args, key)\n",
+        ("tests/test_io_cli.py::TestCli::test_repeated_calls_match_fresh_parser_calls",),
+    ),
+    Mutant(
+        "thm5's multiplier moved off the root of its first-order condition, to lam (1 + 1e-6)",
+        "bounds.py",
+        "lam = _increasing_root(lambda x: _fo_condition(logw, g, K, x), lo)[1]",
+        "lam = _increasing_root(lambda x: _fo_condition(logw, g, K, x), lo)[1] * (1 + 1e-6)",
+        ("tests/test_properties.py::test_thm5_multiplier_beats_a_fine_grid",),
+    ),
+    Mutant(
+        "the binary KL inverse returning the bracket's upper float, whose divergence exceeds b",
+        "info.py",
+        "    return _increasing_root(h, a)[0]\n",
+        "    return _increasing_root(h, a)[1]\n",
+        ("tests/test_properties.py::test_binary_kl_inverse_within_its_constraint_and_cap",),
+    ),
 ]
 
 

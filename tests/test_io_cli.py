@@ -1,13 +1,18 @@
+import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import genbounds
 from genbounds.bounds import thm1_bound
-from genbounds.cli import main
+from genbounds.cli import build_parser, main
 from genbounds.info import Pmf
 from genbounds.io import (
     canonical_json,
@@ -313,6 +318,67 @@ class TestCli:
     def test_missing_problem_is_a_clean_error(self, tmp_path):
         code = main(["bound", "--kind", "eq21", "--out", str(tmp_path / "x.json")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--kind", "eq22", "--problem", "{dir}", "--out", "{tmp}/x"],
+            ["bound", "--kind", "thm1", "--config", "{dir}", "--out", "{tmp}/x"],
+            ["bound", "--kind", "thm1", "--out", "{file}/report.json"],
+            ["bound", "--kind", "thm1", "--out", "{file}/sub/report.json"],
+        ],
+        ids=["problem-dir", "config-dir", "out-parent-file", "out-under-file"],
+    )
+    def test_unreadable_input_or_unwritable_output_is_a_clean_error(self, tmp_path, capsys, argv):
+        # an IsADirectoryError, FileExistsError or NotADirectoryError ended in a traceback
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        names = {"dir": tmp_path / "dir", "file": tmp_path / "file", "tmp": tmp_path}
+        assert main([a.format(**names) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_repeated_calls_match_fresh_parser_calls(self, tmp_path, problem_file):
+        # main builds its parser once per process: no call, whether it reads a config, fails in argparse
+        # or exits 1, may leave state in it that changes a later call's outputs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0.2}))
+        exact = ["bound", "--kind", "eq22", "--problem", str(problem_file), "--n", "4", "--seed", "3"]
+        with_config, without = [*exact, "--config", str(cfg)], exact
+        out = tmp_path / "run"
+
+        def outputs(argv):
+            assert main([*argv, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["wall_time_s"]
+            return (out / "report.json").read_bytes(), manifest
+
+        def fresh(argv):
+            build_parser.cache_clear()
+            return outputs(argv)
+
+        expected = [fresh(with_config), fresh(without)]
+        assert expected[0][0] != expected[1][0]  # the config's delta reaches the report
+        parser = build_parser()
+        subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)][0].choices
+        defaults = {(name, a.dest): a.default for name, p in subparsers.items() for a in p._actions}
+        assert outputs(with_config) == expected[0]
+        assert outputs(without) == expected[1]
+        with pytest.raises(SystemExit) as exc:
+            main([*with_config, "--delta", "x", "--out", str(out)])
+        assert exc.value.code == 2
+        assert main([*exact[:4], str(tmp_path / "missing.json"), "--out", str(out)]) == 1
+        assert outputs(with_config) == expected[0]
+        assert outputs(without) == expected[1]
+        assert build_parser() is parser
+        assert {(name, a.dest): a.default for name, p in subparsers.items() for a in p._actions} == defaults
+
+    def test_import_builds_no_parser(self):
+        probe = "import genbounds.cli as cli; assert cli.build_parser.cache_info().currsize == 0"
+        src = Path(genbounds.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", probe], check=True, env={**os.environ, "PYTHONPATH": path})
 
     def test_unknown_config_key_errors(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
