@@ -11,15 +11,12 @@ __version__ = "0.1.0"
 
 from .bounds import (
     BoundReport,
-    check_thm3_condition,
-    check_thm4_condition,
     fixed_size_bound,
     pac_bayes_eq22,
     prop5_bound,
     rd_tail_bound,
     reconstruct_bound,
     seeger_fast_rate_bound,
-    t_functional,
     thm1_bound,
     thm5_expectation_bound,
     toy_example_bound,
@@ -31,8 +28,6 @@ from .counterexample import (
     quantize_w,
     run_gd,
     scaling_study,
-    sco_loss,
-    sco_population_risk,
 )
 from .info import (
     Channel,
@@ -48,13 +43,10 @@ from .info import (
     renyi_divergence,
 )
 from .learning import (
-    ConstantAlgorithm,
     Dataset,
     FiniteLearningProblem,
     GibbsAlgorithm,
-    gen_error,
     induced_joint,
-    population_risk,
     sample_dataset,
 )
 from .ratedistortion import (

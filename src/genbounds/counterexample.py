@@ -2,10 +2,12 @@
 
 The instance is fully determined by n: T = 2n^2 gradient steps, step size
 eta = 1/(n sqrt(5n)), dimension d = (3/4) T 2^n, regularizer lam = 1/(n sqrt(d)).
-Data are iid Bern(1/2)^d vectors; a coordinate is `bad` when it is zero in
-every training sample. Under the event {T/2 <= #bad <= T} the GD output has
-a per-coordinate closed form (good j: (lam/2)(-1 + (1 - 2 eta muhat_j)^T),
-bad j: -eta), which the iterative path must reproduce.
+Data are iid Bern(1/2)^d vectors z, the loss on the unit ball is
+ell(z, w) = sum_j z_j w_j^2 + lam <w, z> + max(max_j w_j, 0), and a
+coordinate is `bad` when it is zero in every training sample. Under the
+event {T/2 <= #bad <= T} the GD output has a per-coordinate closed form
+(good j: (lam/2)(-1 + (1 - 2 eta muhat_j)^T), bad j: -eta), which the
+iterative path must reproduce.
 
 The max-term subgradient oracle pushes one coordinate per step: the argmax
 coordinate, ties broken by smallest empirical mean then smallest index (the
@@ -39,9 +41,6 @@ from .seeding import rng as _rng
 __all__ = [
     "ScoInstance",
     "BadCoords",
-    "sco_loss",
-    "sco_population_risk",
-    "sco_empirical_risk",
     "bad_coords",
     "run_gd",
     "bad_coord_stats",
@@ -230,45 +229,9 @@ class BadCoords:
     event_ok: bool
 
 
-def _check_w(inst: ScoInstance, w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.size != inst.d:
-        raise ValueError(f"w must have length d = {inst.d}")
-    if float(w @ w) > 1.0 + 1e-9:
-        raise ValueError("w lies outside the unit ball")
-    return w
-
-
 def _check_r(inst: ScoInstance, r: float) -> None:
     if not 1.0 - 1.0 / inst.n**2 <= r <= 1.0:
         raise ValueError(f"r must lie in [1 - 1/n^2, 1] = [{1 - 1/inst.n**2}, 1]")
-
-
-def _hinge(w: np.ndarray) -> float:
-    return max(float(w.max()), 0.0) if w.size else 0.0
-
-
-def sco_loss(inst: ScoInstance, z, w) -> float:
-    """ell(z, w) = sum_j z_j w_j^2 + lam <w, z> + max(max_j w_j, 0)."""
-    w = _check_w(inst, w)
-    z = np.asarray(z, dtype=float)
-    if z.size != inst.d:
-        raise ValueError(f"z must have length d = {inst.d}")
-    quad = float(z @ (w * w))
-    lin = inst.lam * float(w @ z)
-    return quad + lin + _hinge(w)
-
-
-def sco_population_risk(inst: ScoInstance, w) -> float:
-    """E_z ell(z, w) = sum_j w_j^2 / 2 + (lam/2) sum_j w_j + max(max_j w_j, 0)."""
-    w = _check_w(inst, w)
-    return float((w * w).sum()) / 2.0 + inst.lam * float(w.sum()) / 2.0 + _hinge(w)
-
-
-def sco_empirical_risk(inst: ScoInstance, mu_hat, w) -> float:
-    w = _check_w(inst, w)
-    m = np.asarray(mu_hat, dtype=float)
-    return float(m @ (w * w)) + inst.lam * float(m @ w) + _hinge(w)
 
 
 def bad_coords(inst: ScoInstance, s: np.ndarray) -> BadCoords:

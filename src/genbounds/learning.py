@@ -23,12 +23,7 @@ __all__ = [
     "Dataset",
     "Algorithm",
     "GibbsAlgorithm",
-    "ConstantAlgorithm",
-    "population_risk",
     "population_risks",
-    "empirical_risk",
-    "empirical_risks",
-    "gen_error",
     "gen_errors",
     "sample_dataset",
     "enumerate_types",
@@ -147,49 +142,19 @@ def _dataset_counts(prob: FiniteLearningProblem, s) -> np.ndarray:
     return _symbol_counts(np.asarray(samples)[None], prob.z_alphabet_size)
 
 
-def _check_w(prob: FiniteLearningProblem, w: int) -> None:
-    if not 0 <= w < prob.w_alphabet_size:
-        raise ValueError(f"hypothesis index {w} out of range")
-
-
 def population_risks(prob: FiniteLearningProblem) -> np.ndarray:
     """Vector of population risks, one per hypothesis."""
     return np.asarray(prob.mu) @ prob.loss
 
 
-def population_risk(prob: FiniteLearningProblem, w: int) -> float:
-    _check_w(prob, w)
-    return float(np.asarray(prob.mu) @ prob.loss[:, w])
-
-
-def _empirical_rows(prob: FiniteLearningProblem, counts: np.ndarray) -> np.ndarray:
-    """(N, W) empirical risks of an (N, z) count table whose rows share one sum n."""
-    return counts @ prob.loss / counts[0].sum()
-
-
 def _gen_rows(prob: FiniteLearningProblem, counts: np.ndarray) -> np.ndarray:
-    """(N, W) generalization errors (population minus empirical) of an (N, z) count table."""
-    return population_risks(prob)[None] - _empirical_rows(prob, counts)
-
-
-def empirical_risks(prob: FiniteLearningProblem, s) -> np.ndarray:
-    """Vector of empirical risks on dataset s, one per hypothesis."""
-    return _empirical_rows(prob, _dataset_counts(prob, s))[0]
-
-
-def empirical_risk(prob: FiniteLearningProblem, s, w: int) -> float:
-    _check_w(prob, w)
-    return float(empirical_risks(prob, s)[w])
+    """(N, W) generalization errors (population minus empirical risk) of an (N, z) count table of one row sum n."""
+    return population_risks(prob)[None] - counts @ prob.loss / counts[0].sum()
 
 
 def gen_errors(prob: FiniteLearningProblem, s) -> np.ndarray:
     """Vector of generalization errors (population minus empirical) on s."""
     return _gen_rows(prob, _dataset_counts(prob, s))[0]
-
-
-def gen_error(prob: FiniteLearningProblem, s, w: int) -> float:
-    _check_w(prob, w)
-    return float(gen_errors(prob, s)[w])
 
 
 def _check_beta(beta: float) -> float:
@@ -244,19 +209,6 @@ class GibbsAlgorithm(Algorithm):
         logits -= functools.reduce(np.maximum, logits.T)[:, None]
         weights = np.exp(logits)
         return weights / weights.sum(axis=-1, keepdims=True)
-
-
-class ConstantAlgorithm(Algorithm):
-    """Ignores the data entirely; always outputs the same pmf."""
-
-    def __init__(self, output):
-        self.output = output if isinstance(output, Pmf) else Pmf(np.asarray(output, dtype=float))
-
-    def posteriors(self, prob, counts) -> np.ndarray:
-        if self.output.alphabet_size != prob.w_alphabet_size:
-            k, w = self.output.alphabet_size, prob.w_alphabet_size
-            raise ValueError(f"the output has {k} entries, but the problem has {w} hypotheses")
-        return np.tile(np.asarray(self.output), (len(_type_counts(counts, prob.z_alphabet_size)), 1))
 
 
 def sample_dataset(prob: FiniteLearningProblem, n: int, seed: int, *path: int) -> Dataset:

@@ -268,8 +268,8 @@ def thm7_bound(rd_sup: float, delta: float, n: int, epsilon: float) -> BoundRepo
 def thm8_bound(rd_s: float, log_M: float, lipschitz_L: float, delta: float, n: int, epsilon: float) -> BoundReport:
     """Data-dependent trajectory bound sqrt((rd_s + log(sqrt(2n) M / delta))/(2n-1) + 4 L eps).
 
-    When log_M comes from estimate_M it is a certified lower estimate of the
-    coupling supremum, and the bound value inherits that caveat.
+    The theorem needs log_M to be the coupling supremum. `estimate_M` gives
+    only a lower estimate of it, so a bound built on that can be too small.
     """
     _check_domain(n, delta, rd_s=rd_s, log_M=log_M)
     rate = rd_s / (2 * n - 1)
@@ -281,7 +281,10 @@ def thm8_bound(rd_s: float, log_M: float, lipschitz_L: float, delta: float, n: i
 
 @dataclass(frozen=True)
 class CouplingEstimate:
-    """Lower estimate of log M = sup over the KL ball of I(S; W^T) under nu x pi."""
+    """A lower estimate of log M = sup over the KL ball of I(S; W^T) under nu x pi.
+
+    thm8 needs the sup itself, so a bound built on `log_M` can be too small.
+    """
 
     log_M: float
     plug_in: float
@@ -296,8 +299,10 @@ def estimate_M(pi_S, P_S, delta: float, budget: int = 800, seed: int = 0) -> Cou
 
     pi_S rows hold P(W^T = . | S = s) on the (finite, quantized) trajectory
     alphabet. log M is the supremum over nu in the KL ball of the mutual
-    information of the channel with input nu; the plug-in value (nu = P_S)
-    is reported alongside, and the sup is a certified lower estimate.
+    information of the channel with input nu. The returned `log_M` is a
+    search's lower estimate of it (`info.gdelta_sup`: attained in the ball,
+    so never above the sup, but it can fall well short), so thm8 with it
+    can be too small. The plug-in value (nu = P_S) is reported alongside.
     """
     pi = np.asarray(pi_S, dtype=float)
     ps = np.asarray(P_S, dtype=float).reshape(-1)

@@ -10,17 +10,29 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np
+
+from genbounds.learning import Algorithm, _type_counts
+
 # one profile for every property test: the same examples on every run, no
 # example database carried between runs, and no per-example deadline
 settings.register_profile("genbounds", derandomize=True, database=None, deadline=None)
 settings.load_profile("genbounds")
 
 
+class ConstantAlgorithm(Algorithm):
+    """A test learner that ignores the data: every posterior row is the pmf `output`."""
+
+    def __init__(self, output):
+        self.output = np.asarray(output, dtype=float)
+
+    def posteriors(self, prob, counts):
+        return np.tile(self.output, (len(_type_counts(counts, prob.z_alphabet_size)), 1))
+
+
 @pytest.fixture
 def helper_points(monkeypatch):
     """The points that `info.gdelta_sup` sends its forked helper, which it starts as on two CPUs."""
-    import numpy as np
-
     from genbounds import info
 
     sent = []
@@ -43,8 +55,6 @@ def dataset_joint():
     `itertools.product` order, row s being mu^n(s) times alg's posterior for s.
     """
     import itertools
-
-    import numpy as np
 
     from genbounds.info import Joint
 

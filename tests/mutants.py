@@ -94,6 +94,34 @@ MUTANTS = [
         "    return _increasing_root(h, a)[1]\n",
         ("tests/test_properties.py::test_binary_kl_inverse_within_its_constraint_and_cap",),
     ),
+    Mutant(
+        "the scaling study's domination check dropped, so an exact mean above the expectation bound passes",
+        "counterexample.py",
+        "        if not mean <= be:\n",
+        "        if not mean <= math.inf:\n",
+        ("tests/test_counterexample.py::TestScaling::test_bound_violation_raises",),
+    ),
+    Mutant(
+        "`<` for `<=` in the MC tail pass rule, so a rate at the edge delta + 3 se fails",
+        "validation.py",
+        "return self.violation_rate <= self.target_delta + 3 * self.binomial_se",
+        "return self.violation_rate < self.target_delta + 3 * self.binomial_se",
+        ("tests/test_validation.py::TestValidationReport::test_pass_rule_edge",),
+    ),
+    Mutant(
+        "a 30-sigma buffer for the 3-sigma one in the MC tail pass rule",
+        "validation.py",
+        "return self.violation_rate <= self.target_delta + 3 * self.binomial_se",
+        "return self.violation_rate <= self.target_delta + 30 * self.binomial_se",
+        ("tests/test_validation.py::TestValidationReport::test_pass_rule_edge",),
+    ),
+    Mutant(
+        "an export that nothing loads",
+        "__init__.py",
+        '__version__ = "0.1.0"\n',
+        '__version__ = "0.1.0"\n\nfrom .info import Pmf as Distribution\n',
+        ("tests/test_layering.py::test_every_export_has_a_caller",),
+    ),
 ]
 
 

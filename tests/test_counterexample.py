@@ -20,9 +20,6 @@ from genbounds.counterexample import (
     quantizer_levels,
     run_gd,
     scaling_study,
-    sco_empirical_risk,
-    sco_loss,
-    sco_population_risk,
 )
 from genbounds.seeding import rng
 
@@ -30,6 +27,25 @@ from genbounds.seeding import rng
 def sample_bits(inst, seed):
     gen = rng(seed)
     return (gen.random((inst.n, inst.d)) < 0.5).astype(np.uint8)
+
+
+def sco_loss(inst, z, w):
+    """The instance's loss ell(z, w) = sum_j z_j w_j^2 + lam <w, z> + max(max_j w_j, 0), the tests' oracle.
+
+    It is linear in z, so at z = E[z] it is a risk: the population risk at z = 1/2 everywhere and the
+    empirical risk at a dataset's coordinate means.
+    """
+    z, w = np.asarray(z, dtype=float), np.asarray(w, dtype=float)
+    return float(z @ (w * w)) + inst.lam * float(w @ z) + max(float(w.max()), 0.0)
+
+
+def sco_population_risk(inst, w):
+    return sco_loss(inst, np.full(inst.d, 0.5), w)
+
+
+def sco_gen(inst, s, w):
+    """gen(S, w): the population risk minus the empirical risk on the (n, d) dataset s."""
+    return sco_population_risk(inst, w) - sco_loss(inst, s.mean(axis=0), w)
 
 
 # the SCO's Binomial(d, 2^-n) laws for n = 1..10, the smallest d, and p = 1/2
@@ -80,6 +96,8 @@ class TestConstants:
 
 
 class TestLoss:
+    """The loss oracle the Monte Carlo tests use, and the domain it is defined on."""
+
     def test_zero_w(self):
         inst = ScoInstance(4)
         z = np.ones(inst.d)
@@ -104,12 +122,16 @@ class TestLoss:
         assert sco_loss(inst, z, w) == pytest.approx(brute, abs=1e-12)
 
     def test_unit_ball_enforced(self):
+        # the quantized output, like the GD output, lies in the unit ball the loss is defined on
         inst = ScoInstance(4)
-        with pytest.raises(ValueError):
-            sco_loss(inst, np.zeros(inst.d), np.full(inst.d, 1.0))
+        for seed in range(5):
+            w_hat = quantize_w(inst, sample_bits(inst, 300 + seed), 1 - 1 / inst.n**2, seed=seed)
+            assert float(w_hat @ w_hat) <= 1.0
 
 
 class TestPopulationRisk:
+    """The oracle's population risk, the loss at z = 1/2, against its closed form and Monte Carlo over z."""
+
     def test_zero(self):
         inst = ScoInstance(4)
         assert sco_population_risk(inst, np.zeros(inst.d)) == 0.0
@@ -169,7 +191,7 @@ class TestGdDynamics:
         s = sample_bits(inst, 6)
         w, ok = run_gd(inst, s, "iterative")
         mu_hat = s.mean(axis=0)
-        direct = sco_population_risk(inst, w) - sco_empirical_risk(inst, mu_hat, w)
+        direct = sco_gen(inst, s, w)
         per_coord = float(((0.5 - mu_hat) * w * (w + inst.lam)).sum())
         assert direct == pytest.approx(per_coord, abs=1e-12)
 
@@ -262,11 +284,8 @@ class TestDistortionAndBounds:
         for t in range(trials):
             s = (gen.random((inst.n, inst.d)) < 0.5).astype(np.uint8)
             w, ok = run_gd(inst, s, "iterative")
-            mu_hat = s.mean(axis=0)
             w_hat = quantize_w(inst, s, r, seed=10_000 + t)
-            gw = sco_population_risk(inst, w) - sco_empirical_risk(inst, mu_hat, w)
-            gh = sco_population_risk(inst, w_hat) - sco_empirical_risk(inst, mu_hat, w_hat)
-            vals[t] = gw - gh
+            vals[t] = sco_gen(inst, s, w) - sco_gen(inst, s, w_hat)
         mc = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(trials))
         assert exact_distortion(inst, r) == pytest.approx(mc, abs=4 * se)
@@ -279,8 +298,7 @@ class TestDistortionAndBounds:
         for t in range(trials):
             s = (gen.random((inst.n, inst.d)) < 0.5).astype(np.uint8)
             w, _ = run_gd(inst, s, "iterative")
-            mu_hat = s.mean(axis=0)
-            vals[t] = sco_population_risk(inst, w) - sco_empirical_risk(inst, mu_hat, w)
+            vals[t] = sco_gen(inst, s, w)
         mc = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(trials))
         assert exact_mean_gen(inst) == pytest.approx(mc, abs=4 * se)
@@ -288,7 +306,7 @@ class TestDistortionAndBounds:
     @staticmethod
     def gen_of(inst, s):
         w, _ = run_gd(inst, s, "iterative")
-        return sco_population_risk(inst, w) - sco_empirical_risk(inst, s.mean(axis=0), w)
+        return sco_gen(inst, s, w)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_exact_mean_gen_is_the_mean_over_every_dataset(self, n):

@@ -10,23 +10,20 @@ from genbounds.cli import main
 from genbounds.info import Pmf, mutual_information
 from genbounds.learning import (
     Algorithm,
-    ConstantAlgorithm,
     Dataset,
     EnumerationCapError,
     FiniteLearningProblem,
     GibbsAlgorithm,
-    empirical_risk,
-    empirical_risks,
     enumerate_types,
-    gen_error,
     gen_errors,
     gen_table,
     induced_joint,
-    population_risk,
     population_risks,
     sample_dataset,
 )
 from genbounds.seeding import rng
+
+from conftest import ConstantAlgorithm
 
 
 def types_by_loop(z, n):
@@ -41,6 +38,15 @@ def type_rows(types, datasets):
     return np.array([np.flatnonzero((types == c).all(axis=1))[0] for c in counts])
 
 
+def gen_by_loop(prob, s):
+    """gen(s, w) per hypothesis: sum_z mu(z) loss(z, w) minus the mean loss over the samples."""
+    mu = np.asarray(prob.mu)
+    return np.array([
+        sum(mu[z] * prob.loss[z, w] for z in range(prob.z_alphabet_size)) - np.mean([prob.loss[z, w] for z in s])
+        for w in range(prob.w_alphabet_size)
+    ])
+
+
 def small_problem(seed=11, z=4, w=3, bound=None):
     gen = rng(seed)
     loss = gen.uniform(0.0, 1.0, size=(z, w))
@@ -50,30 +56,31 @@ def small_problem(seed=11, z=4, w=3, bound=None):
 class TestRisks:
     def test_zero_loss(self):
         prob = FiniteLearningProblem(loss=np.zeros((2, 2)), mu=Pmf(np.array([0.5, 0.5])))
-        assert population_risk(prob, 0) == 0.0
-        assert gen_error(prob, [0, 1], 1) == 0.0
+        assert np.array_equal(population_risks(prob), [0.0, 0.0])
+        assert np.array_equal(gen_errors(prob, [0, 1]), [0.0, 0.0])
 
     def test_uniform_mu_symbol_loss(self):
         prob = FiniteLearningProblem(
             loss=np.array([[0.0, 0.0], [1.0, 1.0]]), mu=Pmf(np.array([0.5, 0.5]))
         )
-        for w in range(2):
-            assert population_risk(prob, w) == pytest.approx(0.5)
+        assert population_risks(prob) == pytest.approx([0.5, 0.5])
 
     def test_matches_brute_force(self):
         prob = small_problem()
         mu = np.asarray(prob.mu)
-        for w in range(prob.w_alphabet_size):
-            brute = sum(mu[z] * prob.loss[z, w] for z in range(prob.z_alphabet_size))
-            assert population_risk(prob, w) == pytest.approx(brute, abs=1e-12)
+        zs, ws = range(prob.z_alphabet_size), range(prob.w_alphabet_size)
+        brute = [sum(mu[z] * prob.loss[z, w] for z in zs) for w in ws]
+        assert population_risks(prob) == pytest.approx(brute, abs=1e-12)
 
     def test_empirical_matches_loop(self):
+        # a dataset's gen row and its type's row of the gen table, against the per-sample loop
         prob = small_problem()
         gen = rng(12)
         s = gen.integers(0, prob.z_alphabet_size, size=9)
-        for w in range(prob.w_alphabet_size):
-            brute = np.mean([prob.loss[z, w] for z in s])
-            assert empirical_risk(prob, s, w) == pytest.approx(brute, abs=1e-12)
+        want = gen_by_loop(prob, s)
+        assert gen_errors(prob, s) == pytest.approx(want, abs=1e-12)
+        counts = np.bincount(s, minlength=prob.z_alphabet_size)[None]
+        assert gen_table(prob, counts)[0] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize(
         "loss, bound",
@@ -85,11 +92,12 @@ class TestRisks:
             FiniteLearningProblem(loss=np.array(loss), mu=Pmf(np.array([0.5, 0.5])), bound=bound)
 
     def test_index_out_of_range(self):
+        # a sample past the alphabet, and a type table with a column past it
         prob = small_problem()
-        with pytest.raises(ValueError):
-            population_risk(prob, prob.w_alphabet_size)
-        with pytest.raises(ValueError):
-            gen_error(prob, [0], -1)
+        with pytest.raises(ValueError, match="out of range"):
+            gen_errors(prob, [prob.z_alphabet_size])
+        with pytest.raises(ValueError, match="symbol counts per row"):
+            gen_table(prob, enumerate_types(prob.z_alphabet_size + 1, 2))
 
 
 class TestSampleIndices:
@@ -131,17 +139,13 @@ class TestGenError:
         prob = FiniteLearningProblem(
             loss=np.array([[0.2, 0.9], [0.6, 0.1]]), mu=Pmf(np.array([0.5, 0.5]))
         )
-        s = [0, 1, 0, 1]
-        for w in range(2):
-            assert gen_error(prob, s, w) == pytest.approx(0.0, abs=1e-12)
+        assert gen_errors(prob, [0, 1, 0, 1]) == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_matches_recomputation(self):
         prob = small_problem(13)
         gen = rng(14)
         s = gen.integers(0, prob.z_alphabet_size, size=7)
-        for w in range(prob.w_alphabet_size):
-            recomputed = population_risk(prob, w) - empirical_risk(prob, s, w)
-            assert gen_error(prob, s, w) == pytest.approx(recomputed, abs=1e-12)
+        assert gen_errors(prob, s) == pytest.approx(gen_by_loop(prob, s), abs=1e-12)
 
     def test_bounded_loss_bounds_gen(self):
         prob = small_problem(15, bound=1.0)
@@ -161,7 +165,7 @@ class TestGibbs:
     def test_large_beta_concentrates(self):
         prob = small_problem(18)
         s = [0, 1, 2, 3]
-        risks = np.asarray([empirical_risk(prob, s, w) for w in range(3)])
+        risks = prob.loss[s].mean(axis=0)
         post = GibbsAlgorithm(Pmf.uniform(3), 5e3).posterior(prob, s)
         assert np.asarray(post)[int(np.argmin(risks))] > 0.999
 
@@ -171,8 +175,7 @@ class TestGibbs:
         )
         s = [0, 0, 1]
         n = 3
-        r0 = empirical_risk(prob, s, 0)
-        r1 = empirical_risk(prob, s, 1)
+        r0, r1 = prob.loss[s].mean(axis=0)
         z = math.exp(-n * r0) + math.exp(-n * r1)
         post = GibbsAlgorithm(Pmf.uniform(2), 1.0).posterior(prob, s)
         assert np.asarray(post)[0] == pytest.approx(math.exp(-n * r0) / z, abs=1e-12)
@@ -523,15 +526,15 @@ class TestTypeCounts:
 
 
 class TestOneRowKernels:
-    """gen_errors, empirical_risks and each built-in learner's `posterior` and `posterior_from_counts`
-    give the bits of the per-dataset formulas they replaced: a bincount of the samples, a 1-D product,
-    a 1-D Gibbs row and the constant learner's own output."""
+    """gen_errors and each learner's `posterior` and `posterior_from_counts` give the bits of the
+    per-dataset formulas they replaced: a bincount of the samples, a 1-D product, a 1-D Gibbs row
+    and the constant test learner's own output."""
 
     @staticmethod
     def old_formulas(prob, prior, beta, s):
         counts = np.bincount(np.asarray(s), minlength=prob.z_alphabet_size).astype(float)
         emp = (counts @ prob.loss) / np.asarray(s).size
-        return emp, population_risks(prob) - emp, gibbs_row(prob, prior, beta, counts)
+        return population_risks(prob) - emp, gibbs_row(prob, prior, beta, counts)
 
     def test_bits_equal_on_random_problems(self):
         gen = rng(37)
@@ -545,11 +548,10 @@ class TestOneRowKernels:
                 prior /= prior.sum()
             beta = float(gen.uniform(0, 10))
             s = gen.integers(0, z, size=n)
-            emp, gerr, post = self.old_formulas(prob, prior, beta, s)
+            gerr, post = self.old_formulas(prob, prior, beta, s)
             gibbs, constant = GibbsAlgorithm(prior, beta), ConstantAlgorithm(prior)
             counts = np.bincount(s, minlength=z)
             for data in (s, Dataset(s), s.astype(float)):
-                assert np.array_equal(empirical_risks(prob, data), emp)
                 assert np.array_equal(gen_errors(prob, data), gerr)
                 assert np.array_equal(np.asarray(gibbs.posterior(prob, data)), post)
                 assert np.array_equal(np.asarray(constant.posterior(prob, data)), prior)
@@ -560,7 +562,7 @@ class TestOneRowKernels:
     def test_index_past_the_alphabet_rejected(self):
         prob = small_problem(38, z=3, w=2)
         gibbs, constant = GibbsAlgorithm(Pmf.uniform(2), 1.0), ConstantAlgorithm(Pmf.uniform(2))
-        for call in (lambda: gen_errors(prob, [0, 3]), lambda: empirical_risks(prob, [10**12]),
+        for call in (lambda: gen_errors(prob, [0, 3]), lambda: gen_errors(prob, [10**12]),
                      lambda: gibbs.posterior(prob, [-1, 0]), lambda: constant.posterior(prob, [0, 3]),
                      lambda: constant.posterior(prob, [-1, 0])):
             with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from genbounds.bounds import thm1_bound, thm5_expectation_bound
 from genbounds.info import Pmf, kl_divergence
 from genbounds import learning
 from genbounds.learning import (
-    ConstantAlgorithm,
     FiniteLearningProblem,
     GibbsAlgorithm,
     _symbol_counts,
@@ -29,6 +28,8 @@ from genbounds.validation import (
     mc_tail_validate,
 )
 
+from conftest import ConstantAlgorithm
+
 
 def gibbs_instance(seed=200, z=2, w=3, beta=1.0):
     gen = rng(seed)
@@ -48,6 +49,11 @@ class TestValidationReport:
     def test_fail_side(self):
         rep = ValidationReport(trials=1000, violations=200, target_delta=0.1)
         assert not rep.passed
+
+    def test_pass_rule_edge(self):
+        # pass iff rate <= delta + 3 se: at delta = 1/2 and 16 trials, se = 1/8 and the edge 7/8 is exact
+        assert ValidationReport(trials=16, violations=14, target_delta=0.5).passed
+        assert not ValidationReport(trials=16, violations=15, target_delta=0.5).passed
 
 
 class TestMcTail:
