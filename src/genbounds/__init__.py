@@ -30,13 +30,11 @@ from .counterexample import (
     scaling_study,
 )
 from .info import (
-    Channel,
     Joint,
     Pmf,
     binary_kl,
     binary_kl_inverse,
     binary_kl_inverse_cap,
-    entropy,
     gdelta_sup,
     kl_divergence,
     mutual_information,

@@ -157,15 +157,12 @@ def _q_rows(q_hat, rows: int) -> np.ndarray:
 # building blocks
 
 
-def channel_kl(nu_s, p_hat, q_hat, alpha: float = 1.0) -> float:
-    """E_{nu_S}[ D_alpha(p(.|S) || q(.|S)) ], the divergence term of thm5's part i."""
+def channel_kl(nu_s, p_hat, q_hat) -> float:
+    """E_{nu_S}[ KL(p(.|S) || q(.|S)) ], the divergence term of thm5's part i."""
     nu = _probs(np.reshape(nu_s, -1), 1)
     pos = np.flatnonzero(nu > 0)
     p, q = _pair(np.asarray(p_hat, dtype=float)[pos], np.asarray(q_hat, dtype=float)[pos], rows=True)
-    if alpha == 1:
-        divs = _kl_rows(p, q)
-    else:
-        divs = np.array([renyi_divergence(a, b, alpha) for a, b in zip(p, q)])
+    divs = _kl_rows(p, q)
     # a running sum in row order adds the terms as a loop over the rows would,
     # to the last bit; an infinite divergence makes the total +inf
     return float(np.cumsum(nu[pos] * divs)[-1])
@@ -542,7 +539,7 @@ def thm5_expectation_bound(
         if not distortion_ok_fg(P_t, p, fm, gm, epsilon):
             e_g = float((ps[:, None] * p * gm).sum())
             raise ValueError(f"distortion violated: E[f-g]={true_ef - e_g} > epsilon={epsilon}")
-        kl = channel_kl(ps, p, q, 1.0)
+        kl = channel_kl(ps, p, q)
         if mgf == "surrogate":
             if sigma_g is None:
                 raise ValueError("surrogate path needs sigma_g")

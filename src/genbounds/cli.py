@@ -187,7 +187,8 @@ def cmd_rd(args) -> int:
         shift = 0.0
     eps_grid = _numbers(args.epsilon_grid)
     points = _rd_grid(source, d, [eps - shift for eps in eps_grid])
-    rows = [(eps, pt.rate, pt.lagrange, pt.iterations, pt.converged) for eps, pt in zip(eps_grid, points)]
+    rows = [(eps, pt.rate_nats, pt.lagrange_lambda, pt.iterations, pt.converged)
+            for eps, pt in zip(eps_grid, points)]
     header = ["epsilon", "rate_nats", "lagrange", "iterations", "converged"]
     path = _emit(args, write_csv, rows, "rd_curve.csv", header)
     print(f"rd: {len(rows)} points -> {path}")

@@ -1,8 +1,8 @@
 """Exact information-theoretic primitives on finite alphabets.
 
-All divergences, entropies and mutual informations are in nats. The
-0 log 0 = 0 convention applies throughout, and infinite divergences are
-returned as ``math.inf`` values, never raised. Containers and primitives
+All divergences and mutual informations are in nats. The 0 log 0 = 0
+convention applies throughout, and infinite divergences are returned as
+``math.inf`` values, never raised. Containers and primitives
 alike take pmfs and check them with `_probs`, raising ValueError on
 negative, unnormalised or non-finite input; every KL goes through
 `_kl_rows`. All containers are immutable after construction, so every
@@ -25,9 +25,7 @@ from .seeding import rng as _rng
 
 __all__ = [
     "Pmf",
-    "Channel",
     "Joint",
-    "entropy",
     "kl_divergence",
     "renyi_divergence",
     "mutual_information",
@@ -100,25 +98,6 @@ class Pmf:
     def uniform(cls, k: int) -> "Pmf":
         return cls(np.full(k, 1.0 / k))
 
-    @classmethod
-    def point_mass(cls, i: int, k: int) -> "Pmf":
-        p = np.zeros(k)
-        p[i] = 1.0
-        return cls(p)
-
-
-@dataclass(frozen=True)
-class Channel:
-    """Conditional pmf matrix: rows index source symbols, columns outputs."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _probs(self.rows, 2, rows=True))
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.rows, dtype=dtype)
-
 
 @dataclass(frozen=True)
 class Joint:
@@ -166,13 +145,6 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0).sum(axis=-1)
-
-
-def entropy(p) -> float:
-    """Shannon entropy in nats, 0 log 0 = 0."""
-    v = _probs(_vec(p), 1)
-    pos = v[v > 0]
-    return float(-(pos * np.log(pos)).sum())
 
 
 def kl_divergence(p, q) -> float:

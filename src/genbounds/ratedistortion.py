@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
-from .info import Channel, Joint, _cpus, _may_fork, _probs
+from .info import Joint, _cpus, _may_fork, _probs
 
 __all__ = [
     "RdSolution",
@@ -67,9 +66,11 @@ class DistortionSpec:
 
 @dataclass(frozen=True)
 class RdSolution:
+    """One solved point of the rate-distortion curve: the rate, the distortion it attains, the multiplier, and
+    the BA solve's iteration count and convergence flag."""
+
     rate_nats: float
     achieved_distortion: float
-    channel: Channel
     lagrange_lambda: float
     iterations: int
     converged: bool
@@ -104,21 +105,6 @@ class _BaProblem:
         self.a = np.empty(dm.shape)
         self.denom = np.empty(p.size)
 
-    def channel(self, s: float, q_in: np.ndarray) -> np.ndarray:
-        """The test channel that one BA step from marginal q_in makes at multiplier s.
-
-        A row whose normaliser underflows to 0 is the point mass on its
-        least-distortion reproduction. That happens at a large s when the
-        reproductions that a symbol can reach have marginal 0, as for a
-        symbol of probability 0. Every other row is the step's, to the bit.
-        """
-        weighted = q_in * np.exp(-s * self.shifted)
-        z = weighted.sum(axis=1)
-        rows = weighted / np.where(z > 0, z, 1.0)[:, None]
-        dead = np.flatnonzero(z == 0)
-        rows[dead, self.shifted[dead].argmin(axis=1)] = 1.0
-        return rows
-
 
 def _ba_fixed_multiplier(prob: _BaProblem, s: float, tol: float, q0: np.ndarray | None = None):
     """Alternating minimization of I + s*E[d] at fixed multiplier s.
@@ -133,13 +119,10 @@ def _ba_fixed_multiplier(prob: _BaProblem, s: float, tol: float, q0: np.ndarray 
 
     A step writes its channel, then the distortion products over it, and its
     row normalizers into the buffers of `prob` and keeps only marginals, so
-    the loop carries no channel. It returns (rate, distortion, q_in, q_out,
-    evaluations, converged): q_in is the input marginal of the accepted
-    step and q_out its output, the next solve's warm start.
-    `prob.channel(s, q_in)` rebuilds the accepted channel with the step's
-    expressions, to the bit, once the caller needs it. The log of an
-    all-positive q_out is handed to the step that takes it as input instead
-    of being taken again.
+    the loop carries no channel. It returns (rate, distortion, q_out,
+    evaluations, converged): q_out is the accepted step's output marginal,
+    the next solve's warm start. The log of an all-positive q_out is handed
+    to the step that takes it as input instead of being taken again.
     """
     p, p_col, d, support = prob.p, prob.p_col, prob.d, prob.support
     weighted, a, denom = prob.weighted, prob.a, prob.denom
@@ -189,12 +172,10 @@ def _ba_fixed_multiplier(prob: _BaProblem, s: float, tol: float, q0: np.ndarray 
     rate = 0.0
     dist = 0.0
     log_q = None
-    q_in = q
     evals = 0
     converged = False
     while evals < MAX_ITER:
         q1, log1, rate, dist = step(q, log_q)
-        q_in = q
         evals += 1
         objective = rate + s * dist
         if objective > prev_objective + 1e-9 * max(1.0, abs(prev_objective)):
@@ -213,8 +194,7 @@ def _ba_fixed_multiplier(prob: _BaProblem, s: float, tol: float, q0: np.ndarray 
         v = (q2 - q1) - r
         vnorm = float(v @ v)
         if vnorm <= 1e-30:
-            q_in, q, log_q, prev_rate, prev_objective, rate, dist = (
-                q1, q2, log2, rate2, rate2 + s * dist2, rate2, dist2)
+            q, log_q, prev_rate, prev_objective, rate, dist = q2, log2, rate2, rate2 + s * dist2, rate2, dist2
             continue
         alpha = min(-1.0, -math.sqrt(float(r @ r) / vnorm))
         q_acc = np.maximum(q - 2 * alpha * r + alpha**2 * v, 0.0)
@@ -222,46 +202,28 @@ def _ba_fixed_multiplier(prob: _BaProblem, s: float, tol: float, q0: np.ndarray 
         q3, log3, rate3, dist3 = step(q_acc, None)
         evals += 1
         if rate3 + s * dist3 <= rate2 + s * dist2:
-            q_in, q, log_q, rate, dist = q_acc, q3, log3, rate3, dist3
+            q, log_q, rate, dist = q3, log3, rate3, dist3
         else:
-            q_in, q, log_q, rate, dist = q1, q2, log2, rate2, dist2
+            q, log_q, rate, dist = q2, log2, rate2, dist2
         prev_rate, prev_objective = rate, rate + s * dist
-    return max(rate, 0.0), dist, q_in, q1 if converged else q, evals, converged
+    return max(rate, 0.0), dist, q1 if converged else q, evals, converged
 
 
 def blahut_arimoto(source, d: DistortionSpec | np.ndarray, lagrange: float) -> RdSolution:
     """One Lagrangian-optimal point of the rate-distortion curve.
 
     Returns the rate and distortion attained at the given multiplier; with
-    lagrange=0 the channel collapses to identical rows (rate 0). Raises
-    ValueError for invalid inputs (see `_BaProblem`) and for a multiplier
-    that is negative or not finite.
+    lagrange=0 the rate is 0. Raises ValueError for invalid inputs (see
+    `_BaProblem`) and for a multiplier that is negative or not finite.
     """
     prob = _BaProblem(source, d)
     if not 0 <= lagrange < math.inf:
         raise ValueError("lagrange multiplier must be finite and non-negative")
-    rate, dist, q_in, _, iters, converged = _ba_fixed_multiplier(prob, lagrange, RATE_TOL)
-    return RdSolution(rate, dist, Channel(prob.channel(lagrange, q_in)), float(lagrange), iters, converged)
+    rate, dist, _, iters, converged = _ba_fixed_multiplier(prob, lagrange, RATE_TOL)
+    return RdSolution(rate, dist, float(lagrange), iters, converged)
 
 
-class _Point(NamedTuple):
-    """One solved point of the rate-distortion curve, without its channel.
-
-    The channel is `_BaProblem.channel(s, q_in)`: the step's channel of the
-    returned solve, or at the zero-rate point, the multiplier 0 with a
-    point-mass marginal, whose step gives every row that point mass.
-    """
-
-    rate: float
-    distortion: float
-    lagrange: float
-    iterations: int
-    converged: bool
-    s: float
-    q_in: np.ndarray
-
-
-def _solve(prob: _BaProblem, epsilon: float) -> _Point:
+def _solve(prob: _BaProblem, epsilon: float) -> RdSolution:
     """R(epsilon) on a prepared problem; see `rd_curve`."""
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
@@ -270,13 +232,9 @@ def _solve(prob: _BaProblem, epsilon: float) -> _Point:
     if epsilon < floor - 1e-12 * max(1.0, abs(floor)):
         raise InfeasibleDistortion(f"epsilon={epsilon} below the achievable floor {floor}")
 
-    col = p @ dm
-    best_col = int(np.argmin(col))
-    zero_rate_d = float(col[best_col])
+    zero_rate_d = float((p @ dm).min())
     if epsilon >= zero_rate_d - 1e-15:
-        point_mass = np.zeros(dm.shape[1])
-        point_mass[best_col] = 1.0
-        return _Point(0.0, zero_rate_d, 0.0, 0, True, 0.0, point_mass)
+        return RdSolution(0.0, zero_rate_d, 0.0, 0, True)
 
     scale = max(float(dm.max() - dm.min()), 1e-30)
     coarse = max(RATE_TOL, 1e-6)  # bracketing precision; the accepted point is re-polished at RATE_TOL
@@ -287,21 +245,21 @@ def _solve(prob: _BaProblem, epsilon: float) -> _Point:
         q_warm = None
         best = None
         for _ in range(60):
-            rate, _, _, q_warm, _, _ = _ba_fixed_multiplier(prob, s, coarse, q_warm)
+            rate, _, q_warm, _, _ = _ba_fixed_multiplier(prob, s, coarse, q_warm)
             best = (s, q_warm)
             if prev is not None and abs(prev - rate) < max(coarse, 1e-12):
                 break
             prev = rate
             s *= 2.0
         s = best[0]
-        rate, dist, q_in, _, iters, conv = _ba_fixed_multiplier(prob, s, RATE_TOL, best[1])
-        return _Point(rate, dist, s, iters, conv, s, q_in)
+        rate, dist, _, iters, conv = _ba_fixed_multiplier(prob, s, RATE_TOL, best[1])
+        return RdSolution(rate, dist, s, iters, conv)
 
     lo = 0.0
     hi = 8.0 / scale
     q_warm = None
     for _ in range(80):
-        _, dist, _, q_warm, _, _ = _ba_fixed_multiplier(prob, hi, coarse, q_warm)
+        _, dist, q_warm, _, _ = _ba_fixed_multiplier(prob, hi, coarse, q_warm)
         if dist <= epsilon:
             break
         hi *= 2.0
@@ -310,7 +268,7 @@ def _solve(prob: _BaProblem, epsilon: float) -> _Point:
     found = None
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        _, dist, _, q_warm, _, _ = _ba_fixed_multiplier(prob, mid, coarse, q_warm)
+        _, dist, q_warm, _, _ = _ba_fixed_multiplier(prob, mid, coarse, q_warm)
         if dist <= epsilon:
             hi = mid
             found = (mid, q_warm)
@@ -320,13 +278,12 @@ def _solve(prob: _BaProblem, epsilon: float) -> _Point:
             lo = mid
     if found is None:
         found = (hi, None)
-    s = found[0]
-    rate, dist, q_in, q_warm, iters, conv = _ba_fixed_multiplier(prob, s, RATE_TOL, found[1])
+    rate, dist, q_warm, iters, conv = _ba_fixed_multiplier(prob, found[0], RATE_TOL, found[1])
     if dist > epsilon + max(DIST_TOL, 1e-12):
-        # polishing drifted past the target; nudge the multiplier upward
+        # polishing drifted past the target; nudge the multiplier upward (the reported one stays found[0])
         s = found[0] * (1 + 1e-6) + 1e-12
-        rate, dist, q_in, _, iters, conv = _ba_fixed_multiplier(prob, s, RATE_TOL, q_warm)
-    return _Point(rate, dist, found[0], iters, conv, s, q_in)
+        rate, dist, _, iters, conv = _ba_fixed_multiplier(prob, s, RATE_TOL, q_warm)
+    return RdSolution(rate, dist, found[0], iters, conv)
 
 
 def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSolution:
@@ -337,17 +294,14 @@ def rd_curve(source, d: DistortionSpec | np.ndarray, epsilon: float) -> RdSoluti
     is grown until the rate stabilizes instead. The inputs are validated and
     prepared once (`_BaProblem`), so every BA solve of the call shares the
     set-up and the step buffers; each solve warm-starts from the previous
-    solve's output marginal, and only the returned solve's channel is built.
-    Raises ValueError for invalid inputs and a non-finite epsilon, before
-    any solve, and InfeasibleDistortion below the distortion floor.
+    solve's output marginal. Raises ValueError for invalid inputs and a
+    non-finite epsilon, before any solve, and InfeasibleDistortion below the
+    distortion floor.
     """
-    prob = _BaProblem(source, d)
-    pt = _solve(prob, epsilon)
-    channel = Channel(prob.channel(pt.s, pt.q_in))
-    return RdSolution(pt.rate, pt.distortion, channel, pt.lagrange, pt.iterations, pt.converged)
+    return _solve(_BaProblem(source, d), epsilon)
 
 
-def _rd_grid(source, d: DistortionSpec | np.ndarray, eps: list[float]) -> list[_Point]:
+def _rd_grid(source, d: DistortionSpec | np.ndarray, eps: list[float]) -> list[RdSolution]:
     """R(epsilon) at every grid point, in grid order, on one prepared problem.
 
     Each point is the point that `rd_curve` solves, to the bit. The points
@@ -441,7 +395,7 @@ def rd_dimension(source, rho: DistortionSpec | np.ndarray, eps_grid) -> tuple[li
         raise ValueError("epsilon grid points must lie in (0, 1), where log(1/eps) is positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon grid must be strictly decreasing")
-    rates = [pt.rate for pt in _rd_grid(source, rho, eps)]
+    rates = [pt.rate_nats for pt in _rd_grid(source, rho, eps)]
     logs = np.log(1.0 / np.asarray(eps))
     slopes = [r / l for r, l in zip(rates, logs.tolist())]
     a = np.vstack([logs, np.ones_like(logs)]).T

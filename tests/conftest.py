@@ -12,12 +12,20 @@ except ImportError:
 
 import numpy as np
 
+from genbounds.info import _probs
 from genbounds.learning import Algorithm, _type_counts
 
 # one profile for every property test: the same examples on every run, no
 # example database carried between runs, and no per-example deadline
 settings.register_profile("genbounds", derandomize=True, database=None, deadline=None)
 settings.load_profile("genbounds")
+
+
+def entropy(p) -> float:
+    """Shannon entropy in nats, 0 log 0 = 0: the oracle that bounds a rate or a mutual information by H(p)."""
+    v = _probs(np.asarray(p, dtype=float).reshape(-1), 1)
+    pos = v[v > 0]
+    return float(-(pos * np.log(pos)).sum())
 
 
 class ConstantAlgorithm(Algorithm):

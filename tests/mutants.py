@@ -116,6 +116,41 @@ MUTANTS = [
         ("tests/test_validation.py::TestValidationReport::test_pass_rule_edge",),
     ),
     Mutant(
+        "rd_dimension fitting the achieved distortion in place of the rate",
+        "ratedistortion.py",
+        "rates = [pt.rate_nats for pt in _rd_grid(source, rho, eps)]",
+        "rates = [pt.achieved_distortion for pt in _rd_grid(source, rho, eps)]",
+        ("tests/test_rate_distortion.py::TestRdDimension::test_uniform_grid_dimension_one",),
+    ),
+    Mutant(
+        "the rd command writing the achieved distortion into its rate_nats column",
+        "cli.py",
+        "rows = [(eps, pt.rate_nats, pt.lagrange_lambda,",
+        "rows = [(eps, pt.achieved_distortion, pt.lagrange_lambda,",
+        ("tests/test_io_cli.py::TestCli::test_rd_curve_csv",),
+    ),
+    Mutant(
+        "the rd command writing the rate into its lagrange column",
+        "cli.py",
+        "rows = [(eps, pt.rate_nats, pt.lagrange_lambda,",
+        "rows = [(eps, pt.rate_nats, pt.rate_nats,",
+        ("tests/test_io_cli.py::TestCli::test_rd_curve_csv",),
+    ),
+    Mutant(
+        "blahut_arimoto returning its distortion as the rate",
+        "ratedistortion.py",
+        "return RdSolution(rate, dist, float(lagrange), iters, converged)",
+        "return RdSolution(dist, dist, float(lagrange), iters, converged)",
+        ("tests/test_rate_distortion.py::TestBlahutArimoto::test_underflowed_row_is_argmin_point_mass",),
+    ),
+    Mutant(
+        "the zero-rate point taken at the costliest constant reproduction, not the cheapest",
+        "ratedistortion.py",
+        "zero_rate_d = float((p @ dm).min())",
+        "zero_rate_d = float((p @ dm).max())",
+        ("tests/test_rate_distortion.py::TestBlahutArimoto::test_zero_rate_point_is_the_cheapest_column",),
+    ),
+    Mutant(
         "an export that nothing loads",
         "__init__.py",
         '__version__ = "0.1.0"\n',

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from genbounds.info import (
-    Channel,
     Joint,
     Pmf,
     _increasing_root,
+    _probs,
     binary_kl,
     binary_kl_inverse,
     binary_kl_inverse_cap,
-    entropy,
     gdelta_radius,
     gdelta_sup,
     in_gdelta,
@@ -28,6 +27,8 @@ from genbounds.info import (
 )
 from genbounds.io import canonical_json
 from genbounds.seeding import rng
+
+from conftest import entropy
 
 
 def random_pmf(gen, k):
@@ -220,7 +221,7 @@ class TestToleranceClosed:
         Pmf(np.asarray(j.marginal_w()))
         t = np.asarray(j)
         mass = t.sum(axis=1)
-        Channel(t[mass > 0] / mass[mass > 0, None])
+        pmf_rows(t[mass > 0] / mass[mass > 0, None])
 
 
 class TestBinaryKl:
@@ -359,6 +360,11 @@ class TestIncreasingRoot:
             _increasing_root(lambda x: (math.nan if x > 2 else x - 10.0, 1.0), 1.0)
 
 
+def pmf_rows(table):
+    """The rule for a channel, one pmf per row."""
+    return _probs(table, 2, rows=True)
+
+
 class TestTypes:
     def test_pmf_validation(self):
         with pytest.raises(ValueError):
@@ -367,9 +373,9 @@ class TestTypes:
             Pmf(np.array([-0.1, 1.1]))
 
     def test_channel_rows(self):
-        Channel(np.array([[0.2, 0.8], [1.0, 0.0]]))
+        pmf_rows(np.array([[0.2, 0.8], [1.0, 0.0]]))
         with pytest.raises(ValueError):
-            Channel(np.array([[0.2, 0.9], [1.0, 0.0]]))
+            pmf_rows(np.array([[0.2, 0.9], [1.0, 0.0]]))
 
     def test_joint_marginals(self):
         j = Joint(np.array([[0.1, 0.2], [0.3, 0.4]]))
@@ -379,7 +385,7 @@ class TestTypes:
     @pytest.mark.parametrize("cls, bad", [
         (Pmf, [np.nan, 0.5, 0.5]),
         (Pmf, [np.inf, 1.0]),
-        (Channel, [[np.nan, 1.0], [0.5, 0.5]]),
+        (pmf_rows, [[np.nan, 1.0], [0.5, 0.5]]),
         (Joint, [[np.nan, 0.5], [0.25, 0.25]]),
         (Joint, [[np.nan, np.nan], [np.nan, np.nan]]),
     ])

@@ -85,7 +85,7 @@ CHECKS = {
         lambda t: learning.induced_joint(PROB3, learning.GibbsAlgorithm(info.Pmf.uniform(5), 1.0), 2),
         "the prior has 5 entries, but the problem has 3 hypotheses",
     ),
-    "entropy of nothing": (lambda t: info.entropy([]), "expected a non-empty 1-D probability array"),
+    "Pmf of nothing": (lambda t: info.Pmf([]), "expected a non-empty 1-D probability array"),
     "binary_kl a > 1": (lambda t: info.binary_kl(1.5, 0.5), "a must lie in [0, 1]"),
     "binary_kl b > 1": (lambda t: info.binary_kl(0.5, 1.5), "b must lie in [0, 1]"),
     "binary_kl_inverse a < 0": (lambda t: info.binary_kl_inverse(-0.5, 0.1), "a must lie in [0, 1]"),

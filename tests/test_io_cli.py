@@ -215,6 +215,9 @@ class TestCli:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epsilon", "rate_nats", "lagrange", "iterations", "converged"]
         assert float(rows[1][1]) == pytest.approx(math.log(2) - (-0.1 * math.log(0.1) - 0.9 * math.log(0.9)), abs=1e-4)
+        # the multiplier at which a fair bit under Hamming distortion attains D is log((1 - D) / D)
+        for eps, row in zip([0.1, 0.25], rows[1:]):
+            assert float(row[2]) == pytest.approx(math.log((1 - eps) / eps), rel=1e-6)
 
     def test_rd_problem_rows_match_rd_gen(self, tmp_path, problem_file, capsys):
         grid = [0.1, 0.05, 0.0, -0.05, -0.1]

@@ -41,21 +41,25 @@ def test_learning_imports_info_and_seeding_only():
 
 
 def _loaded_names(path: Path, strings: bool = False) -> set[str]:
-    """Names that `path` loads, bare or as an attribute, less each top-level def's or class's loads of its own
-    name; with `strings`, its string constants too (`bench/tracer.py` wraps functions named by strings)."""
+    """Names that `path` loads, bare or as an attribute, less what each top-level def or class binds itself: its
+    own name, and among its bare loads, its arguments and stored names (a local `entropy` is no call of an exported
+    `entropy`). With `strings`, its string constants count too (`bench/tracer.py` wraps functions named by strings)."""
     found = set()
     for top in ast.parse(path.read_text(encoding="utf-8")).body:
-        names = set()
+        bare, other, bound = set(), set(), set()
         for node in ast.walk(top):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
+            if isinstance(node, ast.Name):
+                (bare if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+            elif isinstance(node, ast.arg):
+                bound.add(node.arg)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
+                other.add(node.attr)
             elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
+                other.add(node.value)
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-            names.discard(top.name)
-        found |= names
+            found |= ((bare - bound) | other) - {top.name}
+        else:
+            found |= bare | other
     return found
 
 
