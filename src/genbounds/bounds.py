@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .info import Joint, _increasing_root, _kl_rows, _pair, _probs, gdelta_sup, kl_divergence, renyi_divergence
+from .info import Joint, _increasing_root, _kl_rows, _probs, _row_sums, gdelta_sup, kl_divergence, renyi_divergence
 from .ratedistortion import rd_gen
 
 __all__ = [
@@ -147,10 +147,20 @@ def _check_index(i: int, size: int, name: str) -> None:
         raise ValueError(f"{name} = {i} is out of range for {size} rows")
 
 
-def _q_rows(q_hat, rows: int) -> np.ndarray:
-    """q_hat with one row per dataset symbol; a 1-D q_hat is shared by every row."""
-    q = np.asarray(q_hat, dtype=float)
-    return np.tile(q, (rows, 1)) if q.ndim == 1 else q
+def _shaped(a, shape: tuple, name: str) -> np.ndarray:
+    """`a` as a float array of `shape`; ValueError naming both shapes otherwise."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
+
+
+def _q_table(q_hat, rows: int) -> np.ndarray:
+    """q_hat checked once: a 1-D pmf that all `rows` dataset symbols share, or one pmf per row."""
+    q = _probs(q_hat, 1) if np.ndim(q_hat) == 1 else _probs(q_hat, 2, rows=True)
+    if q.ndim == 2 and len(q) != rows:
+        raise ValueError(f"q_hat has shape {q.shape}, expected ({q.shape[1]},) or ({rows}, {q.shape[1]})")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -158,31 +168,32 @@ def _q_rows(q_hat, rows: int) -> np.ndarray:
 
 
 def channel_kl(nu_s, p_hat, q_hat) -> float:
-    """E_{nu_S}[ KL(p(.|S) || q(.|S)) ], the divergence term of thm5's part i."""
+    """E_{nu_S}[ KL(p(.|S) || q(.|S)) ], the divergence term of thm5's part i; a 1-D q_hat is shared by every S."""
     nu = _probs(np.reshape(nu_s, -1), 1)
+    q = _q_table(q_hat, nu.size)
     pos = np.flatnonzero(nu > 0)
-    p, q = _pair(np.asarray(p_hat, dtype=float)[pos], np.asarray(q_hat, dtype=float)[pos], rows=True)
-    divs = _kl_rows(p, q)
+    p = _probs(_shaped(p_hat, (nu.size, q.shape[-1]), "p_hat")[pos], 2, rows=True)
+    divs = _kl_rows(p, q if q.ndim == 1 else q[pos])
     # a running sum in row order adds the terms as a loop over the rows would,
     # to the last bit; an infinite divergence makes the total +inf
     return float(np.cumsum(nu[pos] * divs)[-1])
 
 
-def _mgf_cells(P_S, q_hat, g) -> tuple[np.ndarray, np.ndarray]:
-    """log P_S + log q and g on the cells of positive weight, checked once.
+def _mgf_cells(ps: np.ndarray, q: np.ndarray, g) -> tuple[np.ndarray, np.ndarray]:
+    """log P_S + log q and g on the cells of positive weight, for a checked ps and q (`_q_table`).
 
-    A cell of weight 0 adds nothing to the MGF even where g is +-inf
-    (0 e^{+inf} counts as 0), so it is dropped here; thm5 scales the
-    returned g and calls `_log_mgf_cells` without checking again.
+    A cell of weight 0 adds nothing to the MGF even where g is +-inf (0 e^{+inf} counts as 0), so it
+    is dropped here; thm5 scales the returned g and calls `_log_mgf_cells` without checking again.
     """
-    ps = _probs(np.reshape(P_S, -1), 1)
-    q = _probs(_q_rows(q_hat, ps.size), 2, rows=True)
     gm = np.asarray(g, dtype=float)
-    if gm.shape != q.shape or np.isnan(gm).any():
-        raise ValueError("log_mgf needs a g shaped like q_hat whose only non-finite values are +-inf")
+    if gm.shape != (ps.size, q.shape[-1]) or np.isnan(gm).any():
+        raise ValueError(f"log_mgf needs a g of shape {(ps.size, q.shape[-1])} whose only non-finite values are +-inf")
     with np.errstate(divide="ignore"):
-        logw = np.log(ps)[:, None] + np.log(q)
+        # a 1-D q: built per entry of q, then copied row-major, so that the cells below keep their order
+        logw = np.add.outer(np.log(q), np.log(ps)).T.copy() if q.ndim == 1 else np.log(ps)[:, None] + np.log(q)
     live = logw > -np.inf
+    if live.all():
+        return logw.reshape(-1), gm.flatten()
     return logw[live], gm[live]
 
 
@@ -218,7 +229,8 @@ def _log_mgf_cells(logw: np.ndarray, g: np.ndarray) -> float:
 
 def log_mgf(P_S, q_hat, g) -> float:
     """log E_{P_S q}[ e^{g(S,What)} ], exact by finite summation in log space."""
-    return _log_mgf_cells(*_mgf_cells(P_S, q_hat, g))
+    ps = _probs(np.reshape(P_S, -1), 1)
+    return _log_mgf_cells(*_mgf_cells(ps, _q_table(q_hat, ps.size), g))
 
 
 def _fo_condition(logw: np.ndarray, g: np.ndarray, K: float, lam: float) -> tuple[float, float]:
@@ -399,33 +411,34 @@ def prop5_bound(
     log(p*/q) under kernel(.|w) at the realized (s, w).
     """
     _check_domain(delta=delta)
-    ps = np.asarray(P_S, dtype=float).reshape(-1)
+    ps = _probs(np.reshape(P_S, -1), 1)
     _check_index(s_index, ps.size, "s_index")
-    q = _q_rows(q_hat, ps.size)
+    q = _q_table(q_hat, ps.size)
+    q_s = q if q.ndim == 1 else q[s_index]
     gm = np.asarray(g, dtype=float)
     conf = math.log(1.0 / delta)
-    mgf = log_mgf(ps, q, gm)
+    mgf = _log_mgf_cells(*_mgf_cells(ps, q, gm))
 
     if mode == "i":
         if pi is None or p_quant is None or f is None:
             raise ValueError("mode i needs pi, p_quant and f")
         pv = _probs(pi, 1)
         pq = np.asarray(p_quant, dtype=float)
-        fm = np.asarray(f, dtype=float)
+        fm = _shaped(f, (ps.size, pv.size), "f")
         avg_f = float(pv @ fm[s_index])
         avg_g = float(pq @ gm[s_index])
         if avg_f - avg_g > epsilon + DISTORTION_SLACK:
             raise ValueError(
                 f"quantizer violates the declared distortion: E[f-g]={avg_f - avg_g} > epsilon={epsilon}"
             )
-        rate = kl_divergence(pq, q[s_index])
+        rate = kl_divergence(pq, q_s)
         params = {"delta": delta, "epsilon": epsilon, "s_index": s_index, "mode": "i"}
     elif mode == "ii":
         if kernel is None or P_WgS is None or w_index is None or f is None:
             raise ValueError("mode ii needs kernel, P_WgS, w_index and f")
         ker = _probs(kernel, 2, rows=True)
-        pws = _probs(P_WgS, 2, rows=True)
-        fm = np.asarray(f, dtype=float)
+        pws = _shaped(_probs(P_WgS, 2, rows=True), (ps.size, len(ker)), "P_WgS")
+        fm = _shaped(f, pws.shape, "f")
         _check_index(w_index, ker.shape[0], "w_index")
         p_star = pws @ ker  # rows: s, columns: what
         row = ker[w_index]
@@ -436,11 +449,11 @@ def prop5_bound(
                 f"> epsilon={epsilon}"
             )
         support = row > 0
-        if np.any(p_star[s_index, support] <= 0) or np.any(q[s_index, support] <= 0):
+        if np.any(p_star[s_index, support] <= 0) or np.any(q_s[support] <= 0):
             rate = math.inf
         else:
             rate = float(
-                (row[support] * (np.log(p_star[s_index, support]) - np.log(q[s_index, support]))).sum()
+                (row[support] * (np.log(p_star[s_index, support]) - np.log(q_s[support]))).sum()
             )
         params = {"delta": delta, "epsilon": epsilon, "s_index": s_index, "w_index": w_index, "mode": "ii"}
     else:
@@ -485,12 +498,8 @@ def toy_example_bound(
 def distortion_ok_fg(nu_joint, p_hat, f, g, epsilon: float) -> bool:
     """Sufficient distortion check E_{nu p}[f(S,W) - g(S,What)] <= epsilon."""
     nu = _probs(nu_joint, 2)
-    p = np.asarray(p_hat, dtype=float)
-    fm = np.asarray(f, dtype=float)
-    gm = np.asarray(g, dtype=float)
-    nu_s = nu.sum(axis=1)
-    e_f = float((nu * fm).sum())
-    e_g = float((nu_s[:, None] * p * gm).sum())
+    e_f = float((nu * np.asarray(f, dtype=float)).sum())
+    e_g = float((_row_sums(nu)[:, None] * np.asarray(p_hat, dtype=float) * np.asarray(g, dtype=float)).sum())
     return e_f - e_g <= epsilon + DISTORTION_SLACK
 
 
@@ -528,15 +537,15 @@ def thm5_expectation_bound(
     if mgf not in ("exact", "surrogate"):
         raise ValueError(f"mgf must be 'exact' or 'surrogate', got {mgf!r}")
     P_t = _probs(P, 2)
-    ps = P_t.sum(axis=1)
-    fm = np.asarray(f, dtype=float)
+    ps = _row_sums(P_t)
+    fm = _shaped(f, P_t.shape, "f")
     gm = np.asarray(g, dtype=float)
-    q = _q_rows(q_hat, ps.size)
+    q = _q_table(q_hat, ps.size)
     true_ef = float((P_t * fm).sum())
 
     if part == "i":
-        p = np.asarray(p_hat, dtype=float)
-        if not distortion_ok_fg(P_t, p, fm, gm, epsilon):
+        p = _shaped(p_hat, (ps.size, q.shape[-1]), "p_hat")
+        if not distortion_ok_fg(P, p, fm, gm, epsilon):
             e_g = float((ps[:, None] * p * gm).sum())
             raise ValueError(f"distortion violated: E[f-g]={true_ef - e_g} > epsilon={epsilon}")
         kl = channel_kl(ps, p, q)

@@ -124,7 +124,7 @@ def cmd_bound(args) -> int:
         rep = _CLOSED_FORM[kind](args, args.n)
     else:  # the exact kinds, on the type-level joint of the Gibbs algorithm
         prob, alg = _gibbs_setup(args)
-        joint, types = induced_joint(prob, alg, args.n)
+        joint, types = induced = induced_joint(prob, alg, args.n)
         gtab = gen_table(prob, types)
         if kind == "eq21":
             rep = rd_tail_bound(joint, gtab, prob.sigma, args.n, args.delta, args.epsilon, seed=args.seed)
@@ -142,7 +142,7 @@ def cmd_bound(args) -> int:
             p_s = np.asarray(joint.marginal_s())
             s = sample_dataset(prob, args.n, args.seed)
             counts = _symbol_counts(s.samples[None], prob.z_alphabet_size)
-            s_idx = int(np.flatnonzero((types == counts).all(axis=1))[0])
+            s_idx = int(np.flatnonzero(np.logical_and.reduce([col == c for col, c in zip(types.T, counts[0])]))[0])
             pi = np.asarray(alg.posterior(prob, s))
             if kind == "eq22":
                 rep = pac_bayes_eq22(pi, np.asarray(alg.prior), log_mgf(p_s, alg.prior, f), args.delta)
@@ -157,12 +157,11 @@ def cmd_bound(args) -> int:
                 flip = args.kernel_flip
                 kernel = (1 - flip) * np.eye(k) + flip / max(k - 1, 1) * (1 - np.eye(k))
                 w_idx = int(_rng(args.seed, 1).choice(k, p=pi))
-                pws = alg.posteriors(prob, types)
                 achieved = float(f[s_idx, w_idx] - kernel[w_idx] @ f[s_idx])
                 rep = prop5_bound(
                     "ii", P_S=p_s, q_hat=alg.prior, g=f, delta=args.delta,
                     epsilon=max(args.epsilon, achieved, 0.0), s_index=s_idx,
-                    kernel=kernel, P_WgS=pws, w_index=w_idx, f=f,
+                    kernel=kernel, P_WgS=induced.posteriors, w_index=w_idx, f=f,
                 )
     _emit(args, write_report, rep, "report.json")
     print(f"{kind}: bound = {rep.bound_value:.6g}")

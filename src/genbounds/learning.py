@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 import numpy as np
 
-from .info import Joint, Pmf
+from .info import Joint, Pmf, _row_sums
 from .seeding import rng as _rng
 
 __all__ = [
@@ -128,7 +128,7 @@ def _type_counts(counts, z: int) -> np.ndarray:
         raise ValueError(f"expected a non-empty (N, z) table of symbol counts, got shape {c.shape}")
     if c.dtype.kind not in "iu" and not (c.dtype.kind == "f" and np.isfinite(c).all() and (c == np.floor(c)).all()):
         raise ValueError("symbol counts must be whole numbers")
-    n = np.einsum("ij->i", c)  # 4x faster than sum(axis=1) on the thm5 kinds' 5456 x 4 types
+    n = _row_sums(c)  # exact for whole numbers, whatever the order
     if not (c.min() >= 0 and n[0] > 0 and (n == n[0]).all()):
         raise ValueError("symbol counts must be non-negative, and every row must have the same positive sum n")
     if c.shape[1] != z:
@@ -203,12 +203,13 @@ class GibbsAlgorithm(Algorithm):
             k, w = self._log_prior.size, prob.w_alphabet_size
             raise ValueError(f"the prior has {k} entries, but the problem has {w} hypotheses")
         # (counts @ loss)[w] = n * emp_risk(s, w) for every dataset s with those counts
-        logits = self._log_prior - self.beta * (_type_counts(counts, prob.z_alphabet_size) @ prob.loss)
-        # the row max by one np.maximum per hypothesis column, as max is exact in any order: on the 5456 x 4 logits
-        # at n = 30 that is about 15x faster than numpy's reduction along each short row; row sums keep numpy's order
-        logits -= functools.reduce(np.maximum, logits.T)[:, None]
-        weights = np.exp(logits)
-        return weights / weights.sum(axis=-1, keepdims=True)
+        prod = _type_counts(counts, prob.z_alphabet_size) @ prob.loss
+        # the rest runs on one length-N column per hypothesis, not on N rows of length W, and ends in a row-major
+        # table: elementwise steps, a max (exact in any order) and `_row_sums`' adds give the row-major bits
+        cols = self._log_prior[:, None] - self.beta * np.ascontiguousarray(prod.T)
+        cols -= functools.reduce(np.maximum, cols)
+        np.exp(cols, out=cols)
+        return np.divide(cols, _row_sums(cols.T), out=np.empty(prod.shape).T).T
 
 
 def sample_dataset(prob: FiniteLearningProblem, n: int, seed: int, *path: int) -> Dataset:
@@ -252,12 +253,15 @@ def enumerate_types(z_size: int, n: int) -> np.ndarray:
 
 def _posterior_rows(prob: FiniteLearningProblem, alg: Algorithm, types: np.ndarray) -> np.ndarray:
     """alg's (N, W) posteriors of the (N, z) type table; ValueError unless it returns one row per type and one column
-    per hypothesis. A one-row table takes BLAS's gemv path, so its row may differ in the last bit from the same
-    type's row in a larger table."""
+    per hypothesis. A one-row table may differ in the last bit from its type's row in a larger one (BLAS gemv)."""
     rows = np.asarray(alg.posteriors(prob, types))
     if rows.shape != (len(types), prob.w_alphabet_size):
         raise ValueError(f"expected {len(types)} posteriors over {prob.w_alphabet_size} hypotheses, got {rows.shape}")
     return rows
+
+
+class _Induced(tuple):
+    """`induced_joint`'s (Joint, types); `.posteriors` holds the (N, W) posterior rows that the joint was built from."""
 
 
 def induced_joint(prob: FiniteLearningProblem, alg: Algorithm, n: int):
@@ -266,7 +270,8 @@ def induced_joint(prob: FiniteLearningProblem, alg: Algorithm, n: int):
     Returns (Joint, types): `types` is the (N, z) table of `enumerate_types`, and
     row t of the joint is type t's multinomial probability times alg's posterior
     for it. It equals the dataset-level joint summed over the datasets of each
-    type, since an `Algorithm` is exchangeable.
+    type, since an `Algorithm` is exchangeable. The result keeps alg's posterior
+    rows as `.posteriors`, so that no caller runs the kernel again.
     """
     n = _whole(n, "n", 1)
     # compositions of n into z parts, counted before any is built
@@ -274,18 +279,22 @@ def induced_joint(prob: FiniteLearningProblem, alg: Algorithm, n: int):
     if n_types > ENUMERATION_CAP:
         raise EnumerationCapError(f"{n_types} types exceed the cap {ENUMERATION_CAP}")
     types = enumerate_types(prob.z_alphabet_size, n)
+    cols = np.ascontiguousarray(types.T)  # one count column per data symbol, for `_row_sums`' column adds
     log_mu = np.where(np.asarray(prob.mu) > 0, np.log(np.clip(np.asarray(prob.mu), 1e-300, None)), -np.inf)
     log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    mass = (types * np.where(types > 0, log_mu, 0.0)).sum(axis=1)
+    mass = _row_sums((cols * np.where(cols > 0, log_mu[:, None], 0.0)).T)
     # math.exp, not np.exp: numpy's vectorised exp differs from libm in the last ulp
     # on some weights, which would move output bytes; it maps over Python floats faster than over numpy scalars
-    log_weights = log_fact[n] - log_fact[types].sum(axis=1) + mass
+    log_weights = log_fact[n] - _row_sums(log_fact[cols].T) + mass
     weights = np.fromiter(map(math.exp, log_weights.tolist()), float, n_types)
-    table = weights[:, None] * _posterior_rows(prob, alg, types)
+    posteriors = _posterior_rows(prob, alg, types)
+    table = weights[:, None] * posteriors
     total = table.sum()
     if not abs(total - 1.0) <= 1e-9:
         raise RuntimeError(f"induced joint mass {total} drifted from 1")
-    return Joint(table / total), types
+    out = _Induced((Joint(table / total), types))
+    out.posteriors = posteriors
+    return out
 
 
 def gen_table(prob: FiniteLearningProblem, types: np.ndarray) -> np.ndarray:

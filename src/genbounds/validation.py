@@ -347,10 +347,10 @@ def _covering_flags(prob, alg, n, rates, epsilon, m_grid, trials, seed, q_hat) -
         raise ValueError("m_grid must hold at least one m")
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
-    joint, types = induced_joint(prob, alg, n)
+    joint, types = induced = induced_joint(prob, alg, n)
     q_hat, r = _check_book(q_hat, rates, prob.w_alphabet_size, len(types))
     type_probs = np.asarray(joint.marginal_s())
-    post_cdf = np.cumsum(alg.posteriors(prob, types), axis=1)
+    post_cdf = np.cumsum(induced.posteriors, axis=1)
     g2 = gen_table(prob, types) ** 2  # (types, w); reproduction alphabet = W
     q_cdf = np.cumsum(q_hat)
     type_cdf = np.cumsum(type_probs)

@@ -1,3 +1,5 @@
+import functools
+import math
 import sys
 from pathlib import Path
 
@@ -12,8 +14,8 @@ except ImportError:
 
 import numpy as np
 
-from genbounds.info import _probs
-from genbounds.learning import Algorithm, _type_counts
+from genbounds.info import Pmf, _probs
+from genbounds.learning import Algorithm, FiniteLearningProblem, _type_counts, enumerate_types
 
 # one profile for every property test: the same examples on every run, no
 # example database carried between runs, and no per-example deadline
@@ -36,6 +38,39 @@ class ConstantAlgorithm(Algorithm):
 
     def posteriors(self, prob, counts):
         return np.tile(self.output, (len(_type_counts(counts, prob.z_alphabet_size)), 1))
+
+
+def bank_problem(k: int) -> FiniteLearningProblem:
+    """The benchmark's bank problem k (`bench/cases.py`): a 4 x 4 loss in [0, 1], zero diagonal, Dirichlet(1) mu."""
+    gen = np.random.default_rng([230305369, k])
+    loss = gen.uniform(0.0, 1.0, size=(4, 4))
+    np.fill_diagonal(loss, 0.0)
+    return FiniteLearningProblem(loss=loss, mu=Pmf(gen.dirichlet(np.ones(4))), bound=1.0)
+
+
+def rowmajor_posteriors(alg, prob, counts) -> np.ndarray:
+    """The Gibbs kernel on one row per type, with numpy's own row reductions: the oracle that
+    `GibbsAlgorithm.posteriors`, which works per hypothesis column, must match bit for bit."""
+    logits = alg._log_prior - alg.beta * (_type_counts(counts, prob.z_alphabet_size) @ prob.loss)
+    logits -= functools.reduce(np.maximum, logits.T)[:, None]
+    weights = np.exp(logits)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def rowmajor_induced_joint(prob, alg, n):
+    """(table, row marginal, column marginal, posteriors) of the type-level joint, built row by row with
+    numpy's own reductions: the oracle that `learning.induced_joint` and its `Joint` must match bit for bit."""
+    types = enumerate_types(prob.z_alphabet_size, n)
+    mu = np.asarray(prob.mu)
+    log_mu = np.where(mu > 0, np.log(np.clip(mu, 1e-300, None)), -np.inf)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    mass = (types * np.where(types > 0, log_mu, 0.0)).sum(axis=1)
+    log_weights = log_fact[n] - log_fact[types].sum(axis=1) + mass
+    weights = np.fromiter(map(math.exp, log_weights.tolist()), float, len(types))
+    posts = rowmajor_posteriors(alg, prob, types)
+    table = weights[:, None] * posts
+    table = np.maximum(table / table.sum(), 0.0)
+    return table, table.sum(axis=1), table.sum(axis=0), posts
 
 
 @pytest.fixture

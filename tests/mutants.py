@@ -151,6 +151,41 @@ MUTANTS = [
         ("tests/test_rate_distortion.py::TestBlahutArimoto::test_zero_rate_point_is_the_cheapest_column",),
     ),
     Mutant(
+        "the row-sum helper adding the columns right to left",
+        "info.py",
+        "    for col in a.T:\n        out += col\n",
+        "    for col in a.T[::-1]:\n        out += col\n",
+        ("tests/test_properties.py::test_row_sums_are_numpy_row_sums",),
+    ),
+    Mutant(
+        "the row-sum helper starting from the first column, not from +0.0",
+        "info.py",
+        "    out = np.zeros(len(a))\n    for col in a.T:\n",
+        "    out = a[:, 0].copy()\n    for col in a.T[1:]:\n",
+        ("tests/test_properties.py::test_row_sums_of_negative_zeros_are_positive_zeros",),
+    ),
+    Mutant(
+        "the row-sum helper adding columns on rows of 8 entries and more too, where numpy sums pairwise",
+        "info.py",
+        "    if a.shape[1] >= 8:\n",
+        "    if a.shape[1] >= 10**9:\n",
+        ("tests/test_properties.py::test_row_sums_are_numpy_row_sums",),
+    ),
+    Mutant(
+        "the Gibbs kernel shifting its logits by the first hypothesis's column, not by the column max",
+        "learning.py",
+        "        cols -= functools.reduce(np.maximum, cols)\n",
+        "        cols -= cols[0]\n",
+        ("tests/test_learning.py::TestColumnForm::test_random_problems",),
+    ),
+    Mutant(
+        "prop5ii reading the joint's conditional rows, which are 0 on types of mass 0, for the posterior rows",
+        "cli.py",
+        "kernel=kernel, P_WgS=induced.posteriors, w_index=w_idx, f=f,",
+        "kernel=kernel, P_WgS=_conditional(np.asarray(joint), np.asarray(joint.marginal_s())), w_index=w_idx, f=f,",
+        ("tests/test_io_cli.py::TestCli::test_zero_mass_symbol[prop5ii]",),
+    ),
+    Mutant(
         "an export that nothing loads",
         "__init__.py",
         '__version__ = "0.1.0"\n',

@@ -13,6 +13,8 @@ from genbounds import bounds, counterexample as cex, info, learning, trajectory,
 from genbounds.cli import _load_trajectory_spec
 from genbounds.io import load_problem
 
+from conftest import bank_problem
+
 P = np.array([[0.3, 0.2], [0.1, 0.4]])
 PS = P.sum(axis=1)
 PWGS = P / PS[:, None]
@@ -24,6 +26,19 @@ GIBBS3 = learning.GibbsAlgorithm(info.Pmf.uniform(3), 1.0)
 INST = cex.ScoInstance(2)
 QUAD = trajectory.QuadraticToy()
 GRID = QUAD.default_quantizer()
+
+
+# the benchmark's bank problem 0 at n = 3: a 20 x 4 type-level joint
+BANK0 = bank_problem(0)
+BANK_JOINT, BANK_TYPES = learning.induced_joint(BANK0, learning.GibbsAlgorithm(info.Pmf.uniform(4), 1.0), 3)
+BANK_PS = np.asarray(BANK_JOINT.marginal_s())
+BANK_Q = np.asarray(BANK_JOINT.marginal_w())
+BANK_PWS = np.asarray(BANK_JOINT) / BANK_PS[:, None]
+BANK_G = learning.gen_table(BANK0, BANK_TYPES)
+
+
+def _bank_prop5(mode, **kw):
+    return bounds.prop5_bound(mode, P_S=BANK_PS, q_hat=BANK_Q, g=BANK_G, delta=0.1, epsilon=10.0, s_index=5, **kw)
 
 
 class WideLearner(learning.Algorithm):
@@ -50,6 +65,21 @@ CHECKS = {
         lambda t: _prop5("ii", kernel=np.eye(2), P_WgS=PWGS, w_index=0, f=F), "kernel violates the declared"
     ),
     "prop5 unknown mode": (lambda t: _prop5("iii"), "mode must be 'i' or 'ii'"),
+    "thm5 i 1-D p_hat": (
+        lambda t: bounds.thm5_expectation_bound("i", BANK_JOINT, BANK_Q, BANK_Q, BANK_G, BANK_G, None, epsilon=10),
+        "p_hat has shape (4,), expected (20, 4)",
+    ),
+    "channel_kl q_hat rows": (
+        lambda t: bounds.channel_kl(BANK_PS, BANK_PWS, BANK_PWS[:2]), "q_hat has shape (2, 4), expected (4,) or (20, 4)"
+    ),
+    "prop5 ii P_WgS rows": (
+        lambda t: _bank_prop5("ii", kernel=np.eye(4), P_WgS=BANK_PWS[:2], w_index=0, f=BANK_G),
+        "P_WgS has shape (2, 4), expected (20, 4)",
+    ),
+    "prop5 i f rows": (
+        lambda t: _bank_prop5("i", pi=BANK_PWS[5], p_quant=BANK_PWS[5], f=BANK_G[:2]),
+        "f has shape (2, 4), expected (20, 4)",
+    ),
     "thm5 surrogate without sigma_g": (
         lambda t: bounds.thm5_expectation_bound("i", P, PWGS, Q, F, F, 1.0, mgf="surrogate"),
         "surrogate path needs sigma_g",

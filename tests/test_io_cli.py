@@ -514,6 +514,21 @@ class TestCli:
             assert code == 0, kind
             assert math.isfinite(json.loads(out.read_text())["bound_value"])
 
+    @pytest.mark.parametrize("kind", ["thm5i", "thm5ii", "eq22", "prop5i", "prop5ii"])
+    def test_one_kernel_call_on_the_type_table(self, tmp_path, problem_file, monkeypatch, kind):
+        # prop5ii reads the posterior rows that induced_joint computed; eq22 and prop5 add one row for the dataset
+        rows = []
+        kernel = GibbsAlgorithm.posteriors
+
+        def counted(self, prob, counts):
+            rows.append(len(counts))
+            return kernel(self, prob, counts)
+
+        monkeypatch.setattr(GibbsAlgorithm, "posteriors", counted)
+        argv = ["bound", "--kind", kind, "--problem", str(problem_file), "--n", "30", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert [r for r in rows if r > 1] == [5456]
+
     @pytest.mark.parametrize("kind", ["thm5i", "thm5ii", "eq22", "prop5i", "prop5ii", "eq21"])
     def test_zero_mass_symbol(self, tmp_path, kind):
         # types that hold a zero-mass symbol have no conditional row: thm5i failed with

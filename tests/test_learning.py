@@ -23,7 +23,7 @@ from genbounds.learning import (
 )
 from genbounds.seeding import rng
 
-from conftest import ConstantAlgorithm
+from conftest import ConstantAlgorithm, bank_problem, rowmajor_induced_joint, rowmajor_posteriors
 
 
 def types_by_loop(z, n):
@@ -378,6 +378,49 @@ class TestInducedJoint:
         j, ctx = induced_joint(prob, GibbsAlgorithm(Pmf.uniform(2), 0.7), 4)
         assert np.asarray(j).sum() == pytest.approx(1.0, abs=1e-12)
         assert len(ctx) == math.comb(4 + 2, 2)
+
+
+def random_gibbs(gen):
+    """(problem, Gibbs learner, n): up to 5 symbols, some of mass 0, up to 12 hypotheses, some of prior 0,
+    beta up to 300 and n up to 11, with one-symbol problems, whose type table has one row."""
+    z, w, n = int(gen.integers(1, 6)), int(gen.integers(1, 13)), int(gen.integers(1, 12))
+    mu, prior = gen.dirichlet(np.ones(z)), gen.dirichlet(np.ones(w))
+    for p in (mu, prior):
+        if len(p) > 1 and gen.random() < 0.4:
+            p[gen.integers(len(p), size=int(gen.integers(1, len(p))))] = 0.0
+            p /= p.sum()
+    beta = float(gen.choice([0.0, gen.uniform(0.0, 3.0), gen.uniform(3.0, 300.0)]))
+    prob = FiniteLearningProblem(loss=gen.uniform(0.0, 1.0, size=(z, w)), mu=Pmf(mu), bound=1.0)
+    return prob, GibbsAlgorithm(Pmf(prior), beta), n
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+class TestColumnForm:
+    """The kernel and `induced_joint` work per hypothesis column, yet give the row-major oracle's bits."""
+
+    def assert_oracle_bits(self, prob, alg, n):
+        induced = induced_joint(prob, alg, n)
+        joint, types = induced
+        table, p_s, p_w, posts = rowmajor_induced_joint(prob, alg, n)
+        assert bits(induced.posteriors) == bits(posts)
+        assert bits(joint) == bits(table)
+        assert bits(joint.marginal_s()) == bits(p_s)
+        assert bits(joint.marginal_w()) == bits(p_w)
+        one = types[-1:]  # a one-row table, on BLAS's one-row path in both
+        assert bits(alg.posteriors(prob, one)) == bits(rowmajor_posteriors(alg, prob, one))
+        return posts.shape
+
+    def test_random_problems(self):
+        gen = rng(141)
+        shapes = [self.assert_oracle_bits(*random_gibbs(gen)) for _ in range(300)]
+        assert any(w >= 8 for _, w in shapes) and any(rows == 1 for rows, _ in shapes)
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_bank_problems_at_n30(self, k):
+        assert self.assert_oracle_bits(bank_problem(k), GibbsAlgorithm(Pmf.uniform(4), 1.0), 30) == (5456, 4)
 
 
 class TestEnumeration:

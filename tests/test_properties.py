@@ -1,7 +1,7 @@
 """Properties that hold on every input: fuzzed bound constructors, the SCO
 counter-example, thm5's multiplier, the binary-KL inverse, the covering
-simulator, the categorical draw, canonical JSON, and the CLI on malformed
-input files and sizes.
+simulator, the categorical draw, canonical JSON, the row-sum helper's bits,
+and the CLI on malformed input files and sizes.
 Hypothesis runs under the suite's derandomized profile (tests/conftest.py), so
 each run draws the same examples."""
 
@@ -32,6 +32,7 @@ from genbounds.counterexample import ScoInstance, assemble_bound, scaling_study
 from genbounds.info import (
     Pmf,
     _increasing_root,
+    _row_sums,
     binary_kl,
     binary_kl_inverse,
     binary_kl_inverse_cap,
@@ -106,6 +107,34 @@ def test_sco_instance_raises_or_is_finite(n):
     assert type(inst.n) is int and 1 <= inst.n <= 8
     assert _all_finite([inst.T, inst.eta, inst.d, inst.lam, inst.sigma])
     assert math.isclose(inst.bad_count_pmf.sum(), 1.0, rel_tol=1e-12)
+
+
+# entries that move a sum's bits with its order: signed zeros, infinities, NaN, subnormals, e^+-300
+SUM_EDGES = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.5e-308, math.exp(300),
+                      -math.exp(300), math.exp(-300)])
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 300), st.integers(1, 20), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_row_sums_are_numpy_row_sums(n, w, seed, edges):
+    """`_row_sums` has the bits of numpy's row sums of the row-major table, in C order, F order and strided views;
+    below 8 columns that is also numpy's own row sum of each view."""
+    gen = rng(seed)
+    base = gen.standard_normal((2 * n, 2 * w)) * np.exp(gen.uniform(-300, 300, (2 * n, 2 * w)))
+    hit = gen.random(base.shape) < edges
+    base[hit] = gen.choice(SUM_EDGES, hit.sum())
+    c = np.ascontiguousarray(base[:n, :w])
+    with np.errstate(all="ignore"):
+        for view in (c, np.asfortranarray(c), base[::2, 1::2], base[n:, :w][::-1, ::-1], c.T.copy().T):
+            got = _row_sums(view)
+            assert got.tobytes() == np.ascontiguousarray(view).sum(axis=1).tobytes()
+            if w < 8:
+                assert got.tobytes() == view.sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("w", [1, 4, 7, 8, 13])
+def test_row_sums_of_negative_zeros_are_positive_zeros(w):
+    assert _row_sums(np.full((3, w), -0.0)).tobytes() == np.zeros(3).tobytes()
 
 
 @fixed
